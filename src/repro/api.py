@@ -717,21 +717,14 @@ def verify_saved_index(
 
 def load_index(
     path: str | pathlib.Path,
-    mmap: bool | None = None,
-    workers: int | None = None,
-    verify: str | None = None,
-    on_shard_failure: str | None = None,
     *,
     options: "ServingOptions | None" = None,
 ) -> Queryable:
     """Revive a :func:`save_index` index — zero-copy, O(1) in ``n``.
 
     Serving configuration arrives as one frozen
-    :class:`~repro.serving.options.ServingOptions` (``options=``); the
-    loose ``mmap=`` / ``workers=`` / ``verify=`` / ``on_shard_failure=``
-    keywords still work for one release via a
-    :class:`DeprecationWarning` shim, but mixing them with ``options=``
-    raises ``ValueError``.
+    :class:`~repro.serving.options.ServingOptions` (``options=``,
+    defaults when ``None``).
 
     With ``options.mmap`` true (default) the table arrays (and ``points`` for
     application kinds) are read-only memory maps into the ``.npz``: cold
@@ -740,7 +733,7 @@ def load_index(
     The loaded index answers every query byte-identically to the original
     (same candidates, same order, same stats).
 
-    ``verify`` selects the integrity level the bundle is held to:
+    ``options.verify`` selects the integrity level the bundle is held to:
     ``"lazy"`` (default) runs the O(1) structural checks — recorded file
     size, readable archive — catching truncated or partially-copied
     bundles without sacrificing the O(1) cold start; ``"eager"``
@@ -768,15 +761,9 @@ def load_index(
     ``QueryStats.degraded=True`` and the failure recorded in
     ``ShardedIndex.last_health``.
     """
-    from repro.serving.options import resolve_serving_options
+    from repro.serving.options import ServingOptions
 
-    opts = resolve_serving_options(
-        options,
-        mmap=mmap,
-        workers=workers,
-        verify=verify,
-        on_shard_failure=on_shard_failure,
-    )
+    opts = ServingOptions() if options is None else options
     npz_path, json_path = index_paths(path)
     sidecar = json.loads(json_path.read_text())
     _check_sidecar_format(sidecar, json_path)

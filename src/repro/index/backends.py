@@ -47,6 +47,8 @@ __all__ = [
     "budget_truncation",
     "first_seen_dedup",
     "clip_batch_hits",
+    "segment_gather",
+    "batch_results",
     "BACKENDS",
 ]
 
@@ -219,6 +221,95 @@ def first_seen_dedup(
     return segment[stamp[segment] == positions].tolist()
 
 
+def segment_gather(
+    values: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """THE variable-length gather: the slices
+    ``values[starts[k] : starts[k] + lengths[k]]`` concatenated in order,
+    as one fancy-index pass (no per-slice Python loop).  Keeps
+    ``values``' dtype; the packed probe, the budget clip and the sharded
+    merge all build their hit streams through it."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    total = int(lengths.sum())
+    if not total:
+        return np.empty(0, dtype=values.dtype)
+    ends = np.cumsum(lengths)
+    gather = (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(ends - lengths, lengths)
+        + np.repeat(np.asarray(starts, dtype=np.int64), lengths)
+    )
+    return values[gather]
+
+
+def _table_clip(
+    counts: np.ndarray, n_tables: int, max_retrieved: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Theorem 6.1 budget as a mask over a ``(n_queries, L)`` count
+    matrix: ``(included, truncated)``, where ``included[i, t]`` says
+    whether query ``i`` probes table ``t`` under ``max_retrieved``."""
+    tables_probed, truncated = budget_truncation(
+        counts, n_tables, max_retrieved
+    )
+    included = np.arange(n_tables)[None, :] < tables_probed[:, None]
+    return included, truncated
+
+
+def batch_results(
+    block: BatchHits,
+    n_tables: int,
+    n_points: int,
+    max_retrieved: int | None,
+    degraded: bool = False,
+) -> list[CandidateResult]:
+    """Turn a budget-clipped, table-major hit stream into one
+    :class:`CandidateResult` per query — the single result builder behind
+    :meth:`PackedBackend.batch_query` and the sharded merge.
+
+    ``block`` must already be clipped to ``max_retrieved`` at table
+    granularity (each query's segment holds exactly the hits of the tables
+    it probes), with the pre-clip per-table counts in
+    ``pre_clip_table_counts``; those counts give ``tables_probed`` and
+    ``truncated`` through :func:`budget_truncation`.  Hit ids must lie in
+    ``[0, n_points)``; candidates keep first-seen order
+    (:func:`first_seen_dedup`).  ``degraded`` stamps every result's
+    ``stats.degraded``.
+    """
+    tables_probed, truncated = budget_truncation(
+        block.pre_clip_table_counts, n_tables, max_retrieved
+    )
+    hits = np.asarray(block.hits)
+    bounds = np.asarray(block.offsets, dtype=np.int64)
+    lengths = np.diff(bounds)
+    longest = int(lengths.max(initial=0))
+    # The stamp scratch holds hit positions: keep the (possibly narrowed)
+    # id dtype unless a segment is longer than that dtype can count.
+    dtype = hits.dtype if longest <= np.iinfo(hits.dtype).max else np.int64
+    stamp = np.empty(max(n_points, 1), dtype=dtype)
+    positions = np.arange(longest, dtype=dtype)
+    edges = bounds.tolist()
+    results: list[CandidateResult] = []
+    for i, (probed, cut) in enumerate(
+        zip(tables_probed.tolist(), truncated.tolist())
+    ):
+        ordered = first_seen_dedup(
+            hits[edges[i] : edges[i + 1]], stamp, positions
+        )
+        results.append(
+            CandidateResult(
+                ordered,
+                QueryStats(
+                    retrieved=edges[i + 1] - edges[i],
+                    unique_candidates=len(ordered),
+                    tables_probed=probed,
+                    truncated=cut,
+                    degraded=degraded,
+                ),
+            )
+        )
+    return results
+
+
 def clip_batch_hits(
     block: BatchHits, n_tables: int, max_retrieved: int | None
 ) -> BatchHits:
@@ -247,25 +338,14 @@ def clip_batch_hits(
             "carries full_table_counts"
         )
     full = np.asarray(block.table_counts, dtype=np.int64)
-    tables_probed, truncated = budget_truncation(
-        full, n_tables, max_retrieved
-    )
-    included = np.arange(n_tables)[None, :] < tables_probed[:, None]
+    included, truncated = _table_clip(full, n_tables, max_retrieved)
     clipped = np.where(included, full, 0)
     keep = clipped.sum(axis=1)
     offsets = np.zeros(keep.size + 1, dtype=np.int64)
     np.cumsum(keep, out=offsets[1:])
-    total = int(offsets[-1])
-    if total == block.hits.size:
-        hits = block.hits
-    else:
-        ends = offsets[1:]
-        gather = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(ends - keep, keep)
-            + np.repeat(np.asarray(block.offsets[:-1], dtype=np.int64), keep)
-        )
-        hits = np.asarray(block.hits)[gather]
+    hits = np.asarray(block.hits)
+    if int(offsets[-1]) != hits.size:
+        hits = segment_gather(hits, block.offsets[:-1], keep)
     return BatchHits(
         hits=hits,
         offsets=offsets,
@@ -737,64 +817,29 @@ class PackedBackend(IndexBackend):
             counts[t] = np.where(found, offsets[pos_c + 1] - lo, 0)
         return starts, counts
 
-    def _gather(
-        self, flat_starts: np.ndarray, lengths: np.ndarray
-    ) -> np.ndarray:
-        """One flat gather of many variable-length ``_ids`` slices,
-        concatenated in order."""
-        total = int(lengths.sum())
-        if not total:
-            return np.empty(0, dtype=self._ids.dtype)
-        ends = np.cumsum(lengths)
-        gather = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(ends - lengths, lengths)
-            + np.repeat(flat_starts, lengths)
-        )
-        return self._ids[gather]
-
     def batch_query(
         self, comps: list[np.ndarray], max_retrieved: int | None = None
     ) -> list[CandidateResult]:
-        """Vectorized probe: one lookup + gather, then per-query dedup."""
+        """Vectorized probe: one lookup, the budget clip on the count
+        matrix (clipped tables are never gathered), one gather of every
+        query's stream in the narrowed id dtype, then
+        :func:`batch_results`."""
         n_tables = len(comps)
         starts, counts = self._lookup(comps)
-        n_queries = counts.shape[1]
-
-        tables_probed, truncated = budget_truncation(
-            counts.T, n_tables, max_retrieved
+        full = counts.T
+        included, truncated = _table_clip(full, n_tables, max_retrieved)
+        kept = np.where(included, full, 0)
+        offsets = np.zeros(full.shape[0] + 1, dtype=np.int64)
+        np.cumsum(kept.sum(axis=1), out=offsets[1:])
+        # Query-major so each query's hits are contiguous and table-major.
+        block = BatchHits(
+            hits=segment_gather(self._ids, starts.T.ravel(), kept.ravel()),
+            offsets=offsets,
+            table_counts=kept,
+            truncated=truncated,
+            full_table_counts=full,
         )
-        included = np.arange(n_tables)[:, None] < tables_probed[None, :]
-        counts = np.where(included, counts, 0)
-        retrieved = counts.sum(axis=0)
-
-        # One gather for all (query, table) buckets, query-major so each
-        # query's hits are contiguous and in table order.
-        hits = self._gather(starts.T.ravel(), counts.T.ravel())
-        query_ends = np.cumsum(retrieved)
-
-        # Per-query first-seen dedup via the shared stamp idiom; the
-        # scratch array spans the id space and is reused across queries.
-        stamp = np.empty(self._n_points, dtype=self._ids.dtype)
-        all_positions = np.arange(
-            int(retrieved.max(initial=0)), dtype=self._ids.dtype
-        )
-        results: list[CandidateResult] = []
-        for i in range(n_queries):
-            segment = hits[query_ends[i] - retrieved[i] : query_ends[i]]
-            ordered = first_seen_dedup(segment, stamp, all_positions)
-            results.append(
-                CandidateResult(
-                    ordered,
-                    QueryStats(
-                        retrieved=int(retrieved[i]),
-                        unique_candidates=len(ordered),
-                        tables_probed=int(tables_probed[i]),
-                        truncated=bool(truncated[i]),
-                    ),
-                )
-            )
-        return results
+        return batch_results(block, n_tables, self._n_points, max_retrieved)
 
     def batch_query_hits(
         self, comps: list[np.ndarray], max_hits: int | None = None
@@ -820,7 +865,9 @@ class PackedBackend(IndexBackend):
             )
             truncated = allowed.sum(axis=0) == max_hits
         lengths = allowed.sum(axis=0)
-        hits = self._gather(starts.T.ravel(), allowed.T.ravel())
+        hits = segment_gather(
+            self._ids, starts.T.ravel(), allowed.T.ravel()
+        )
         offsets = np.zeros(n_queries + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         return BatchHits(

@@ -10,17 +10,13 @@ into a single frozen dataclass that :func:`repro.api.load_index`,
 :class:`repro.serving.server.AsyncIndexServer` all accept as
 ``options=``, with a dict/JSON round-trip mirroring
 :class:`repro.api.IndexSpec` so a deployment can pin *what to build*
-and *how to serve it* in the same config file.
-
-The legacy keywords keep working for one release via a deprecation
-shim (:func:`resolve_serving_options`); mixing them with ``options=``
-is an error rather than a silent merge.
+and *how to serve it* in the same config file.  The loose keywords are
+gone: passing one raises ``TypeError``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Any, Mapping
 
 from repro.index.persistence import VERIFY_MODES
@@ -30,19 +26,12 @@ __all__ = [
     "DEFAULT_RETRY_BACKOFF_S",
     "FAILURE_MODES",
     "ServingOptions",
-    "resolve_serving_options",
 ]
 
 DEFAULT_MAX_RETRIES = 2
 DEFAULT_RETRY_BACKOFF_S = 0.05
 
 FAILURE_MODES = ("raise", "degrade")
-
-_LEGACY_HINT = (
-    "pass options=ServingOptions(...) instead; the loose serving "
-    "keywords (mmap=/workers=/verify=/on_shard_failure=) are "
-    "deprecated and will be removed in a future release"
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,9 +46,10 @@ class ServingOptions:
         Memory-map array payloads on load (O(1) cold start) instead of
         materialising them.
     ``verify``
-        Integrity mode for loads: ``"eager"`` (checksum everything up
-        front), ``"lazy"`` (verify each shard on first touch), or
-        ``"off"``.
+        Integrity mode for every bundle load — at load time and, for pool
+        serving, on every worker-side shard (re)load: ``"eager"``
+        (re-checksum every member), ``"lazy"`` (the O(1) structural
+        check: recorded file size, readable archive), or ``"off"``.
     ``on_shard_failure``
         ``"raise"`` surfaces a dead shard as :class:`PoolRecoveryError`;
         ``"degrade"`` serves from the surviving shards and marks results
@@ -68,9 +58,10 @@ class ServingOptions:
         Default per-request deadline in seconds applied when a call does
         not pass its own ``timeout=`` (``None`` = wait indefinitely).
     ``max_retries`` / ``retry_backoff_s``
-        Crash-recovery budget per pool generation: how many times a
-        failed shard batch is retried after a worker respawn, and the
-        linear backoff step between attempts.
+        Crash-recovery budget per request: at most ``max_retries`` retry
+        rounds of the failed ``(shard, chunk)`` tasks, with an
+        exponential backoff of ``retry_backoff_s * 2**(round - 1)``
+        seconds before round ``round``.
     """
 
     workers: int | None = None
@@ -122,41 +113,3 @@ class ServingOptions:
                 f"subset of {sorted(known)}"
             )
         return cls(**dict(payload))
-
-
-def resolve_serving_options(
-    options: ServingOptions | None,
-    *,
-    mmap: bool | None = None,
-    workers: int | None = None,
-    verify: str | None = None,
-    on_shard_failure: str | None = None,
-    stacklevel: int = 3,
-) -> ServingOptions:
-    """Fold legacy loose keywords into one :class:`ServingOptions`.
-
-    The deprecation shim behind every serving entry point: explicit
-    legacy keywords emit a :class:`DeprecationWarning` and are folded
-    into a fresh options object; combining them with ``options=`` raises
-    ``ValueError``; passing neither returns the defaults.
-    """
-    legacy: dict[str, Any] = {}
-    if mmap is not None:
-        legacy["mmap"] = mmap
-    if workers is not None:
-        legacy["workers"] = workers
-    if verify is not None:
-        legacy["verify"] = verify
-    if on_shard_failure is not None:
-        legacy["on_shard_failure"] = on_shard_failure
-    if options is not None:
-        if legacy:
-            raise ValueError(
-                "pass either options=ServingOptions(...) or the legacy "
-                f"keyword(s) {sorted(legacy)}, not both"
-            )
-        return options
-    if not legacy:
-        return ServingOptions()
-    warnings.warn(_LEGACY_HINT, DeprecationWarning, stacklevel=stacklevel)
-    return ServingOptions(**legacy)

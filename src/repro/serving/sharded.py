@@ -20,7 +20,8 @@ Two serving modes share the merge:
   hashed once (all shards share the pairs) and each shard's packed arrays
   are probed serially.  This is the correctness/reference mode.
 * **process pool** — after :meth:`ShardedIndex.save`, ``load(path,
-  workers=W)`` starts a persistent ``ProcessPoolExecutor``; each
+  options=ServingOptions(workers=W))`` starts a persistent
+  ``ProcessPoolExecutor``; each
   ``batch_query`` chunks the query block across ``(shard, chunk)`` tasks
   so every worker stays busy, and every worker memory-maps the shard
   files it touches on first use (cached by ``(path, mtime_ns, size)``, so
@@ -53,7 +54,7 @@ Pool serving survives the failures long-lived serving actually sees:
 * **worker loss** — a worker segfault/OOM-kill breaks the executor
   (``BrokenProcessPool``); ``batch_query`` respawns it and retries only
   the unfinished ``(shard, chunk)`` tasks, with exponential backoff,
-  at most :data:`DEFAULT_MAX_RETRIES` retry rounds, and an optional
+  at most ``ServingOptions.max_retries`` retry rounds, and an optional
   per-request ``timeout=`` deadline.  Recovery accounting for the most
   recent request lands in :attr:`ShardedIndex.last_health` next to
   :attr:`ShardedIndex.last_transport`.
@@ -105,24 +106,18 @@ import numpy as np
 from repro.index.backends import (
     BatchHits,
     CandidateResult,
-    QueryStats,
-    budget_truncation,
+    _table_clip,
+    batch_results,
     clip_batch_hits,
-    first_seen_dedup,
+    segment_gather,
 )
 from repro.index.lsh_index import DSHIndex
 from repro.index.persistence import (
     FORMAT_VERSION,
-    VERIFY_MODES,
     IndexIntegrityError,
 )
 from repro.serving.faults import FaultInjected, fault_point
-from repro.serving.options import (
-    DEFAULT_MAX_RETRIES,
-    DEFAULT_RETRY_BACKOFF_S,
-    ServingOptions,
-    resolve_serving_options,
-)
+from repro.serving.options import ServingOptions
 
 __all__ = [
     "ShardedIndex",
@@ -130,8 +125,6 @@ __all__ = [
     "check_manifest_coherence",
     "shard_bounds",
     "SHM_MIN_BYTES",
-    "DEFAULT_MAX_RETRIES",
-    "DEFAULT_RETRY_BACKOFF_S",
 ]
 
 #: Hit payloads at or above this many bytes return from pool workers via a
@@ -143,11 +136,6 @@ SHM_MIN_BYTES = 32_768
 #: Smallest query-chunk a pool ``batch_query`` will split off — below this
 #: the per-task overhead (submit, hash, descriptor) dominates.
 MIN_CHUNK_QUERIES = 16
-
-# DEFAULT_MAX_RETRIES / DEFAULT_RETRY_BACKOFF_S live canonically on
-# repro.serving.options (ServingOptions carries them per index); they are
-# re-imported and re-exported here for compatibility.
-
 
 class PoolRecoveryError(RuntimeError):
     """Pool serving could not produce a complete answer: one or more
@@ -250,7 +238,9 @@ def _cached_shard(
     cached = _SHARD_CACHE.get(shard_path)
     if cached is not None and cached[0] == signature:
         return cached[1]
-    index = load_index(shard_path, mmap=mmap, verify=verify)
+    index = load_index(
+        shard_path, options=ServingOptions(mmap=mmap, verify=verify)
+    )
     _SHARD_CACHE[shard_path] = (signature, index)
     return index
 
@@ -519,28 +509,6 @@ def _probe_worker(delay: float = 0.0) -> int:
     return os.getpid()
 
 
-def _concat_blocks(blocks: list[BatchHits]) -> BatchHits:
-    """Stitch one shard's per-chunk blocks back into a single query-order
-    block (chunks arrive in ascending query order)."""
-    if len(blocks) == 1:
-        return blocks[0]
-    per_query = np.concatenate(
-        [np.diff(np.asarray(b.offsets, dtype=np.int64)) for b in blocks]
-    )
-    offsets = np.zeros(per_query.size + 1, dtype=np.int64)
-    np.cumsum(per_query, out=offsets[1:])
-    full: np.ndarray | None = None
-    if any(b.full_table_counts is not None for b in blocks):
-        full = np.vstack([b.pre_clip_table_counts for b in blocks])
-    return BatchHits(
-        hits=np.concatenate([np.asarray(b.hits) for b in blocks]),
-        offsets=offsets,
-        table_counts=np.vstack([b.table_counts for b in blocks]),
-        truncated=np.concatenate([b.truncated for b in blocks]),
-        full_table_counts=full,
-    )
-
-
 def _chunk_bounds(n_queries: int, n_shards: int, workers: int) -> np.ndarray:
     """Split a query block so the pool sees roughly two tasks per worker
     (tasks = chunks x shards), never below :data:`MIN_CHUNK_QUERIES`
@@ -565,8 +533,8 @@ def _cleanup_pool(
 
 
 def _merge_blocks(
-    blocks: list[BatchHits],
-    offsets: list[int] | np.ndarray,
+    blocks: list[list[BatchHits]],
+    offsets: list[int],
     n_tables: int,
     n_points: int,
     max_retrieved: int | None,
@@ -574,75 +542,65 @@ def _merge_blocks(
 ) -> list[CandidateResult]:
     """Merge per-shard hit streams into globally-correct candidate results.
 
-    Reconstructs the unsharded probe order — table-major, shards in
-    ascending offset order within a table — then applies the same
-    :func:`~repro.index.backends.budget_truncation` /
-    :func:`~repro.index.backends.first_seen_dedup` devices the packed
-    backend uses.  The budget runs on the **pre-clip** per-table counts
-    (``full_table_counts`` for worker-clipped blocks, ``table_counts``
-    otherwise), so worker-side clipping never changes the merged stopping
-    table, retrieval stats, or candidate stream: clipped blocks only omit
-    hits past their shard-local stopping table, which is never before the
-    merged one.  Stats are the sums of the per-shard retrieval work, which
-    equal the unsharded index's stats exactly.
+    ``blocks[s]`` holds shard ``s``'s per-chunk blocks in ascending query
+    order (one block when the shard answered the whole query block) and
+    ``offsets[s]`` its global starting index — a degraded merge over the
+    surviving shards passes only theirs, and stays exact over the points
+    those shards own.
 
-    ``offsets`` carries each block's global starting index — one entry
-    per block, so a degraded merge over surviving shards passes only
-    their offsets and remains exact over the points those shards own.
-    ``degraded=True`` stamps every result's ``stats.degraded`` flag.
+    One vectorised interleave rebuilds the unsharded probe order —
+    table-major, shards in ascending offset order within a table — as a
+    single :func:`~repro.index.backends.segment_gather`, and
+    :func:`~repro.index.backends.batch_results` builds the results.  The
+    budget runs on the **pre-clip** merged per-table counts, so
+    worker-side clipping never changes the merged stopping table,
+    retrieval stats, or candidate stream: a clipped block only omits hits
+    past its shard-local stopping table, which is never before the merged
+    one.  ``degraded=True`` stamps every result's ``stats.degraded``.
     """
-    # Post-clip counts locate hits inside each shard's (possibly clipped)
-    # flat array; pre-clip counts drive the budget and the stats.
-    clipped = np.stack([b.table_counts for b in blocks])  # (S, nq, L)
-    full = np.stack([b.pre_clip_table_counts for b in blocks])
-    total = full.sum(axis=0)  # (nq, L)
-    n_queries = total.shape[0]
-    probed, truncated = budget_truncation(total, n_tables, max_retrieved)
+    # Post-clip counts locate hits inside each block's (possibly clipped)
+    # stream; pre-clip counts drive the budget and the stats.
+    clipped = np.stack(
+        [np.concatenate([b.table_counts for b in chunks]) for chunks in blocks]
+    )  # (S, nq, L)
+    full = np.stack(
+        [
+            np.concatenate([b.pre_clip_table_counts for b in chunks])
+            for chunks in blocks
+        ]
+    ).sum(axis=0)  # (nq, L)
+    included, truncated = _table_clip(full, n_tables, max_retrieved)
+    lengths = np.where(included, clipped, 0)
 
-    # Where each (query, table) segment starts inside every shard's flat
-    # hit array, and the shard-local ids lifted to global ids.
-    seg_starts = []
-    global_hits = []
-    for s, block in enumerate(blocks):
-        table_cum = np.cumsum(block.table_counts, axis=1)
-        seg_starts.append(
-            np.asarray(block.offsets)[:-1, None]
-            + table_cum
-            - block.table_counts
-        )
-        global_hits.append(
-            np.asarray(block.hits, dtype=np.int64) + int(offsets[s])
-        )
-
-    stamp = np.empty(max(n_points, 1), dtype=np.int64)
-    positions_all = np.arange(
-        int(total.sum(axis=1).max(initial=0)), dtype=np.int64
+    # Every block's hits, lifted to global ids, in one flat array.  A
+    # block's stream is exactly its (query, table) segments in order, so
+    # the flat array is laid out (shard, query, table) like ``clipped``.
+    flat = np.empty(
+        sum(b.hits.size for chunks in blocks for b in chunks), dtype=np.int64
     )
-    empty = np.empty(0, dtype=np.int64)
-    results: list[CandidateResult] = []
-    for i in range(n_queries):
-        parts = []
-        for t in range(int(probed[i])):
-            for s in range(len(blocks)):
-                count = int(clipped[s, i, t])
-                if count:
-                    lo = int(seg_starts[s][i, t])
-                    parts.append(global_hits[s][lo : lo + count])
-        segment = np.concatenate(parts) if parts else empty
-        ordered = first_seen_dedup(segment, stamp, positions_all)
-        results.append(
-            CandidateResult(
-                ordered,
-                QueryStats(
-                    retrieved=int(total[i, : probed[i]].sum()),
-                    unique_candidates=len(ordered),
-                    tables_probed=int(probed[i]),
-                    truncated=bool(truncated[i]),
-                    degraded=bool(degraded),
-                ),
-            )
-        )
-    return results
+    pos = 0
+    for offset, chunks in zip(offsets, blocks):
+        for b in chunks:
+            np.add(b.hits, offset, out=flat[pos : pos + b.hits.size])
+            pos += b.hits.size
+    sizes = clipped.ravel()
+    starts = (np.cumsum(sizes) - sizes).reshape(clipped.shape)
+
+    kept = lengths.sum(axis=0)  # (nq, L)
+    merged_offsets = np.zeros(kept.shape[0] + 1, dtype=np.int64)
+    np.cumsum(kept.sum(axis=1), out=merged_offsets[1:])
+    merged = BatchHits(
+        hits=segment_gather(
+            flat,
+            starts.transpose(1, 2, 0).ravel(),
+            lengths.transpose(1, 2, 0).ravel(),
+        ),
+        offsets=merged_offsets,
+        table_counts=kept,
+        truncated=truncated,
+        full_table_counts=full,
+    )
+    return batch_results(merged, n_tables, n_points, max_retrieved, degraded)
 
 
 class ShardedIndex:
@@ -653,10 +611,10 @@ class ShardedIndex:
     :func:`repro.api.build_index` return one automatically) — the spec's
     fixed seed guarantees every shard samples identical hash pairs, which
     is what makes the merge exact.  ``save``/``load`` round the shards
-    through per-shard zero-copy files; ``load(path, workers=W)`` switches
-    to process-pool serving (shared-memory result transport, worker-side
-    budget clipping, query-block chunking, crash recovery — see the
-    module docstring).
+    through per-shard zero-copy files; ``load(path,
+    options=ServingOptions(workers=W))`` switches to process-pool serving
+    (shared-memory result transport, worker-side budget clipping,
+    query-block chunking, crash recovery — see the module docstring).
 
     Parameters
     ----------
@@ -703,21 +661,22 @@ class ShardedIndex:
                 self._shards = list(pool.map(build_one, range(spec.shards)))
         else:
             self._shards = [build_one(s) for s in range(spec.shards)]
-        self._paths: list[str] | None = None
+        self._init_serving(None, ServingOptions())
+
+    def _init_serving(
+        self, paths: list[str] | None, options: ServingOptions
+    ) -> None:
+        """Serving state shared by :meth:`__init__` and :meth:`load`:
+        the shard files (``None`` for in-memory builds), the options, and
+        no pool yet."""
+        self._paths = paths
+        self._options = options
         self._pool: ProcessPoolExecutor | None = None
-        self._options: ServingOptions = ServingOptions()
-        self._mmap = True
-        self._workers: int | None = None
         self._finalizer: weakref.finalize | None = None
-        self._shm_min_bytes: int | None = SHM_MIN_BYTES
-        self._verify = "lazy"
-        self._on_shard_failure = "raise"
         self._journal_dir: str | None = None
-        #: Bound on same-request retry rounds after transient pool
-        #: failures; deterministic shard errors are never retried.
-        self.max_retries: int = DEFAULT_MAX_RETRIES
-        #: Base of the exponential backoff between retry rounds (s).
-        self.retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S
+        #: Smallest hit payload shipped through shared memory (``None``:
+        #: never); tests lower or disable it to force one transport.
+        self._shm_min_bytes: int | None = SHM_MIN_BYTES
         #: Transport accounting for the most recent pool ``batch_query``:
         #: ``pipe_bytes`` (pickled bytes through the executor pipe),
         #: ``shm_bytes`` (hit bytes moved via shared memory), ``tasks``
@@ -776,7 +735,7 @@ class ShardedIndex:
 
     def __repr__(self) -> str:
         if self._pool is not None:
-            mode = f"pool={self._workers}"
+            mode = f"pool={self._options.workers}"
         elif self._shards is not None:
             mode = "in-process"
         else:
@@ -803,15 +762,16 @@ class ShardedIndex:
             )
         return queries
 
-    def _shard_blocks(self, queries: np.ndarray) -> list[BatchHits]:
-        """In-process per-shard hit streams (unclipped): all shards share
-        the hash pairs, so hash the query block once and probe each
-        shard's backend directly."""
+    def _shard_blocks(self, queries: np.ndarray) -> list[list[BatchHits]]:
+        """In-process per-shard hit streams (unclipped, one chunk each):
+        all shards share the hash pairs, so hash the query block once and
+        probe each shard's backend directly."""
         comps = [
             pair.hash_query(queries) for pair in self._shards[0]._pairs
         ]
         return [
-            shard._backend.batch_query_hits(comps) for shard in self._shards
+            [shard._backend.batch_query_hits(comps)]
+            for shard in self._shards
         ]
 
     def _respawn_pool(self) -> int:
@@ -827,7 +787,7 @@ class ShardedIndex:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
         swept = _sweep_journal(self._journal_dir)
-        self._pool = ProcessPoolExecutor(max_workers=self._workers)
+        self._pool = ProcessPoolExecutor(max_workers=self._options.workers)
         self._finalizer = weakref.finalize(
             self, _cleanup_pool, self._pool, self._journal_dir
         )
@@ -838,15 +798,17 @@ class ShardedIndex:
         queries: np.ndarray,
         max_retrieved: int | None,
         timeout: float | None,
-    ) -> tuple[list[BatchHits], list[Callable[[], None]], list[int], bool]:
+    ) -> tuple[
+        list[list[BatchHits]], list[Callable[[], None]], list[int], bool
+    ]:
         """Fan ``(shard, query-chunk)`` tasks over the worker pool with
         crash recovery; returns ``(blocks, releases, offsets, degraded)``
-        — one reassembled block per surviving shard plus that shard's
+        — each surviving shard's per-chunk blocks plus that shard's
         global offset — and records transport + recovery accounting.
 
         Worker loss (``BrokenProcessPool``) respawns the executor and
         retries only the unfinished tasks, with exponential backoff and
-        at most :attr:`max_retries` retry rounds; a shared-memory
+        at most ``options.max_retries`` retry rounds; a shared-memory
         segment that vanished between ship and attach retries the same
         way.  Deterministic shard errors (integrity failures, missing
         files) are never retried.  ``timeout`` bounds the whole request:
@@ -859,7 +821,7 @@ class ShardedIndex:
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         chunk_bounds = _chunk_bounds(
-            queries.shape[0], self.n_shards, self._workers or 1
+            queries.shape[0], self.n_shards, self._options.workers or 1
         )
         chunks = list(zip(chunk_bounds[:-1], chunk_bounds[1:]))
         paths = self._paths or []
@@ -898,10 +860,10 @@ class ShardedIndex:
                                 _pool_batch_hits,
                                 paths[s],
                                 queries[lo:hi],
-                                self._mmap,
+                                self._options.mmap,
                                 max_retrieved,
                                 self._shm_min_bytes,
-                                self._verify,
+                                self._options.verify,
                                 self._journal_dir,
                             ))
                         )
@@ -982,16 +944,17 @@ class ShardedIndex:
                 if not pending:
                     break
                 attempts += 1
-                if attempts > self.max_retries:
+                if attempts > self._options.max_retries:
                     for s, _ in pending:
                         failed.setdefault(
                             s,
-                            f"retries exhausted after {self.max_retries} "
-                            "retry round(s) of worker failures",
+                            f"retries exhausted after "
+                            f"{self._options.max_retries} retry round(s) "
+                            "of worker failures",
                         )
                     break
                 health["retries"] += len(pending)
-                delay = self.retry_backoff_s * (2 ** (attempts - 1))
+                delay = self._options.retry_backoff_s * (2 ** (attempts - 1))
                 if (
                     deadline is not None
                     and time.monotonic() + delay >= deadline
@@ -1013,7 +976,7 @@ class ShardedIndex:
                 )
                 if len(failed) == len(paths):
                     raise PoolRecoveryError(f"every shard failed: {summary}")
-                if self._on_shard_failure == "raise":
+                if self._options.on_shard_failure == "raise":
                     raise PoolRecoveryError(
                         f"{len(failed)}/{len(paths)} shard(s) failed after "
                         f"recovery attempts: {summary} (load with "
@@ -1024,9 +987,7 @@ class ShardedIndex:
                 health["degraded"] = True
             surviving = [s for s in range(len(paths)) if s not in failed]
             blocks = [
-                _concat_blocks(
-                    [resolved[(s, c)] for c in range(len(chunks))]
-                )
+                [resolved[(s, c)] for c in range(len(chunks))]
                 for s in surviving
             ]
             offsets = [int(self._bounds[s]) for s in surviving]
@@ -1141,7 +1102,7 @@ class ShardedIndex:
         from repro.api import verify_saved_index
         from repro.index.persistence import _check_verify_mode
 
-        level = self._verify if verify is None else verify
+        level = self._options.verify if verify is None else verify
         _check_verify_mode(level)
         if self._pool is not None:
             mode = "pool"
@@ -1173,7 +1134,7 @@ class ShardedIndex:
                 {"shard": s, "ok": True} for s in range(self.n_shards)
             ]
         if self._pool is not None:
-            workers = self._workers or 1
+            workers = self._options.workers or 1
             try:
                 probes = [
                     self._pool.submit(_probe_worker, 0.05)
@@ -1233,26 +1194,18 @@ class ShardedIndex:
         cls,
         path: str | pathlib.Path,
         *,
-        workers: int | None = None,
-        mmap: bool | None = None,
-        verify: str | None = None,
-        on_shard_failure: str | None = None,
         options: ServingOptions | None = None,
     ) -> "ShardedIndex":
         """Revive a :meth:`save` layout.
 
         Serving configuration arrives as one frozen
-        :class:`~repro.serving.options.ServingOptions` (``options=``);
-        the loose ``workers=`` / ``mmap=`` / ``verify=`` /
-        ``on_shard_failure=`` keywords still work for one release via a
-        :class:`DeprecationWarning` shim, but mixing them with
-        ``options=`` raises ``ValueError``.
-
-        ``options.workers=None`` loads every shard in-process
-        (memory-mapped when ``options.mmap`` is true).  ``workers=W``
-        starts a persistent ``W``-process pool instead and defers shard
-        opening to the workers — the parent never touches table data, so
-        cold start is the manifest read plus pool spawn.  The pool is
+        :class:`~repro.serving.options.ServingOptions` (``options=``,
+        defaults when ``None``).  ``options.workers=None`` loads every
+        shard in-process (memory-mapped when ``options.mmap`` is true).
+        ``options.workers=W`` starts a persistent ``W``-process pool
+        instead and defers shard opening to the workers — the parent
+        never touches table data, so cold start is the manifest read plus
+        pool spawn.  The pool is
         shut down by :meth:`close` (idempotent), by the context-manager
         exit, or — as a safety net — by a ``weakref.finalize`` hook when
         the index is garbage collected, so forgotten handles cannot leak
@@ -1272,57 +1225,35 @@ class ShardedIndex:
         ``options.retry_backoff_s`` set the crash-recovery budget.
 
         Raises :class:`repro.index.persistence.IndexIntegrityError` when
-        a shard bundle fails the requested integrity checks at load
-        time, and ``ValueError`` for unknown modes or a manifest that is
-        not a sharded-index layout.
+        the manifest has the wrong format, layout or shard list
+        (``kind="manifest"``, as :func:`repro.api.load_index` does) or a
+        shard bundle fails the requested integrity checks at load time.
         """
         from repro.api import (
             IndexSpec,
+            _check_sidecar_format,
             index_paths,
             load_index,
             verify_saved_index,
         )
 
-        opts = resolve_serving_options(
-            options,
-            mmap=mmap,
-            workers=workers,
-            verify=verify,
-            on_shard_failure=on_shard_failure,
-        )
+        opts = ServingOptions() if options is None else options
         _, json_path = index_paths(path)
         manifest = json.loads(json_path.read_text())
-        if manifest.get("layout") != "sharded":
-            raise ValueError(f"{json_path!s} is not a sharded index manifest")
-        if manifest.get("format") != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported index format {manifest.get('format')!r} "
-                f"(this build reads format {FORMAT_VERSION})"
-            )
+        _check_sidecar_format(manifest, json_path)
         shard_names = check_manifest_coherence(manifest, json_path)
         self = object.__new__(cls)
         self.spec = IndexSpec.from_dict(manifest["spec"])
         self._bounds = np.asarray(manifest["bounds"], dtype=np.int64)
         self._dim = int(manifest["dim"])
-        self._paths = [str(json_path.parent / name) for name in shard_names]
-        self._options = opts
-        self._mmap = opts.mmap
-        self._workers = opts.workers
-        self._finalizer = None
-        self._shm_min_bytes = SHM_MIN_BYTES
-        self._verify = opts.verify
-        self._on_shard_failure = opts.on_shard_failure
-        self._journal_dir = None
-        self.max_retries = opts.max_retries
-        self.retry_backoff_s = opts.retry_backoff_s
-        self.last_transport = None
-        self.last_health = None
+        paths = [str(json_path.parent / name) for name in shard_names]
+        self._init_serving(paths, opts)
         # Fail now, not inside a pool worker's first query: a partial
         # deploy that missed a shard file should be caught at load time
         # with a clearly-attributed error.
         missing = [
             str(part)
-            for shard in self._paths
+            for shard in paths
             for part in index_paths(shard)
             if not part.exists()
         ]
@@ -1334,16 +1265,15 @@ class ShardedIndex:
         if opts.workers is None:
             shard_opts = ServingOptions(mmap=opts.mmap, verify=opts.verify)
             self._shards = [
-                load_index(p, options=shard_opts) for p in self._paths
+                load_index(p, options=shard_opts) for p in paths
             ]
-            self._pool = None
         else:
             if opts.verify != "off":
                 # A damaged shard should be rejected here with a
                 # clearly-attributed IndexIntegrityError, not inside a
                 # pool worker's first query (workers still re-verify on
                 # every (re)load, covering hot swaps).
-                for p in self._paths:
+                for p in paths:
                     verify_saved_index(p, verify=opts.verify)
             self._shards = None
             self._journal_dir = tempfile.mkdtemp(prefix="repro-shm-journal-")

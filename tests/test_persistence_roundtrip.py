@@ -454,6 +454,30 @@ class TestIntegrityVerification:
             load_index(tmp_path / "srv")
         assert excinfo.value.kind == "manifest"
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda s: s.__setitem__("format", FORMAT_VERSION + 1),
+            lambda s: s.__setitem__("layout", "single"),
+        ],
+        ids=["format", "layout"],
+    )
+    def test_direct_sharded_load_reports_manifest_errors(
+        self, tmp_path, edit
+    ):
+        """``ShardedIndex.load`` rejects a bad manifest exactly like
+        ``load_index``: ``IndexIntegrityError`` with kind ``"manifest"``."""
+        points = hamming.random_points(60, 16, rng=0)
+        spec = IndexSpec(
+            kind="raw", family="bit_sampling", family_params={"d": 16},
+            n_tables=2, backend="packed", seed=0, shards=2,
+        )
+        ShardedIndex(points, spec).save(tmp_path / "srv")
+        self._edit_sidecar(tmp_path / "srv", edit)
+        with pytest.raises(IndexIntegrityError) as excinfo:
+            ShardedIndex.load(tmp_path / "srv")
+        assert excinfo.value.kind == "manifest"
+
     def test_integrity_error_contract(self):
         """It is a ValueError (callers catching the historic type keep
         working) and survives the executor's pickle pipe intact."""

@@ -250,9 +250,8 @@ class TestPoolRecovery:
         self, data, flat, served_dir, fault_dir, shm_guard
     ):
         _, queries = data
-        with load_index(served_dir / "srv", options=ServingOptions(workers=1)) as served:
-            served.max_retries = 1
-            served.retry_backoff_s = 0.01
+        opts = ServingOptions(workers=1, max_retries=1, retry_backoff_s=0.01)
+        with load_index(served_dir / "srv", options=opts) as served:
             faults.arm(fault_dir, "pool_worker", "kill", count=10)
             with pytest.raises(PoolRecoveryError, match="retries exhausted"):
                 served.batch_query(queries)

@@ -1,5 +1,6 @@
 """ServingOptions: validation, round-trip, plumb-through, and the
-legacy-keyword deprecation shim on ``load_index`` / ``ShardedIndex.load``.
+removal of the loose serving keywords on ``load_index`` /
+``ShardedIndex.load``.
 """
 
 import dataclasses
@@ -122,8 +123,6 @@ class TestPlumbThrough:
         with load_index(sharded_path, options=opts) as index:
             assert isinstance(index, ShardedIndex)
             assert index.options == opts
-            assert index.max_retries == 5
-            assert index.retry_backoff_s == pytest.approx(0.2)
 
     def test_default_timeout_used_by_batch_query(self, saved):
         _, sharded_path, points = saved
@@ -156,43 +155,19 @@ class TestPlumbThrough:
         assert index.options == ServingOptions()
 
 
-class TestDeprecationShim:
-    def test_legacy_kwargs_warn_and_still_work(self, saved):
-        single_path, sharded_path, points = saved
-        with pytest.warns(DeprecationWarning, match="ServingOptions"):
-            index = load_index(single_path, mmap=False)
-        baseline = load_index(single_path)
-        assert [r.indices for r in index.batch_query(points[:3])] == [
-            r.indices for r in baseline.batch_query(points[:3])
-        ]
-        with pytest.warns(DeprecationWarning, match="ServingOptions"):
-            with load_index(sharded_path, verify="off") as sharded:
-                assert sharded.options.verify == "off"
-
-    def test_legacy_kwargs_on_sharded_load_warn(self, saved):
-        _, sharded_path, _ = saved
-        with pytest.warns(DeprecationWarning, match="ServingOptions"):
-            with ShardedIndex.load(
-                sharded_path, on_shard_failure="degrade"
-            ) as index:
-                assert index.options.on_shard_failure == "degrade"
-
-    def test_mixing_legacy_and_options_raises(self, saved):
-        _, sharded_path, _ = saved
-        with pytest.raises(ValueError, match="not both"):
-            load_index(
-                sharded_path, verify="off", options=ServingOptions()
-            )
-        with pytest.raises(ValueError, match="not both"):
-            ShardedIndex.load(
-                sharded_path, workers=1, options=ServingOptions()
-            )
-
-    def test_no_warning_without_legacy_kwargs(self, saved, recwarn):
-        single_path, _, _ = saved
-        load_index(single_path)
-        load_index(single_path, options=ServingOptions(verify="eager"))
-        deprecations = [
-            w for w in recwarn.list if w.category is DeprecationWarning
-        ]
-        assert deprecations == []
+class TestLooseKeywordsRemoved:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"mmap": False},
+            {"workers": 1},
+            {"verify": "off"},
+            {"on_shard_failure": "degrade"},
+        ],
+    )
+    def test_loose_serving_keywords_raise_type_error(self, saved, kwargs):
+        single_path, sharded_path, _ = saved
+        with pytest.raises(TypeError):
+            load_index(single_path, **kwargs)
+        with pytest.raises(TypeError):
+            ShardedIndex.load(sharded_path, **kwargs)
