@@ -26,12 +26,23 @@ with correlation ``alpha`` (correlation ``-alpha`` for D-) and
 ``p_union = 2 Pr[X >= t] - p_joint``; we evaluate ``p_joint`` by numerical
 quadrature, and also expose the Lemma A.5 analytic bounds.
 
-Projections are regenerated deterministically from a stored seed in fixed
-chunks, so sampled pairs stay lightweight even when ``m`` is in the
-millions.
+Memory contract.  Each sampled pair keeps its first projection chunk,
+``min(m, 2048) x d`` float64, drawn lazily from the pair's seed on the first
+``h`` or ``g`` call and shared by both sides: ``8 * d * min(m, 2048)`` bytes
+per filter, held for the pair's lifetime.  An annulus index holds ``2 L``
+filters, and every replica or pool worker holds its own copy: ~3.4 MB for
+``L = 32``, ``d = 32``, ``t = 1.8`` (``m = 414``), but 12.6 MB per filter and
+~0.8 GB per ``L = 32`` index at ``d = 768`` once ``m >= 2048``.  Later chunks,
+needed only when ``m > 2048``, are replayed from the generator state saved
+after the first chunk, so chunk 0 is never redrawn and the cache never grows
+past one chunk.  An evaluation walks the chunks once, testing the points
+still uncaptured in blocks of ``_ROWS`` rows, so its projection scratch is
+bounded by ``_ROWS x min(m, 2048)`` whatever the number of points.
 """
 
 from __future__ import annotations
+
+from typing import Any, Iterator
 
 import numpy as np
 from scipy import integrate
@@ -39,7 +50,7 @@ from scipy.stats import norm
 
 from repro.core.cpf import CPF
 from repro.core.family import DSHFamily, HashPair
-from repro.utils.rng import ensure_rng
+from repro.utils.rng import ensure_rng, rng_from_state, rng_state
 from repro.utils.validation import check_in_open_interval, check_positive
 
 __all__ = [
@@ -57,6 +68,7 @@ __all__ = [
 ]
 
 _CHUNK = 2048
+_ROWS = 2048
 
 
 def szarek_werner_lower_bound(t: float) -> float:
@@ -191,6 +203,42 @@ class GaussianFilterCPF(CPF):
         return out.reshape(np.shape(values))
 
 
+class _Projections:
+    """The ``m`` Gaussian projections of one sampled filter pair.
+
+    Chunk 0 (``min(m, _CHUNK)`` rows) is drawn from ``seed`` on first use and
+    kept, together with the generator state after it; later chunks are
+    replayed from that state on every walk.  Concurrent first uses may each
+    draw chunk 0, but the draws are identical, so whichever is kept is the
+    same.
+    """
+
+    __slots__ = ("_seed", "_m", "_d", "_head")
+
+    def __init__(self, seed: int, m: int, d: int) -> None:
+        self._seed = seed
+        self._m = m
+        self._d = d
+        self._head: tuple[np.ndarray, dict[str, Any]] | None = None
+
+    def chunks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(offset, z)`` for consecutive chunks, ``z`` of shape ``(k, d)``."""
+        head = self._head
+        if head is None:
+            gen = ensure_rng(self._seed)
+            first = gen.standard_normal((min(self._m, _CHUNK), self._d))
+            head = self._head = (first, rng_state(gen))
+        first, state = head
+        yield 0, first
+        offset = first.shape[0]
+        if offset < self._m:
+            gen = rng_from_state(state)
+            while offset < self._m:
+                k = min(_CHUNK, self._m - offset)
+                yield offset, gen.standard_normal((k, self._d))
+                offset += k
+
+
 class GaussianFilterFamily(DSHFamily):
     """The filter family of Section 2.2.
 
@@ -212,8 +260,12 @@ class GaussianFilterFamily(DSHFamily):
     -----
     The sampling / storage / evaluation complexity ``O(d t^4 e^{t^2/2})``
     from Theorem 1.2 shows up here as the ``m = O(t^4 e^{t^2/2})``
-    projections; we never materialize them, regenerating chunks of 2048
-    from the stored seed during evaluation and stopping at the first hit.
+    projections.  A sampled pair caches only its first chunk of
+    ``min(m, 2048)`` projections (drawn on first use, ``8 d min(m, 2048)``
+    bytes kept for the pair's lifetime); later chunks are
+    replayed from the generator state saved after it, and evaluation stops
+    at each point's first hit.  Points are evaluated ``_ROWS`` rows at a
+    time, so the scratch per call is ``_ROWS x min(m, 2048)`` floats.
     """
 
     def __init__(self, d: int, t: float, m: int | None = None, negated: bool = False) -> None:
@@ -227,45 +279,50 @@ class GaussianFilterFamily(DSHFamily):
             raise ValueError(f"m must be >= 1, got {self.m}")
         self.negated = bool(negated)
 
-    def _first_hit(self, points: np.ndarray, seed: int, mode: str) -> np.ndarray:
+    def _first_hit(
+        self, points: np.ndarray, projections: _Projections, mode: str
+    ) -> np.ndarray:
         """First projection index hitting each point, or ``m`` if none.
 
         ``mode`` is ``"ge"`` (``<z, x> >= t``) or ``"le"`` (``<z, x> <= -t``).
+        Chunk-outer, block-inner: each chunk is produced once per call and
+        tested against the unresolved points ``_ROWS`` at a time.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if pts.shape[1] != self.d:
             raise ValueError(f"expected dimension {self.d}, got {pts.shape[1]}")
-        n = pts.shape[0]
-        result = np.full(n, self.m, dtype=np.int64)
-        unresolved = np.arange(n)
-        gen = ensure_rng(seed)
-        offset = 0
-        while offset < self.m and unresolved.size:
-            k = min(_CHUNK, self.m - offset)
-            z = gen.standard_normal((k, self.d))
-            proj = pts[unresolved] @ z.T
-            hit = proj >= self.t if mode == "ge" else proj <= -self.t
-            any_hit = hit.any(axis=1)
-            first = np.argmax(hit, axis=1)
-            rows = np.flatnonzero(any_hit)
-            result[unresolved[rows]] = offset + first[rows]
-            unresolved = unresolved[~any_hit]
-            offset += k
+        result = np.full(pts.shape[0], self.m, dtype=np.int64)
+        unresolved = np.arange(pts.shape[0])
+        for offset, z in projections.chunks():
+            missed = np.empty(unresolved.size, dtype=bool)
+            for start in range(0, unresolved.size, _ROWS):
+                rows = unresolved[start : start + _ROWS]
+                proj = pts[rows] @ z.T
+                hit = proj >= self.t if mode == "ge" else proj <= -self.t
+                any_hit = hit.any(axis=1)
+                first = np.argmax(hit, axis=1)
+                found = np.flatnonzero(any_hit)
+                result[rows[found]] = offset + first[found]
+                missed[start : start + _ROWS] = ~any_hit
+            unresolved = unresolved[missed]
+            if not unresolved.size:
+                break
         return result
 
     def sample(self, rng: int | np.random.Generator | None = None) -> HashPair:
-        """Draw one filter pair; projections replay from a stored seed."""
+        """Draw one filter pair; its projections replay from a stored seed."""
         rng = ensure_rng(rng)
         seed = int(rng.integers(0, 2**63 - 1))
+        projections = _Projections(seed, self.m, self.d)
         query_mode = "le" if self.negated else "ge"
 
         def h(points: np.ndarray) -> np.ndarray:
-            hits = self._first_hit(points, seed, "ge")
+            hits = self._first_hit(points, projections, "ge")
             # Sentinel m+1 for "not captured" on the data side.
             return np.where(hits == self.m, self.m + 1, hits)
 
         def g(points: np.ndarray) -> np.ndarray:
-            hits = self._first_hit(points, seed, query_mode)
+            hits = self._first_hit(points, projections, query_mode)
             # Sentinel m+2 on the query side: no spurious collisions.
             return np.where(hits == self.m, self.m + 2, hits)
 

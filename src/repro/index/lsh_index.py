@@ -38,8 +38,36 @@ from repro.index.backends import (
     make_backend,
 )
 from repro.utils.rng import ensure_rng, rng_from_state, rng_state
+from repro.utils.validation import check_finite
 
 __all__ = ["QueryStats", "CandidateResult", "DSHIndex"]
+
+
+def _check_query_block(queries: np.ndarray, dim: int | None) -> np.ndarray:
+    """Normalize a query block to ``(n, d)`` and validate it at the index
+    boundary (shared by :class:`DSHIndex` and the sharded index).
+
+    ``d`` must match the indexed point set (``dim``; ``None`` before a
+    build) — a mismatched query would otherwise fail deep inside a family's
+    hash closure or, for families that slice coordinates, silently mis-hash.
+    Floating blocks must be finite: a NaN/inf row would hash to a "not
+    captured" sentinel and be answered as "not found" instead of failing.
+    Integer and bool blocks skip that scan.
+    """
+    queries = np.atleast_2d(np.asarray(queries))
+    if queries.ndim != 2:
+        raise ValueError(
+            f"queries must be one point (d,) or a block (n, d), "
+            f"got shape {queries.shape}"
+        )
+    if dim is not None and queries.shape[1] != dim:
+        raise ValueError(
+            f"query dimensionality {queries.shape[1]} does not match "
+            f"the indexed point set (d={dim})"
+        )
+    if np.issubdtype(queries.dtype, np.floating):
+        check_finite(queries, "queries")
+    return queries
 
 
 class DSHIndex:
@@ -193,30 +221,12 @@ class DSHIndex:
         if not self._built:
             raise RuntimeError("index not built; call build(points) first")
 
-    def _check_queries(self, queries: np.ndarray) -> np.ndarray:
-        """Normalize a query block to ``(n, d)`` and validate ``d`` against
-        the built point set — a mismatched query would otherwise fail deep
-        inside a family's hash closure or, for families that slice
-        coordinates, silently mis-hash."""
-        queries = np.atleast_2d(np.asarray(queries))
-        if queries.ndim != 2:
-            raise ValueError(
-                f"queries must be one point (d,) or a block (n, d), "
-                f"got shape {queries.shape}"
-            )
-        if self._dim is not None and queries.shape[1] != self._dim:
-            raise ValueError(
-                f"query dimensionality {queries.shape[1]} does not match "
-                f"the built point set (d={self._dim})"
-            )
-        return queries
-
     def _query_components(self, query: np.ndarray) -> list[np.ndarray]:
         """Hash one or more query rows through every table's ``g``."""
         return [pair.hash_query(query) for pair in self._pairs]
 
     def _single_query(self, query: np.ndarray) -> np.ndarray:
-        query = self._check_queries(query)
+        query = _check_query_block(query, self._dim)
         if query.shape[0] != 1:
             raise ValueError(f"query must be a single point, got {query.shape[0]}")
         return query
@@ -287,7 +297,7 @@ class DSHIndex:
         query with a stamp pass.
         """
         self._require_built()
-        queries = self._check_queries(queries)
+        queries = _check_query_block(queries, self._dim)
         return self._backend.batch_query(self._query_components(queries), max_retrieved)
 
     def batch_query_hits(
@@ -299,7 +309,7 @@ class DSHIndex:
         cuts each stream at exactly that many hits (hit granularity, unlike
         ``max_retrieved``'s table granularity)."""
         self._require_built()
-        queries = self._check_queries(queries)
+        queries = _check_query_block(queries, self._dim)
         return self._backend.batch_query_hits(
             self._query_components(queries), max_hits
         )

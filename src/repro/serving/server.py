@@ -60,6 +60,7 @@ import numpy as np
 from repro.index.persistence import IndexIntegrityError
 from repro.serving.options import ServingOptions
 from repro.serving.sharded import PoolRecoveryError
+from repro.utils.validation import check_finite
 
 __all__ = [
     "AsyncIndexServer",
@@ -414,6 +415,10 @@ class AsyncIndexServer:
         clip as the underlying index (requests with different budgets
         are grouped per budget inside a batch).
 
+        Raises ``ValueError`` at admission for a row of the wrong shape
+        or dimension, a floating row with NaN/inf entries, or a negative
+        budget; such a request never joins a batch.
+
         Sheds with :class:`ServerOverloadedError` when ``max_pending``
         admitted requests are still outstanding (queued or in flight).  Replica-side failures propagate:
         :class:`PoolRecoveryError` when every replica's pool recovery is
@@ -439,6 +444,11 @@ class AsyncIndexServer:
                 f"query has dimension {row.shape[0]}, index expects "
                 f"{snapshot.dim}"
             )
+        # Reject a NaN/inf row here, before it is stacked into a shared
+        # batch: inside the replica's block check it would fail every
+        # request coalesced with it.
+        if np.issubdtype(row.dtype, np.floating):
+            check_finite(row, "query")
         budget = None if max_retrieved is None else int(max_retrieved)
         if budget is not None and budget < 0:
             raise ValueError(f"max_retrieved must be >= 0, got {budget}")

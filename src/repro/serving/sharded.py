@@ -111,7 +111,7 @@ from repro.index.backends import (
     clip_batch_hits,
     segment_gather,
 )
-from repro.index.lsh_index import DSHIndex
+from repro.index.lsh_index import DSHIndex, _check_query_block
 from repro.index.persistence import (
     FORMAT_VERSION,
     IndexIntegrityError,
@@ -748,20 +748,6 @@ class ShardedIndex:
 
     # -- querying --------------------------------------------------------
 
-    def _check_queries(self, queries: np.ndarray) -> np.ndarray:
-        queries = np.atleast_2d(np.asarray(queries))
-        if queries.ndim != 2:
-            raise ValueError(
-                f"queries must be one point (d,) or a block (n, d), "
-                f"got shape {queries.shape}"
-            )
-        if queries.shape[1] != self._dim:
-            raise ValueError(
-                f"query dimensionality {queries.shape[1]} does not match "
-                f"the indexed point set (d={self._dim})"
-            )
-        return queries
-
     def _shard_blocks(self, queries: np.ndarray) -> list[list[BatchHits]]:
         """In-process per-shard hit streams (unclipped, one chunk each):
         all shards share the hash pairs, so hash the query block once and
@@ -1031,7 +1017,7 @@ class ShardedIndex:
         ``stats.degraded`` set and the failure detailed in
         :attr:`last_health`.
         """
-        queries = self._check_queries(queries)
+        queries = _check_query_block(queries, self._dim)
         if self._shards is None and self._pool is None:
             raise ValueError(
                 "this ShardedIndex has been closed; load it again to serve"
@@ -1076,7 +1062,7 @@ class ShardedIndex:
         pool recovery is exhausted (under ``on_shard_failure="raise"``)
         and :class:`TimeoutError` past a ``timeout=`` deadline.
         """
-        queries = self._check_queries(query)
+        queries = _check_query_block(query, self._dim)
         if queries.shape[0] != 1:
             raise ValueError(
                 f"query must be a single point, got {queries.shape[0]}"

@@ -307,6 +307,48 @@ class TestBackpressure:
         served = asyncio.run(scenario())
         assert served.stats.retrieved >= 0
 
+    def test_non_finite_query_fails_alone_in_its_window(
+        self, saved_single, flat, data
+    ):
+        _, queries = data
+        good = queries[:15]
+        reference = flat.batch_query(good)
+        bad = np.full(D, np.nan)
+
+        async def scenario():
+            async with AsyncIndexServer(
+                str(saved_single), max_batch=32, max_wait_us=20_000
+            ) as server:
+                requests = [server.query(q) for q in good[:7]]
+                requests.append(server.query(bad))
+                requests += [server.query(q) for q in good[7:]]
+                results = await asyncio.gather(
+                    *requests, return_exceptions=True
+                )
+                return results, server.metrics()
+
+        results, metrics = asyncio.run(scenario())
+        error = results.pop(7)
+        assert isinstance(error, ValueError)
+        assert "finite" in str(error)
+        for served, ref in zip(results, reference):
+            _assert_exact(served, ref)
+        assert metrics["served"] == len(good)
+        assert metrics["failed"] == 0
+        assert metrics["max_batch_size"] > 1
+
+    def test_handle_rejects_non_finite_query(self, saved_single, flat, data):
+        _, queries = data
+        reference = flat.batch_query(queries[:4])
+        with serve_in_thread(
+            str(saved_single), max_batch=16, max_wait_us=10_000
+        ) as handle:
+            with pytest.raises(ValueError, match="finite"):
+                handle.query(np.full(D, np.inf))
+            results = handle.batch_query(queries[:4])
+        for served, ref in zip(results, reference):
+            _assert_exact(served, ref)
+
     def test_query_requires_started_server(self, saved_single, data):
         _, queries = data
 

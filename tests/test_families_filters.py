@@ -1,10 +1,16 @@
 """Tests for the Gaussian filter families D+/D- (Section 2.2, Thm 1.2)."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from repro.core.estimate import estimate_collision_probability
 from repro.families.filters import (
+    _CHUNK,
+    _ROWS,
     GaussianFilterCPF,
     GaussianFilterFamily,
     cpf_lower_bound,
@@ -16,6 +22,7 @@ from repro.families.filters import (
     theorem12_log_inv_cpf,
 )
 from repro.spaces import sphere
+from repro.utils.rng import ensure_rng
 from scipy.stats import norm
 
 D = 10
@@ -124,13 +131,15 @@ class TestFamilyMeasurement:
 
     def test_chunked_evaluation_consistency(self):
         """First-hit indices are identical regardless of how many points are
-        evaluated together (chunk regeneration must be deterministic)."""
-        fam = GaussianFilterFamily(D, t=1.2)
-        pair = fam.sample(rng=5)
-        x = sphere.random_points(64, D, rng=6)
-        together = pair.hash_data(x)
-        one_by_one = np.vstack([pair.hash_data(x[i : i + 1]) for i in range(64)])
-        np.testing.assert_array_equal(together, one_by_one)
+        evaluated together, both when only chunk 0 runs (t=1.2, m=39) and
+        when rows resolve in later chunks (m=5000 > _CHUNK)."""
+        for fam in (GaussianFilterFamily(D, t=1.2), GaussianFilterFamily(4, t=3.0, m=5000)):
+            pair = fam.sample(rng=5)
+            x = sphere.random_points(64, fam.d, rng=6)
+            together = pair.hash_data(x)
+            one_by_one = np.vstack([pair.hash_data(x[i : i + 1]) for i in range(64)])
+            np.testing.assert_array_equal(together, one_by_one)
+        assert np.any((together >= _CHUNK) & (together <= fam.m))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -139,3 +148,97 @@ class TestFamilyMeasurement:
             GaussianFilterFamily(D, t=-1.0)
         with pytest.raises(ValueError):
             GaussianFilterFamily(D, t=1.0, m=0)
+
+
+def _reference_hash(points, seed, m, t, mode, sentinel):
+    """Naive first hit: draw all ``m`` projections from the pair's seed in
+    ``_CHUNK`` pieces and take the first hit per row over the full
+    ``(n, m)`` projection matrix (no caching, no early exit)."""
+    gen = ensure_rng(seed)
+    z = np.vstack([
+        gen.standard_normal((min(_CHUNK, m - offset), points.shape[1]))
+        for offset in range(0, m, _CHUNK)
+    ])
+    first = np.full(points.shape[0], sentinel, dtype=np.int64)
+    for start in range(0, points.shape[0], 512):  # bounds the test's memory
+        proj = points[start : start + 512] @ z.T
+        hit = proj >= t if mode == "ge" else proj <= -t
+        found = hit.any(axis=1)
+        first[start : start + 512][found] = np.argmax(hit[found], axis=1)
+    return first
+
+
+def _references(fam, pair, points):
+    seed = pair.meta["seed"]
+    h = _reference_hash(points, seed, fam.m, fam.t, "ge", fam.m + 1)
+    g_mode = "le" if fam.negated else "ge"
+    g = _reference_hash(points, seed, fam.m, fam.t, g_mode, fam.m + 2)
+    return h, g
+
+
+class TestProjectionChunks:
+    """Chunk 0 is cached per pair and later chunks resume from the saved
+    generator state; neither may change a hash value."""
+
+    @pytest.mark.parametrize("negated", [False, True])
+    def test_multi_chunk_matches_reference(self, negated):
+        # d=4, t=3: Pr[hit] ~ 0.00135 per projection, so ~6% of rows miss
+        # chunk 0 and a few miss chunk 1 as well.
+        fam = GaussianFilterFamily(4, t=3.0, m=5000, negated=negated)
+        x = sphere.random_points(2000, 4, rng=11)
+        pair = fam.sample(rng=12)
+        ref_h, ref_g = _references(fam, pair, x)
+        captured = ref_h[ref_h <= fam.m]
+        assert np.any(captured >= _CHUNK) and np.any(captured >= 2 * _CHUNK)
+
+        first = pair.hash_data(x)[:, 0]
+        np.testing.assert_array_equal(first, ref_h)
+        np.testing.assert_array_equal(pair.hash_data(x)[:, 0], ref_h)  # cached
+        np.testing.assert_array_equal(pair.hash_query(x)[:, 0], ref_g)
+
+        # A fresh pair from the same seed, first used on the query side.
+        fresh = fam.sample(rng=12)
+        assert fresh.meta["seed"] == pair.meta["seed"]
+        np.testing.assert_array_equal(fresh.hash_query(x)[:, 0], ref_g)
+        np.testing.assert_array_equal(fresh.hash_data(x)[:, 0], ref_h)
+
+    def test_row_block_boundary(self):
+        # Three row blocks in chunk 0; the rows each block leaves unresolved
+        # must carry over to chunks 1 and 2.
+        fam = GaussianFilterFamily(4, t=3.0, m=5000, negated=True)
+        x = sphere.random_points(2 * _ROWS + 3, 4, rng=13)
+        pair = fam.sample(rng=14)
+        ref_h, ref_g = _references(fam, pair, x)
+        together = pair.hash_data(x)[:, 0]
+        sliced = np.concatenate([
+            pair.hash_data(x[start : start + _ROWS])[:, 0]
+            for start in range(0, x.shape[0], _ROWS)
+        ])
+        np.testing.assert_array_equal(together, sliced)
+        np.testing.assert_array_equal(together, ref_h)
+        np.testing.assert_array_equal(pair.hash_query(x)[:, 0], ref_g)
+
+    def test_concurrent_first_use(self):
+        """Index builds and server replicas hash on threads: concurrent first
+        calls on one fresh pair (both sides) must all see the same chunks."""
+        fam = GaussianFilterFamily(4, t=3.0, m=5000, negated=True)
+        x = sphere.random_points(500, 4, rng=15)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(16, 21):
+                pair = fam.sample(rng=seed)
+                ref_h, ref_g = _references(fam, pair, x)
+                start = threading.Barrier(4, timeout=30)
+
+                def first_call(i):
+                    start.wait()
+                    return (pair.hash_data if i % 2 else pair.hash_query)(x)[:, 0]
+
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [pool.submit(first_call, i) for i in range(4)]
+                    results = [f.result(timeout=60) for f in futures]
+                for i, result in enumerate(results):
+                    np.testing.assert_array_equal(result, ref_h if i % 2 else ref_g)
+        finally:
+            sys.setswitchinterval(previous)

@@ -5,6 +5,7 @@ tuple-compatible ``CandidateResult``, deprecation shims, and the
 import numpy as np
 import pytest
 
+from repro.api import IndexSpec
 from repro.data.synthetic import planted_euclidean_range
 from repro.families.bit_sampling import BitSampling
 from repro.families.simhash import SimHash
@@ -18,6 +19,7 @@ from repro.index import (
     RangeReportingIndex,
     sphere_annulus_index,
 )
+from repro.serving import ShardedIndex
 from repro.spaces import hamming, sphere
 
 
@@ -118,6 +120,61 @@ class TestDimensionValidation:
     def test_matching_dim_accepted(self, index):
         candidates, stats = index.query(np.zeros(16, dtype=np.int8))
         assert stats.tables_probed == 3
+
+
+class TestNonFiniteQueries:
+    """A NaN/inf row hashes to a family's "not captured" sentinel, so it
+    must be rejected at the boundary instead of answered as "not found"."""
+
+    BAD = [np.nan, np.inf, -np.inf]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_dsh_index_rejects(self, bad):
+        index = DSHIndex(SimHash(6), n_tables=3, rng=0).build(
+            sphere.random_points(20, 6, rng=1)
+        )
+        block = sphere.random_points(3, 6, rng=2)
+        block[1, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            index.query(block[1])
+        with pytest.raises(ValueError, match="finite"):
+            index.batch_query(block)
+        with pytest.raises(ValueError, match="finite"):
+            index.batch_query_hits(block.astype(np.float32))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_annulus_index_rejects(self, bad):
+        pts = sphere.random_points(40, 12, rng=2)
+        annulus = sphere_annulus_index(pts, (0.3, 0.6), t=1.5, n_tables=4, rng=3)
+        block = sphere.random_points(4, 12, rng=4)
+        block[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            annulus.query(block[2])
+        with pytest.raises(ValueError, match="finite"):
+            annulus.batch_query(block)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_sharded_index_rejects(self, bad):
+        pts = sphere.random_points(30, 6, rng=5)
+        spec = IndexSpec(kind="raw", family="simhash", family_params={"d": 6},
+                         n_tables=3, seed=1, shards=2)
+        sharded = ShardedIndex(pts, spec)
+        block = sphere.random_points(3, 6, rng=6)
+        block[0, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sharded.query(block[0])
+        with pytest.raises(ValueError, match="finite"):
+            sharded.batch_query(block)
+
+    def test_finite_and_integer_blocks_accepted(self):
+        pts = sphere.random_points(30, 6, rng=5)
+        index = DSHIndex(SimHash(6), n_tables=3, rng=0).build(pts)
+        assert len(index.batch_query(pts[:3])) == 3
+        bits = DSHIndex(BitSampling(8), n_tables=2, rng=0).build(
+            hamming.random_points(10, 8, rng=1)
+        )
+        for dtype in (np.int8, np.uint8, bool):
+            assert len(bits.batch_query(np.zeros((2, 8), dtype=dtype))) == 2
 
 
 class TestCandidateResultCompat:
