@@ -25,4 +25,9 @@ setup(
         "numpy>=1.24",
         "scipy>=1.10",
     ],
+    # ``pip install -e .[dev]``: what the tier-1 tests and the pytest
+    # benchmarks import.
+    extras_require={
+        "dev": ["pytest", "pytest-benchmark", "hypothesis"],
+    },
 )

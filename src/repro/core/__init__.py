@@ -27,6 +27,7 @@ from repro.core.estimate import (
     wilson_interval,
 )
 from repro.core.family import (
+    CoordinateProjection,
     DSHFamily,
     HashPair,
     SymmetricFamily,
@@ -59,6 +60,7 @@ __all__ = [
     "DSHFamily",
     "SymmetricFamily",
     "HashPair",
+    "CoordinateProjection",
     "as_components",
     "rows_equal",
     "rows_to_keys",

@@ -21,7 +21,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.cpf import CPF, ConstantCPF, MixtureCPF, PowerCPF, ProductCPF
-from repro.core.family import DSHFamily, HashPair, as_components
+from repro.core.family import (
+    CoordinateProjection,
+    DSHFamily,
+    HashPair,
+    as_components,
+)
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.validation import check_probability
 
@@ -100,6 +105,15 @@ class ConcatenatedFamily(DSHFamily):
     The sampled pair stacks the component columns of each sub-pair, so the
     collision event is the conjunction of sub-collisions and the CPF is the
     product of sub-CPFs.
+
+    Fusion rule: when every sub-pair hashes both sides with one
+    :class:`~repro.core.family.CoordinateProjection` (``h is g``, as bit
+    sampling does), the stacked columns are exactly one projection onto
+    the sub-pairs' coordinates in order, so the pair is that single
+    projection: one column gather instead of one call per sub-pair.
+    Any other sub-pair (an asymmetric one such as anti bit-sampling
+    included) keeps the per-sub-pair ``hstack``.  The sub-pairs are
+    drawn from the same spawned generators either way.
     """
 
     def __init__(self, families: Sequence[DSHFamily]) -> None:
@@ -111,6 +125,16 @@ class ConcatenatedFamily(DSHFamily):
         """Draw independent sub-pairs and stack their hash components."""
         rng = ensure_rng(rng)
         pairs = [fam.sample(r) for fam, r in zip(self.families, spawn_rngs(rng, len(self.families)))]
+        meta = {"parts": [p.meta for p in pairs]}
+        projections = [
+            p.h for p in pairs
+            if p.h is p.g and isinstance(p.h, CoordinateProjection)
+        ]
+        if len(projections) == len(pairs):
+            fused = CoordinateProjection(
+                np.concatenate([proj.columns for proj in projections])
+            )
+            return HashPair(h=fused, g=fused, meta=meta)
 
         def h(points: np.ndarray) -> np.ndarray:
             return np.hstack([p.hash_data(points) for p in pairs])
@@ -118,7 +142,7 @@ class ConcatenatedFamily(DSHFamily):
         def g(points: np.ndarray) -> np.ndarray:
             return np.hstack([p.hash_query(points) for p in pairs])
 
-        return HashPair(h=h, g=g, meta={"parts": [p.meta for p in pairs]})
+        return HashPair(h=h, g=g, meta=meta)
 
     @property
     def cpf(self) -> CPF | None:

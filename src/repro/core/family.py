@@ -26,6 +26,7 @@ from repro.core.cpf import CPF
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 __all__ = [
+    "CoordinateProjection",
     "HashPair",
     "DSHFamily",
     "SymmetricFamily",
@@ -121,6 +122,36 @@ def rows_to_fingerprints(a: np.ndarray) -> np.ndarray:
     for j in range(u.shape[1]):
         state = _splitmix64(state ^ u[:, j])
     return state
+
+
+class CoordinateProjection:
+    """The hash ``x -> x[:, columns]``: project points onto fixed coordinates.
+
+    Bit sampling hashes with one coordinate, and a concatenation of
+    bit-sampling pairs (Lemma 1.4(a)) with the columns of all its
+    sub-pairs in order, so a ``k``-fold power is one column gather
+    instead of ``k`` calls.  ``columns`` are coordinates in ``[0, d)``.
+    The output is ``(n, len(columns))`` int64 for ``(n, d)`` or ``(d,)``
+    input; a point too narrow for a column raises ``ValueError`` naming
+    the first such column.  A plain class (no closure), so it pickles.
+    """
+
+    def __init__(self, columns: np.ndarray | list[int]) -> None:
+        self.columns = np.asarray(columns, dtype=np.intp).ravel()
+        # The narrowest point dimension every column fits in.
+        self._width = int(self.columns.max(initial=-1)) + 1
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points))
+        if points.shape[1] < self._width:
+            first = int(self.columns[self.columns >= points.shape[1]][0])
+            raise ValueError(
+                f"family sampled for dimension > {points.shape[1]}; "
+                f"point dimension mismatch (coordinate {first})"
+            )
+        # take() keeps the rows C-contiguous; points[:, columns] would come
+        # out column-major and cost a copy at fingerprinting.
+        return points.take(self.columns, axis=1).astype(np.int64)
 
 
 @dataclass

@@ -33,7 +33,7 @@ from repro.core.cpf import (
     AntiBitSamplingCPF,
     BitSamplingCPF,
 )
-from repro.core.family import DSHFamily, HashPair
+from repro.core.family import CoordinateProjection, DSHFamily, HashPair
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_probability
 
@@ -44,16 +44,6 @@ __all__ = [
     "scaled_bit_sampling",
     "scaled_anti_bit_sampling",
 ]
-
-
-def _column(points: np.ndarray, i: int) -> np.ndarray:
-    points = np.atleast_2d(np.asarray(points))
-    if i >= points.shape[1]:
-        raise ValueError(
-            f"family sampled for dimension > {points.shape[1]}; "
-            f"point dimension mismatch (coordinate {i})"
-        )
-    return points[:, i].astype(np.int64)
 
 
 class BitSampling(DSHFamily):
@@ -71,10 +61,16 @@ class BitSampling(DSHFamily):
         self.d = int(d)
 
     def sample(self, rng: int | np.random.Generator | None = None) -> HashPair:
-        """Pick a random coordinate; both sides project onto it."""
+        """Pick a random coordinate; both sides project onto it.
+
+        Both sides are the same :class:`~repro.core.family.CoordinateProjection`
+        (``h is g``), which is what lets a concatenation of bit-sampling
+        pairs fuse into one column gather
+        (:class:`~repro.core.combinators.ConcatenatedFamily`).
+        """
         rng = ensure_rng(rng)
         i = int(rng.integers(0, self.d))
-        func = lambda points: _column(points, i)  # noqa: E731 - tiny closure
+        func = CoordinateProjection([i])
         return HashPair(h=func, g=func, meta={"coordinate": i})
 
     @property
@@ -106,9 +102,10 @@ class AntiBitSampling(DSHFamily):
         """Pick a random coordinate; the query side negates its bit."""
         rng = ensure_rng(rng)
         i = int(rng.integers(0, self.d))
+        project = CoordinateProjection([i])
         return HashPair(
-            h=lambda points: _column(points, i),
-            g=lambda points: 1 - _column(points, i),
+            h=project,
+            g=lambda points: 1 - project(points),
             meta={"coordinate": i},
         )
 

@@ -33,6 +33,7 @@ from repro.index.backends import IndexBackend, QueryStats
 from repro.index.lsh_index import DSHIndex
 from repro.index.queryable import QueryResult
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import check_real_dtype
 
 __all__ = [
     "AnnulusQueryResult",
@@ -195,7 +196,8 @@ class AnnulusIndex:
         the exact procedure from the proof of Theorem 6.1.  Duplicate hits
         count toward the budget but their proximity is never recomputed.
         """
-        query_point = np.asarray(query_point, dtype=np.float64).ravel()
+        query_point = check_real_dtype(query_point, "query")
+        query_point = query_point.astype(np.float64).ravel()
         lo, hi = self.interval
         examined = 0
         seen: set[int] = set()
@@ -241,7 +243,8 @@ class AnnulusIndex:
         order the reduction of a many-row proximity evaluation differently
         than a one-row one.
         """
-        queries = np.atleast_2d(np.asarray(query_points, dtype=np.float64))
+        queries = np.atleast_2d(check_real_dtype(query_points, "queries"))
+        queries = queries.astype(np.float64, copy=False)
         block = self._index.batch_query_hits(queries, max_hits=self.budget)
         n_tables = self._index.n_tables
         lo, hi = self.interval
@@ -300,7 +303,8 @@ class AnnulusIndex:
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        query_point = np.asarray(query_point, dtype=np.float64).ravel()
+        query_point = check_real_dtype(query_point, "query")
+        query_point = query_point.astype(np.float64).ravel()
         lo, hi = self.interval
         examined = 0
         seen: set[int] = set()

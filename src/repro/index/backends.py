@@ -34,7 +34,11 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from repro.core.family import rows_to_fingerprints, rows_to_keys
+from repro.core.family import (
+    as_components,
+    rows_to_fingerprints,
+    rows_to_keys,
+)
 
 __all__ = [
     "QueryStats",
@@ -669,6 +673,30 @@ class DictBackend(IndexBackend):
             self._tables.append(table)
 
 
+def _query_fingerprints(comps: list[np.ndarray]) -> np.ndarray:
+    """Every table's query fingerprints as an ``(L, n_queries)`` uint64
+    matrix, with one ``rows_to_fingerprints`` call per distinct component
+    width instead of one per table.
+
+    Fingerprints are row-independent, so mixing the row-stacked
+    ``(L_w * nq, c)`` block of the ``L_w`` tables of width ``c`` and
+    reshaping the result to ``(L_w, nq)`` gives each table's fingerprints
+    exactly.  The tables of one family share a width; a mixture's tables
+    may not, hence the grouping."""
+    blocks = [as_components(c) for c in comps]
+    n_queries = blocks[0].shape[0]
+    by_width: dict[int, list[int]] = {}
+    for t, block in enumerate(blocks):
+        by_width.setdefault(block.shape[1], []).append(t)
+    qfps = np.empty((len(blocks), n_queries), dtype=np.uint64)
+    for tables in by_width.values():
+        stacked = np.concatenate([blocks[t] for t in tables])
+        qfps[tables] = rows_to_fingerprints(stacked).reshape(
+            len(tables), n_queries
+        )
+    return qfps
+
+
 class PackedBackend(IndexBackend):
     """CSR-style layout over uint64 fingerprints, fully vectorized.
 
@@ -797,11 +825,11 @@ class PackedBackend(IndexBackend):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Resolve every (table, query) bucket in one ``searchsorted`` per
         table: returns ``(starts, counts)``, both shape ``(L, n_queries)``,
-        giving each bucket's slice of the shared ``_ids`` array."""
-        n_tables = len(comps)
-        # (L, nq): one fingerprint per (table, query).
-        qfps = np.stack([rows_to_fingerprints(c) for c in comps])
-        n_queries = qfps.shape[1]
+        giving each bucket's slice of the shared ``_ids`` array.  The
+        query fingerprints come from :func:`_query_fingerprints`, one
+        mixing pass per component width rather than one per table."""
+        qfps = _query_fingerprints(comps)
+        n_tables, n_queries = qfps.shape
         starts = np.zeros((n_tables, n_queries), dtype=np.int64)
         counts = np.zeros((n_tables, n_queries), dtype=np.int64)
         for t in range(n_tables):

@@ -110,7 +110,7 @@ class HyperplaneIndex:
 
     def query(self, query_point: np.ndarray) -> AnnulusQueryResult:
         """Return a point with ``|<x, q>| <= alpha`` if the search succeeds."""
-        return self._annulus.query(np.asarray(query_point, dtype=np.float64))
+        return self._annulus.query(query_point)
 
     def batch_query(self, query_points: np.ndarray) -> list[AnnulusQueryResult]:
         """Run :meth:`query` for every row of ``query_points`` through the

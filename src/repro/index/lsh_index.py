@@ -38,7 +38,7 @@ from repro.index.backends import (
     make_backend,
 )
 from repro.utils.rng import ensure_rng, rng_from_state, rng_state
-from repro.utils.validation import check_finite
+from repro.utils.validation import check_finite, check_real_dtype
 
 __all__ = ["QueryStats", "CandidateResult", "DSHIndex"]
 
@@ -52,9 +52,10 @@ def _check_query_block(queries: np.ndarray, dim: int | None) -> np.ndarray:
     hash closure or, for families that slice coordinates, silently mis-hash.
     Floating blocks must be finite: a NaN/inf row would hash to a "not
     captured" sentinel and be answered as "not found" instead of failing.
-    Integer and bool blocks skip that scan.
+    Integer and bool blocks skip that scan.  Any other dtype (object,
+    string, complex, ...) raises ``TypeError``.
     """
-    queries = np.atleast_2d(np.asarray(queries))
+    queries = np.atleast_2d(check_real_dtype(queries, "queries"))
     if queries.ndim != 2:
         raise ValueError(
             f"queries must be one point (d,) or a block (n, d), "
@@ -290,9 +291,12 @@ class DSHIndex:
         """Run :meth:`query` for each row of ``queries``.
 
         Hashes all queries through each table's ``g`` in one vectorized
-        call, then hands the component block to the backend: the dict
-        backend walks buckets per query through the same probe routine as
-        :meth:`query`; the packed backend resolves all ``(query, table)``
+        call (for a bit-sampling power, one fused column gather; see
+        :class:`~repro.core.combinators.ConcatenatedFamily`), then hands
+        the per-table component blocks to the backend: the dict backend
+        walks buckets per query through the same probe routine as
+        :meth:`query`; the packed backend fingerprints every table in one
+        mixing pass per component width, resolves all ``(query, table)``
         buckets with batched ``searchsorted`` + one gather and dedups per
         query with a stamp pass.
         """

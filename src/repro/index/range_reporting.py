@@ -29,6 +29,7 @@ from repro.index.backends import IndexBackend, QueryStats
 from repro.index.lsh_index import DSHIndex
 from repro.index.queryable import QueryResult
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import check_real_dtype
 
 __all__ = ["RangeReport", "RangeReportingIndex"]
 
@@ -199,7 +200,8 @@ class RangeReportingIndex:
         Range reporting always drains every table, so the candidate stream
         comes from :meth:`DSHIndex.query_hits` in bulk.
         """
-        query_point = np.asarray(query_point, dtype=np.float64).ravel()
+        query_point = check_real_dtype(query_point, "query")
+        query_point = query_point.astype(np.float64).ravel()
         hits = self._index.query_hits(query_point)
         return self._report_from_hits(query_point, hits)
 
@@ -211,7 +213,8 @@ class RangeReportingIndex:
         hits-with-multiplicity path (one ``searchsorted`` + flat gather on
         the packed backend); per-query reports are then identical to the
         single-query loop (enforced by the batch-vs-loop parity suite)."""
-        queries = np.atleast_2d(np.asarray(query_points, dtype=np.float64))
+        queries = np.atleast_2d(check_real_dtype(query_points, "queries"))
+        queries = queries.astype(np.float64, copy=False)
         block = self._index.batch_query_hits(queries)
         return [
             self._report_from_hits(queries[i], block.segment(i))

@@ -60,7 +60,7 @@ import numpy as np
 from repro.index.persistence import IndexIntegrityError
 from repro.serving.options import ServingOptions
 from repro.serving.sharded import PoolRecoveryError
-from repro.utils.validation import check_finite
+from repro.utils.validation import check_finite, check_real_dtype
 
 __all__ = [
     "AsyncIndexServer",
@@ -417,7 +417,8 @@ class AsyncIndexServer:
 
         Raises ``ValueError`` at admission for a row of the wrong shape
         or dimension, a floating row with NaN/inf entries, or a negative
-        budget; such a request never joins a batch.
+        budget, and ``TypeError`` for a row whose dtype is not bool,
+        integer or real floating; such a request never joins a batch.
 
         Sheds with :class:`ServerOverloadedError` when ``max_pending``
         admitted requests are still outstanding (queued or in flight).  Replica-side failures propagate:
@@ -427,7 +428,7 @@ class AsyncIndexServer:
         replica has been routed out as unhealthy.
         """
         queue = self._require_running()
-        row = np.asarray(query)
+        row = check_real_dtype(query, "query")
         if row.ndim == 2 and row.shape[0] == 1:
             row = row[0]
         if row.ndim != 1:
@@ -444,9 +445,9 @@ class AsyncIndexServer:
                 f"query has dimension {row.shape[0]}, index expects "
                 f"{snapshot.dim}"
             )
-        # Reject a NaN/inf row here, before it is stacked into a shared
-        # batch: inside the replica's block check it would fail every
-        # request coalesced with it.
+        # Reject a NaN/inf row here (and a non-numeric one above), before
+        # it is stacked into a shared batch: inside the replica's block
+        # check it would fail every request coalesced with it.
         if np.issubdtype(row.dtype, np.floating):
             check_finite(row, "query")
         budget = None if max_retrieved is None else int(max_retrieved)

@@ -7,6 +7,7 @@ from repro.utils.validation import (
     check_in_open_interval,
     check_positive,
     check_probability,
+    check_real_dtype,
     check_unit_vectors,
 )
 
@@ -18,5 +19,6 @@ __all__ = [
     "check_in_open_interval",
     "check_positive",
     "check_probability",
+    "check_real_dtype",
     "check_unit_vectors",
 ]

@@ -1,7 +1,8 @@
 """Argument validation helpers used across the library.
 
-These raise ``ValueError`` with uniform, descriptive messages so call sites
-stay one-liners and error reporting is consistent across modules.
+These raise ``ValueError`` (``TypeError`` for a wrong dtype) with uniform,
+descriptive messages so call sites stay one-liners and error reporting is
+consistent across modules.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ __all__ = [
     "check_in_open_interval",
     "check_positive",
     "check_probability",
+    "check_real_dtype",
     "check_unit_vectors",
 ]
 
@@ -51,6 +53,23 @@ def check_finite(array: np.ndarray, name: str) -> np.ndarray:
     array = np.asarray(array)
     if not np.all(np.isfinite(array)):
         raise ValueError(f"{name} must contain only finite values")
+    return array
+
+
+def check_real_dtype(array: np.ndarray, name: str) -> np.ndarray:
+    """Validate that ``array`` holds bool, integer or real floating values
+    and return it.
+
+    Raises ``TypeError`` otherwise: an object array may hold anything, a
+    string array would be parsed as numbers, and a complex array would
+    lose its imaginary part on the way to a real dtype.
+    """
+    array = np.asarray(array)
+    if array.dtype.kind not in "biuf":
+        raise TypeError(
+            f"{name} must have a bool, integer or real floating dtype, "
+            f"got {array.dtype}"
+        )
     return array
 
 

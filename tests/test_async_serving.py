@@ -337,6 +337,37 @@ class TestBackpressure:
         assert metrics["failed"] == 0
         assert metrics["max_batch_size"] > 1
 
+    @pytest.mark.parametrize("dtype", [object, str, np.complex128])
+    def test_non_numeric_query_fails_alone_in_its_window(
+        self, saved_single, flat, data, dtype
+    ):
+        _, queries = data
+        good = queries[:15]
+        reference = flat.batch_query(good)
+        bad = queries[15].astype(dtype)
+
+        async def scenario():
+            async with AsyncIndexServer(
+                str(saved_single), max_batch=32, max_wait_us=20_000
+            ) as server:
+                requests = [server.query(q) for q in good[:7]]
+                requests.append(server.query(bad))
+                requests += [server.query(q) for q in good[7:]]
+                results = await asyncio.gather(
+                    *requests, return_exceptions=True
+                )
+                return results, server.metrics()
+
+        results, metrics = asyncio.run(scenario())
+        error = results.pop(7)
+        assert isinstance(error, TypeError)
+        assert "dtype" in str(error)
+        for served, ref in zip(results, reference):
+            _assert_exact(served, ref)
+        assert metrics["served"] == len(good)
+        assert metrics["failed"] == 0
+        assert metrics["max_batch_size"] > 1
+
     def test_handle_rejects_non_finite_query(self, saved_single, flat, data):
         _, queries = data
         reference = flat.batch_query(queries[:4])

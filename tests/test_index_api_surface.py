@@ -177,6 +177,78 @@ class TestNonFiniteQueries:
             assert len(bits.batch_query(np.zeros((2, 8), dtype=dtype))) == 2
 
 
+def _non_numeric(row, kind):
+    """``row`` recast to an object, string or complex dtype."""
+    if kind == "object":
+        return np.asarray(row).astype(object)
+    if kind == "str":
+        return np.asarray(row).astype(str)
+    return np.asarray(row).astype(np.complex128)
+
+
+class TestNonNumericQueries:
+    """Object, string and complex rows are rejected with ``TypeError``
+    instead of being parsed or silently losing their imaginary part."""
+
+    KINDS = ["object", "str", "complex"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dsh_index_rejects(self, kind):
+        points = hamming.random_points(20, 8, rng=1)
+        index = DSHIndex(BitSampling(8), n_tables=3, rng=0).build(points)
+        bad = _non_numeric(points[:3], kind)
+        with pytest.raises(TypeError, match="dtype"):
+            index.query(bad[1])
+        with pytest.raises(TypeError, match="dtype"):
+            index.batch_query(bad)
+        with pytest.raises(TypeError, match="dtype"):
+            index.batch_query_hits(bad)
+        with pytest.raises(TypeError, match="dtype"):
+            index.query_hits(bad[0])
+        with pytest.raises(TypeError, match="dtype"):
+            next(index.iter_candidates(bad[0]))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_annulus_index_rejects(self, kind):
+        pts = sphere.random_points(40, 12, rng=2)
+        annulus = sphere_annulus_index(pts, (0.3, 0.6), t=1.5, n_tables=4, rng=3)
+        bad = _non_numeric(sphere.random_points(4, 12, rng=4), kind)
+        with pytest.raises(TypeError, match="dtype"):
+            annulus.query(bad[2])
+        with pytest.raises(TypeError, match="dtype"):
+            annulus.batch_query(bad)
+        with pytest.raises(TypeError, match="dtype"):
+            annulus.query_many(bad[0], 2)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sharded_index_rejects(self, kind):
+        pts = sphere.random_points(30, 6, rng=5)
+        spec = IndexSpec(kind="raw", family="simhash", family_params={"d": 6},
+                         n_tables=3, seed=1, shards=2)
+        sharded = ShardedIndex(pts, spec)
+        bad = _non_numeric(sphere.random_points(3, 6, rng=6), kind)
+        with pytest.raises(TypeError, match="dtype"):
+            sharded.query(bad[0])
+        with pytest.raises(TypeError, match="dtype"):
+            sharded.batch_query(bad)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_other_application_layers_reject(self, kind):
+        pts = sphere.random_points(30, 8, rng=4)
+        hyper = HyperplaneIndex(pts, alpha=0.3, t=1.5, n_tables=3, rng=5)
+        inst = planted_euclidean_range(30, 8, 4.0, n_near=2, rng=4)
+        design = design_step_family(8, r_flat=4.0, level=0.12, n_components=3)
+        reporting = RangeReportingIndex(
+            inst.points, design.family, 4.0, _euclid, 4, rng=5
+        )
+        bad = _non_numeric(pts[:2], kind)
+        for index in (hyper, reporting):
+            with pytest.raises(TypeError, match="dtype"):
+                index.query(bad[0])
+            with pytest.raises(TypeError, match="dtype"):
+                index.batch_query(bad)
+
+
 class TestCandidateResultCompat:
     @pytest.fixture(scope="class")
     def index(self):
