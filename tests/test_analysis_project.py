@@ -1,4 +1,4 @@
-"""Call-graph and project-model corner cases for :mod:`repro.analysis.project`.
+"""Call-graph and project-model corner cases for :mod:`tools.rrlint.project`.
 
 Complements ``test_analysis_rules.py`` (which exercises the rules built on
 top): here we pin down the conservative resolver itself — aliased import
@@ -9,8 +9,8 @@ unwrapping, raise-set filtering, and cycle/layer bookkeeping.
 
 from __future__ import annotations
 
-from repro.analysis import SourceFile
-from repro.analysis.project import (
+from tools.rrlint import SourceFile
+from tools.rrlint.project import (
     PACKAGE_LAYERS,
     Project,
     layer_of,
@@ -35,12 +35,13 @@ def test_module_name_for_path_strips_src_and_init():
     assert module_name_for_path("pkg/mod.py") == "pkg.mod"
 
 
-def test_layer_of_covers_known_packages_and_exempts_analysis():
+def test_layer_of_covers_known_packages_and_exempts_unranked():
     assert layer_of("repro.core.cpf") == PACKAGE_LAYERS["core"]
     assert layer_of("repro.serving.sharded") == PACKAGE_LAYERS["serving"]
     assert layer_of("repro.core") < layer_of("repro.index.backends")
-    # The linter itself and the package root are outside the layer order.
-    assert layer_of("repro.analysis.project") is None
+    # Unlisted subpackages and the package root are outside the layer
+    # order.
+    assert layer_of("repro.unlisted.module") is None
     assert layer_of("repro") is None
     assert layer_of("somewhere.else") is None
 
@@ -327,7 +328,7 @@ def test_is_exception_class_uses_project_and_builtin_ancestry():
 
 
 # ---------------------------------------------------------------------------
-# Import graph: cycles, lazy edges, and dumps
+# Import graph: cycles and lazy edges
 # ---------------------------------------------------------------------------
 
 
@@ -351,20 +352,3 @@ def test_import_cycles_detects_eager_scc_and_ignores_lazy():
     # A function-scoped back-edge is lazy and breaks no cycle.
     assert lazy.import_cycles() == ()
 
-
-def test_graph_dumps_cover_modules_and_stats():
-    project = build(
-        ("src/repro/core/cpf.py", "x: int = 1\n"),
-        ("src/repro/index/backends.py", "from repro.core.cpf import x\n"),
-    )
-    payload = project.to_json()
-    assert payload["stats"]["files"] == 2
-    edges = payload["edges"]
-    assert any(
-        e["importer"] == "repro.index.backends"
-        and e["target"] == "repro.core.cpf"
-        for e in edges
-    )
-    dot = project.to_dot()
-    assert dot.startswith("digraph")
-    assert "core" in dot and "index" in dot

@@ -1,16 +1,14 @@
 """Core machinery of the repo-specific invariant linter.
 
-The :mod:`repro.analysis` subsystem enforces, at lint time, the
-correctness invariants this codebase accumulated the hard way: captured
-RNG state must be able to revive identical hash pairs, int64 id / uint64
-fingerprint dtype contracts must hold across the backend boundary,
-table data must never travel over pickle, and budget clipping must go
-through the exactness-preserving :func:`repro.index.backends.clip_batch_hits`.
-Each invariant is an AST :class:`Rule` with a stable ``RR0xx`` id; the
-engine parses every file once, hands a :class:`SourceFile` to each rule,
-filters ``# noqa: RR0xx`` suppressions, and diffs the surviving
-violations against a committed JSON baseline (see
-:mod:`repro.analysis.baseline`).
+The :mod:`tools.rrlint` linter enforces, at lint time, the correctness
+invariants this codebase accumulated the hard way: captured RNG state
+must be able to revive identical hash pairs, int64 id / uint64
+fingerprint dtype contracts must hold across the backend boundary, and
+budget clipping must go through the exactness-preserving
+:func:`repro.index.backends.clip_batch_hits`.  Each invariant is an AST
+:class:`Rule` with a stable ``RR0xx`` id; the engine parses every file
+once, hands a :class:`SourceFile` to each rule, and filters
+``# noqa: RR0xx`` suppressions.
 
 Suppression syntax follows flake8: a ``# noqa`` comment on the violation's
 reported line suppresses everything on that line, ``# noqa: RR001`` (or a
@@ -22,21 +20,18 @@ from __future__ import annotations
 import ast
 import dataclasses
 import io
-import pathlib
 import re
 import tokenize
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
-    from repro.analysis.project import Project
+    from tools.rrlint.project import Project
 
 __all__ = [
     "Violation",
     "SourceFile",
     "Rule",
-    "collect_files",
     "run_source",
-    "run_files",
     "dotted_name",
 ]
 
@@ -50,10 +45,7 @@ _NOQA_RE = re.compile(
 class Violation:
     """One rule hit: where it happened and why it matters.
 
-    ``line``/``col`` are 1-based/0-based as in :mod:`ast`.  Baseline
-    matching deliberately ignores ``line`` (see :meth:`identity`) so that
-    unrelated edits shifting code downward do not invalidate a committed
-    baseline.
+    ``line``/``col`` are 1-based/0-based as in :mod:`ast`.
     """
 
     rule: str
@@ -61,10 +53,6 @@ class Violation:
     line: int
     col: int
     message: str
-
-    def identity(self) -> tuple[str, str, str]:
-        """Line-insensitive identity used for baseline matching."""
-        return (self.rule, self.path, self.message)
 
     def to_dict(self) -> dict[str, object]:
         """JSON-ready representation (the ``--format json`` payload)."""
@@ -85,13 +73,11 @@ class SourceFile:
     the sanctioned dtype-narrowing site in ``PackedBackend.build``).
     """
 
-    def __init__(
-        self, path: str, text: str, tree: ast.Module | None = None
-    ) -> None:
+    def __init__(self, path: str, text: str) -> None:
         self.path = path.replace("\\", "/")
         self.text = text
         self.lines = text.splitlines()
-        self.tree = tree if tree is not None else ast.parse(text, filename=path)
+        self.tree = ast.parse(text, filename=path)
         self._attach_parents()
         self._func_spans: list[tuple[int, int, str]] = []
         self._index_functions()
@@ -164,18 +150,14 @@ class SourceFile:
         """Posix-path suffix test used by per-file rule exemptions."""
         return self.path.endswith(suffixes)
 
-    def path_contains(self, fragment: str) -> bool:
-        """Posix-path substring test used by per-directory exemptions."""
-        return fragment in self.path
-
 
 class Rule:
     """Base class for one lintable invariant.
 
     Subclasses set the class attributes and implement :meth:`check`.
-    ``rule_id`` is the stable ``RR0xx`` code used in output, ``# noqa``
-    comments, and the baseline; ``rationale`` is the one-line "why" shown
-    by ``--list-rules`` and the README.
+    ``rule_id`` is the stable ``RR0xx`` code used in output and ``# noqa``
+    comments; ``rationale`` is the one-line "why" shown by
+    ``--list-rules`` and the README.
     """
 
     rule_id: str = "RR000"
@@ -183,7 +165,7 @@ class Rule:
     rationale: str = ""
 
     #: Whole-program context for flow-aware rules; ``None`` when linting
-    #: a lone file outside :func:`repro.analysis.project.run_project`.
+    #: a lone file outside :func:`tools.rrlint.project.run_project`.
     _project: "Project | None" = None
 
     def set_project(self, project: "Project | None") -> None:
@@ -224,20 +206,6 @@ def dotted_name(node: ast.AST) -> str | None:
     return None
 
 
-def collect_files(paths: Sequence[str | pathlib.Path]) -> list[pathlib.Path]:
-    """Expand files/directories to a sorted list of ``.py`` files."""
-    out: set[pathlib.Path] = set()
-    for raw in paths:
-        path = pathlib.Path(raw)
-        if path.is_dir():
-            out.update(path.rglob("*.py"))
-        elif path.suffix == ".py":
-            out.add(path)
-        else:
-            raise FileNotFoundError(f"not a python file or directory: {path}")
-    return sorted(out)
-
-
 def run_source(
     src: SourceFile, rules: Iterable[Rule]
 ) -> list[Violation]:
@@ -249,23 +217,3 @@ def run_source(
                 found.append(violation)
     found.sort(key=lambda v: (v.line, v.col, v.rule))
     return found
-
-
-def run_files(
-    files: Sequence[pathlib.Path], rules: Sequence[Rule]
-) -> tuple[list[Violation], list[str]]:
-    """Lint many files; returns ``(violations, parse_errors)``.
-
-    A file that fails to parse contributes a message to ``parse_errors``
-    instead of aborting the run — the CLI reports those as failures too.
-    """
-    violations: list[Violation] = []
-    errors: list[str] = []
-    for path in files:
-        try:
-            src = SourceFile(str(path), path.read_text(encoding="utf-8"))
-        except SyntaxError as exc:
-            errors.append(f"{path}: {exc.msg} (line {exc.lineno})")
-            continue
-        violations.extend(run_source(src, rules))
-    return violations, errors

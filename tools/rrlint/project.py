@@ -1,23 +1,21 @@
 """Whole-program semantic model behind the flow-aware lint rules.
 
-:class:`Project` parses every file once (through an optional on-disk
-:class:`AstCache` keyed by ``(path, mtime_ns, size)``), builds a
-module-level symbol table and an import graph (eager vs lazy edges), and
-resolves calls through a conservative name-resolution call graph: it
-follows ``from x import y as z`` aliasing and re-exports through
-``__init__``, dispatches method calls on classes whose construction it
-can see (including ``staticmethod``/``classmethod`` access via the class
-name, ``self``/``cls``, and annotated parameters), and unwraps
+:class:`Project` parses every file once, builds a module-level symbol
+table and an import graph (eager vs lazy edges), and resolves calls
+through a conservative name-resolution call graph: it follows ``from x
+import y as z`` aliasing and re-exports through ``__init__``, dispatches
+method calls on classes whose construction it can see (including
+``staticmethod``/``classmethod`` access via the class name,
+``self``/``cls``, and annotated parameters), and unwraps
 ``functools.partial`` and executor ``submit``/``map`` targets.  Lambdas
 and calls through values it cannot type are *conservatively unresolved*
 — recorded as such, never guessed.
 
-On top of the model it offers the queries the RR008–RR011 rules and the
-CLI need: per-function raise-sets propagated to a fixpoint through the
-call graph (filtered by enclosing ``try/except`` handlers), executor
-submissions with their resolved targets, package-layer assignments for
-the layering contract, import-cycle detection, and ``dot``/``json``
-graph dumps for CI artifacts.
+On top of the model it offers the queries the RR008–RR011 rules need:
+per-function raise-sets propagated to a fixpoint through the call graph
+(filtered by enclosing ``try/except`` handlers), executor submissions
+with their resolved targets, package-layer assignments for the layering
+contract, and import-cycle detection.
 """
 
 from __future__ import annotations
@@ -25,12 +23,10 @@ from __future__ import annotations
 import ast
 import builtins
 import dataclasses
-import hashlib
 import pathlib
-import pickle
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from repro.analysis.engine import (
+from tools.rrlint.engine import (
     Rule,
     SourceFile,
     Violation,
@@ -40,7 +36,6 @@ from repro.analysis.engine import (
 
 __all__ = [
     "PACKAGE_LAYERS",
-    "AstCache",
     "ImportEdge",
     "ProjectModule",
     "Project",
@@ -53,9 +48,8 @@ __all__ = [
 
 #: Allowed layering of the ``repro`` package, lowest layer first.  A
 #: module may only *eagerly* import same-or-lower layers; lazy
-#: (function-scoped or ``TYPE_CHECKING``) imports are exempt.  The
-#: ``analysis`` package and the root ``repro/__init__`` sit above the
-#: stack: they may import anything.
+#: (function-scoped or ``TYPE_CHECKING``) imports are exempt.  The root
+#: ``repro/__init__`` sits above the stack: it may import anything.
 PACKAGE_LAYERS: Mapping[str, int] = {
     "utils": 0,
     "core": 0,
@@ -70,20 +64,16 @@ PACKAGE_LAYERS: Mapping[str, int] = {
     "serving": 4,
 }
 
-_TOOL_PACKAGES = frozenset({"analysis"})
-
 
 def layer_of(module: str) -> int | None:
     """Layer rank of a dotted ``repro`` module, ``None`` if unranked.
 
-    Unranked modules (the ``analysis`` tooling package, the root
-    ``repro`` package itself, and anything outside ``repro``) are exempt
-    from the layering contract.
+    Unranked modules (the root ``repro`` package itself, subpackages
+    missing from :data:`PACKAGE_LAYERS`, and anything outside ``repro``)
+    are exempt from the layering contract.
     """
     parts = module.split(".")
     if parts[0] != "repro" or len(parts) == 1:
-        return None
-    if parts[1] in _TOOL_PACKAGES:
         return None
     return PACKAGE_LAYERS.get(parts[1])
 
@@ -167,66 +157,6 @@ class _FuncFacts:
     callees: list[tuple[tuple[str, str], frozenset[str]]]
     raises: list[tuple[tuple[str, str], frozenset[str]]]
     submissions: list[Submission]
-
-
-class AstCache:
-    """On-disk AST cache keyed by ``(path, mtime_ns, size)``.
-
-    Entries are pickles of ``(key, tree)`` stored under a hash of the
-    absolute path; a stale or unreadable entry is treated as a miss, so
-    the cache can never produce wrong trees, only re-parses.
-    """
-
-    def __init__(self, directory: str | pathlib.Path) -> None:
-        self.directory = pathlib.Path(directory)
-        self.hits = 0
-        self.misses = 0
-
-    def _slot(self, path: pathlib.Path) -> pathlib.Path:
-        digest = hashlib.sha256(
-            str(path.resolve()).encode("utf-8")
-        ).hexdigest()
-        return self.directory / f"{digest}.ast.pkl"
-
-    def _key(self, path: pathlib.Path) -> tuple[str, int, int] | None:
-        try:
-            stat = path.stat()
-        except OSError:
-            return None
-        return (str(path.resolve()), stat.st_mtime_ns, stat.st_size)
-
-    def load(self, path: str | pathlib.Path) -> ast.Module | None:
-        """Return the cached tree for ``path`` if still fresh, else ``None``."""
-        source = pathlib.Path(path)
-        key = self._key(source)
-        if key is None:
-            self.misses += 1
-            return None
-        try:
-            payload = self._slot(source).read_bytes()
-            stored_key, tree = pickle.loads(payload)
-        except Exception:  # noqa: RR007 - any corruption is just a miss
-            self.misses += 1
-            return None
-        if stored_key != key or not isinstance(tree, ast.Module):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return tree
-
-    def store(self, path: str | pathlib.Path, tree: ast.Module) -> None:
-        """Persist ``tree`` for ``path``; failures are silently dropped."""
-        source = pathlib.Path(path)
-        key = self._key(source)
-        if key is None:
-            return
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            self._slot(source).write_bytes(
-                pickle.dumps((key, tree), protocol=pickle.HIGHEST_PROTOCOL)
-            )
-        except OSError:
-            return
 
 
 class ProjectModule:
@@ -413,20 +343,14 @@ class Project:
     """Whole-program model: modules, import graph, call graph, raise-sets.
 
     Build one with :meth:`from_sources` (in-memory, used by tests and
-    the single-file fallback) or :meth:`load` (from disk, optionally
-    through an :class:`AstCache`).  All derived structures — function
-    facts, raise-set fixpoint, cycles — are computed lazily and cached
-    on the instance; a Project is immutable once built.
+    the single-file fallback) or :meth:`load` (from disk).  All derived
+    structures — function facts, raise-set fixpoint, cycles — are
+    computed lazily and cached on the instance; a Project is immutable
+    once built.
     """
 
-    def __init__(
-        self,
-        modules: Mapping[str, ProjectModule],
-        stats: Mapping[str, int] | None = None,
-    ) -> None:
+    def __init__(self, modules: Mapping[str, ProjectModule]) -> None:
         self.modules: dict[str, ProjectModule] = dict(modules)
-        self.stats: dict[str, int] = dict(stats or {})
-        self.stats.setdefault("files", len(self.modules))
         self._path_index = {
             mod.source.path: name for name, mod in self.modules.items()
         }
@@ -455,21 +379,19 @@ class Project:
         for name, src in zip(names, sources):
             is_package = src.path.endswith("__init__.py")
             modules[name] = ProjectModule(name, src, is_package)
-        return cls(modules, {"files": len(modules)})
+        return cls(modules)
 
     @classmethod
     def load(
-        cls,
-        paths: Sequence[str | pathlib.Path],
-        cache: AstCache | None = None,
+        cls, paths: Sequence[str | pathlib.Path]
     ) -> tuple["Project", list[str]]:
         """Parse files/directories from disk into a project.
 
         Returns ``(project, parse_errors)``.  Module names are derived
         from package directories (walking ``__init__.py`` markers above
-        each argument), so both ``src`` and deeper anchors work.  When
-        ``cache`` is given, unchanged files reuse their pickled trees
-        and the project's ``stats`` report ``cache_hits``/``parsed``.
+        each argument), so both ``src`` and deeper anchors work.  A file
+        that cannot be read, is not UTF-8, or does not parse contributes
+        a message to ``parse_errors`` instead of aborting the run.
         """
         entries: dict[pathlib.Path, str] = {}
         for raw in paths:
@@ -489,33 +411,19 @@ class Project:
         sources: list[SourceFile] = []
         names: list[str] = []
         errors: list[str] = []
-        parsed = 0
-        hits = 0
         for file, name in sorted(entries.items(), key=lambda item: str(item[0])):
             try:
                 text = file.read_text(encoding="utf-8")
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 errors.append(f"{file}: {exc}")
                 continue
-            tree = cache.load(file) if cache is not None else None
-            if tree is None:
-                try:
-                    tree = ast.parse(text, filename=str(file))
-                except SyntaxError as exc:
-                    errors.append(f"{file}: {exc.msg} (line {exc.lineno})")
-                    continue
-                parsed += 1
-                if cache is not None:
-                    cache.store(file, tree)
-            else:
-                hits += 1
-            sources.append(SourceFile(str(file), text, tree=tree))
+            try:
+                sources.append(SourceFile(str(file), text))
+            except SyntaxError as exc:
+                errors.append(f"{file}: {exc.msg} (line {exc.lineno})")
+                continue
             names.append(name)
-        project = cls.from_sources(sources, names)
-        project.stats.update(
-            {"files": len(sources), "parsed": parsed, "cache_hits": hits}
-        )
-        return project, errors
+        return cls.from_sources(sources, names), errors
 
     # -- lookups ------------------------------------------------------
 
@@ -659,16 +567,6 @@ class Project:
             if candidate in self.modules:
                 return candidate
         return edge.target
-
-    def import_edges(self, module: str | None = None) -> tuple[ImportEdge, ...]:
-        """All import edges, or just those of one module."""
-        if module is not None:
-            mod = self.modules.get(module)
-            return tuple(mod.imports) if mod is not None else ()
-        out: list[ImportEdge] = []
-        for mod in self.modules.values():
-            out.extend(mod.imports)
-        return tuple(out)
 
     def eager_import_graph(self) -> dict[str, frozenset[str]]:
         """Project-internal eager import adjacency (module → modules)."""
@@ -872,83 +770,6 @@ class Project:
     def _ensure_pool_attrs(self) -> None:
         if self._process_attrs is None:
             self._scan_pool_attrs()
-
-    # -- graph dumps --------------------------------------------------
-
-    def to_json(self) -> dict[str, object]:
-        """Module-level import graph payload for ``--graph json``."""
-        edges = []
-        for mod in sorted(self.modules.values(), key=lambda m: m.name):
-            for edge in mod.imports:
-                target = self.effective_target(edge)
-                if target not in self.modules:
-                    continue
-                edges.append(
-                    {
-                        "importer": edge.importer,
-                        "target": target,
-                        "lazy": edge.lazy,
-                        "line": edge.line,
-                    }
-                )
-        return {
-            "version": 1,
-            "modules": sorted(self.modules),
-            "packages": {
-                pkg: layer for pkg, layer in sorted(PACKAGE_LAYERS.items())
-            },
-            "edges": edges,
-            "cycles": [list(cycle) for cycle in self.import_cycles()],
-            "stats": dict(self.stats),
-        }
-
-    def to_dot(self) -> str:
-        """Package-level layering diagram for ``--graph dot``."""
-        packages: dict[str, int | None] = {}
-        pkg_edges: dict[tuple[str, str], bool] = {}
-        for mod in self.modules.values():
-            src_pkg = _package_of(mod.name)
-            if src_pkg is None:
-                continue
-            packages.setdefault(src_pkg, _pkg_layer(src_pkg))
-            for edge in mod.imports:
-                target = self.effective_target(edge)
-                if target not in self.modules:
-                    continue
-                dst_pkg = _package_of(target)
-                if dst_pkg is None or dst_pkg == src_pkg:
-                    continue
-                packages.setdefault(dst_pkg, _pkg_layer(dst_pkg))
-                key = (src_pkg, dst_pkg)
-                # An eager edge anywhere beats lazy-only.
-                pkg_edges[key] = pkg_edges.get(key, True) and edge.lazy
-        lines = [
-            "digraph repro_layering {",
-            '  rankdir="BT";',
-            "  node [shape=box];",
-        ]
-        for pkg in sorted(packages):
-            layer = packages[pkg]
-            label = pkg if layer is None else f"{pkg}\\nlayer {layer}"
-            lines.append(f'  "{pkg}" [label="{label}"];')
-        for (src_pkg, dst_pkg) in sorted(pkg_edges):
-            style = ' [style=dashed]' if pkg_edges[(src_pkg, dst_pkg)] else ""
-            lines.append(f'  "{src_pkg}" -> "{dst_pkg}"{style};')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-
-def _package_of(module: str) -> str | None:
-    parts = module.split(".")
-    if parts[0] != "repro":
-        return parts[0] if parts else None
-    if len(parts) == 1:
-        return "repro"
-    return parts[1]
-
-
-def _pkg_layer(package: str) -> int | None:
-    return PACKAGE_LAYERS.get(package)
 
 
 def _package_prefix(directory: pathlib.Path) -> list[str]:
@@ -1448,20 +1269,17 @@ def project_context(
 
 
 def run_project(
-    paths: Sequence[str | pathlib.Path],
-    rules: Sequence[Rule],
-    cache: AstCache | None = None,
+    paths: Sequence[str | pathlib.Path], rules: Sequence[Rule]
 ) -> tuple[list[Violation], list[str], Project]:
     """Lint a whole source tree with project context attached.
 
-    Parses ``paths`` into a :class:`Project` (optionally through
-    ``cache``), attaches it to every rule via
-    :meth:`repro.analysis.engine.Rule.set_project`, runs the rules over
-    each file, and always detaches the project afterwards (rule
+    Parses ``paths`` into a :class:`Project`, attaches it to every rule
+    via :meth:`tools.rrlint.engine.Rule.set_project`, runs the rules
+    over each file, and always detaches the project afterwards (rule
     instances in the registry are shared singletons).  Returns
     ``(violations, parse_errors, project)``.
     """
-    project, errors = Project.load(paths, cache)
+    project, errors = Project.load(paths)
     violations: list[Violation] = []
     try:
         for rule in rules:

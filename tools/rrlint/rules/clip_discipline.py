@@ -17,7 +17,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.engine import Rule, SourceFile, Violation
+from tools.rrlint.engine import Rule, SourceFile, Violation
 
 __all__ = ["ClipDisciplineRule"]
 

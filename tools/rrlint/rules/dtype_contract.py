@@ -17,7 +17,7 @@ import ast
 import re
 from typing import Iterator
 
-from repro.analysis.engine import Rule, SourceFile, Violation, dotted_name
+from tools.rrlint.engine import Rule, SourceFile, Violation, dotted_name
 
 __all__ = ["DtypeContractRule"]
 

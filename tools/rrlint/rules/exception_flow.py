@@ -21,8 +21,8 @@ import ast
 import re
 from typing import Iterator
 
-from repro.analysis.engine import Rule, SourceFile, Violation
-from repro.analysis.project import Project, ProjectModule, project_context
+from tools.rrlint.engine import Rule, SourceFile, Violation
+from tools.rrlint.project import Project, ProjectModule, project_context
 
 __all__ = ["ExceptionFlowRule"]
 

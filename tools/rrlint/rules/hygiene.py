@@ -15,7 +15,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.engine import Rule, SourceFile, Violation, dotted_name
+from tools.rrlint.engine import Rule, SourceFile, Violation, dotted_name
 
 __all__ = ["HygieneRule"]
 

@@ -1,7 +1,7 @@
 """RR011: the import graph must respect the package layering.
 
 The allowed stack, lowest layer first (see
-:data:`repro.analysis.project.PACKAGE_LAYERS`)::
+:data:`tools.rrlint.project.PACKAGE_LAYERS`)::
 
     utils / core / spaces          (layer 0)
     families / bounds / booleancube (layer 1)
@@ -13,16 +13,15 @@ A module may only *eagerly* import modules at the same or a lower
 layer; lazy imports (function-scoped or behind ``TYPE_CHECKING``) are
 exempt — they are how ``api`` reaches ``serving`` for ``shards=`` specs
 without inverting the stack.  Eager import cycles are forbidden
-outright.  ``python -m repro.analysis --graph dot|json`` dumps the
-graph this rule checks.
+outright.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.analysis.engine import Rule, SourceFile, Violation
-from repro.analysis.project import layer_of, project_context
+from tools.rrlint.engine import Rule, SourceFile, Violation
+from tools.rrlint.project import layer_of, project_context
 
 __all__ = ["LayeringRule"]
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.analysis.engine import Rule, SourceFile, Violation
-from repro.analysis.project import Project, Submission, project_context
+from tools.rrlint.engine import Rule, SourceFile, Violation
+from tools.rrlint.project import Project, Submission, project_context
 
 __all__ = ["ProcessBoundaryRule"]
 

@@ -27,8 +27,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.engine import Rule, SourceFile, Violation, dotted_name
-from repro.analysis.project import ProjectModule, _iter_scopes, project_context
+from tools.rrlint.engine import Rule, SourceFile, Violation, dotted_name
+from tools.rrlint.project import ProjectModule, _iter_scopes, project_context
 
 __all__ = ["ResourceLifecycleRule"]
 
