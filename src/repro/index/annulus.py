@@ -15,9 +15,11 @@ Section 6.2 sphere family for the Theorem 6.4 setting.
 :meth:`AnnulusIndex.query` streams candidates lazily (the literal Theorem
 6.1 procedure, stopping hash work at the first in-interval hit), while
 :meth:`AnnulusIndex.batch_query` routes a whole query block through the
-backend's batched hits-with-multiplicity path and a vectorized proximity
-check — element-for-element identical results, held together by the
-differential batch-vs-loop parity suite.
+backend's batched hits-with-multiplicity path, evaluates proximity in one
+call per query over its budget-clipped hits, and finds each query's
+reported point, distinct-candidate count and stopping table with segment
+reductions over the block — element-for-element identical results, held
+together by the differential batch-vs-loop parity suite.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from repro.core.family import DSHFamily
 from repro.families.annulus_sphere import AnnulusFamily
 from repro.index.backends import IndexBackend, QueryStats
-from repro.index.lsh_index import DSHIndex
+from repro.index.lsh_index import DSHIndex, _check_single_query
 from repro.index.queryable import QueryResult
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_real_dtype
@@ -188,6 +190,24 @@ class AnnulusIndex:
             proximity=float("nan"),
         )
 
+    def _proximities(self, query: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``self.proximity`` of ``query`` to ``rows``, held to its
+        ``(query (d,), points (m, d)) -> (m,)`` contract: a scalar or
+        wrong-length output raises instead of being broadcast or indexed."""
+        values = np.asarray(self.proximity(query, rows), dtype=np.float64)
+        if values.shape != (rows.shape[0],):
+            raise ValueError(
+                "proximity must map (query (d,), points (m, d)) to shape "
+                f"(m,); got shape {values.shape} for m={rows.shape[0]}"
+            )
+        return values
+
+    def _single(self, query_point: np.ndarray) -> np.ndarray:
+        """One query point as a float64 ``(d,)`` row; a block of several
+        rows raises instead of being flattened into one point."""
+        query = _check_single_query(query_point, self._index.dim)
+        return query[0].astype(np.float64)
+
     def query(self, query_point: np.ndarray) -> AnnulusQueryResult:
         """Report one point with proximity in the interval, if found.
 
@@ -196,8 +216,7 @@ class AnnulusIndex:
         the exact procedure from the proof of Theorem 6.1.  Duplicate hits
         count toward the budget but their proximity is never recomputed.
         """
-        query_point = check_real_dtype(query_point, "query")
-        query_point = query_point.astype(np.float64).ravel()
+        query_point = self._single(query_point)
         lo, hi = self.interval
         examined = 0
         seen: set[int] = set()
@@ -209,7 +228,9 @@ class AnnulusIndex:
             if idx not in seen:
                 seen.add(idx)
                 value = float(
-                    self.proximity(query_point, self.points[idx : idx + 1])[0]
+                    self._proximities(
+                        query_point, self.points[idx : idx + 1]
+                    )[0]
                 )
                 if lo <= value <= hi:
                     return AnnulusQueryResult(
@@ -234,59 +255,79 @@ class AnnulusIndex:
         every (query, table) bucket is resolved by the backend's batched
         hits-with-multiplicity path (one ``searchsorted`` + gather on the
         packed backend), already clipped to the per-query ``8 L`` budget at
-        exact hit granularity.  Proximities are then evaluated once per
-        *distinct* candidate per query.  Results — indices, stats,
-        truncation — are element-for-element identical to a :meth:`query`
-        loop (the batch-vs-loop parity suite enforces this on both
-        backends); reported ``proximity`` values may differ from the
-        single-query path in the last floating-point bit, because BLAS may
-        order the reduction of a many-row proximity evaluation differently
-        than a one-row one.
+        exact hit granularity.  Proximity is then evaluated in one call per
+        query over its clipped hits (repeats included), and the streaming
+        procedure is replayed as segment reductions over the whole block:
+        each hit is flagged as the first occurrence of its point within
+        its query, the first in-range first occurrence is found with one
+        ``searchsorted``, distinct-prefix counts are differences of one
+        ``cumsum`` and the stopping table is read off the cumulative
+        per-table hit counts.  Results — indices, stats, truncation — are
+        element-for-element identical to a :meth:`query` loop (the
+        batch-vs-loop parity suite enforces this on both backends);
+        reported ``proximity`` values may differ from the single-query path
+        in the last floating-point bit, because BLAS may order the
+        reduction of a many-row proximity evaluation differently than a
+        one-row one.
         """
         queries = np.atleast_2d(check_real_dtype(query_points, "queries"))
         queries = queries.astype(np.float64, copy=False)
         block = self._index.batch_query_hits(queries, max_hits=self.budget)
-        n_tables = self._index.n_tables
-        lo, hi = self.interval
-        results: list[AnnulusQueryResult] = []
-        for i in range(queries.shape[0]):
-            segment = block.segment(i)
-            if segment.size == 0:
-                results.append(self._not_found(0, 0, n_tables, False))
+        hits, offsets = block.hits, block.offsets
+        positions = np.arange(hits.size)
+        prox = np.empty(hits.size, dtype=np.float64)
+        first = np.empty(hits.size, dtype=bool)
+        # first_seen_dedup's stamp, kept as a per-hit flag: each point id
+        # carries the position of its first occurrence in the segment.
+        stamp = np.empty(self.n_points, dtype=np.int64)
+        bounds = offsets.tolist()
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if a == b:
                 continue
-            unique, inverse = np.unique(segment, return_inverse=True)
-            prox = np.asarray(
-                self.proximity(queries[i], self.points[unique]), dtype=np.float64
-            )
-            in_range = (prox >= lo) & (prox <= hi)
-            hit_positions = np.flatnonzero(in_range[inverse])
-            if hit_positions.size:
-                p = int(hit_positions[0])
+            segment = hits[a:b]
+            prox[a:b] = self._proximities(queries[i], self.points[segment])
+            stamp[segment[::-1]] = positions[a:b][::-1]
+            first[a:b] = stamp[segment] == positions[a:b]
+
+        lo, hi = self.interval
+        starts, ends = offsets[:-1], offsets[1:]
+        # Only a first occurrence is ever checked by the streaming query.
+        in_range = first & (prox >= lo) & (prox <= hi)
+        in_range_at = np.append(np.flatnonzero(in_range), hits.size)
+        hit_at = in_range_at[np.searchsorted(in_range_at, starts)]
+        found = hit_at < ends
+        retrieved = np.where(found, hit_at + 1, ends) - starts
+        distinct = np.concatenate(([0], np.cumsum(first)))
+        unique = distinct[starts + retrieved] - distinct[starts]
+        # Table of the last examined hit: table_of's side="right" rule.
+        stopped_in = (
+            np.cumsum(block.table_counts, axis=1) <= (retrieved - 1)[:, None]
+        ).sum(axis=1)
+        truncated = block.truncated & ~found
+        tables_probed = np.where(
+            found | truncated, stopped_in + 1, self._index.n_tables
+        )
+
+        results: list[AnnulusQueryResult] = []
+        for was_found, at, examined, n_unique, tables, cut in zip(
+            found.tolist(), hit_at.tolist(), retrieved.tolist(),
+            unique.tolist(), tables_probed.tolist(), truncated.tolist(),
+        ):
+            if was_found:
                 results.append(
                     AnnulusQueryResult(
                         stats=QueryStats(
-                            retrieved=p + 1,
-                            unique_candidates=int(
-                                np.unique(segment[: p + 1]).size
-                            ),
-                            tables_probed=block.table_of(i, p) + 1,
+                            retrieved=examined,
+                            unique_candidates=n_unique,
+                            tables_probed=tables,
                         ),
-                        index=int(segment[p]),
-                        proximity=float(prox[inverse[p]]),
+                        index=int(hits[at]),
+                        proximity=float(prox[at]),
                     )
                 )
             else:
-                truncated = bool(block.truncated[i])
-                tables_probed = (
-                    block.table_of(i, segment.size - 1) + 1
-                    if truncated
-                    else n_tables
-                )
                 results.append(
-                    self._not_found(
-                        int(segment.size), int(unique.size), tables_probed,
-                        truncated,
-                    )
+                    self._not_found(examined, n_unique, tables, cut)
                 )
         return results
 
@@ -303,8 +344,7 @@ class AnnulusIndex:
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        query_point = check_real_dtype(query_point, "query")
-        query_point = query_point.astype(np.float64).ravel()
+        query_point = self._single(query_point)
         lo, hi = self.interval
         examined = 0
         seen: set[int] = set()
@@ -314,7 +354,9 @@ class AnnulusIndex:
             if idx not in seen:
                 seen.add(idx)
                 value = float(
-                    self.proximity(query_point, self.points[idx : idx + 1])[0]
+                    self._proximities(
+                        query_point, self.points[idx : idx + 1]
+                    )[0]
                 )
                 if lo <= value <= hi:
                     hits.append(

@@ -71,6 +71,17 @@ def _check_query_block(queries: np.ndarray, dim: int | None) -> np.ndarray:
     return queries
 
 
+def _check_single_query(query: np.ndarray, dim: int | None) -> np.ndarray:
+    """:func:`_check_query_block` for exactly one point: ``(d,)`` or
+    ``(1, d)`` becomes ``(1, d)``; a block of several rows raises instead
+    of being answered as one point.  Shared by every single-query entry
+    point (:class:`DSHIndex`, the sharded index, the application layers)."""
+    queries = _check_query_block(query, dim)
+    if queries.shape[0] != 1:
+        raise ValueError(f"query must be a single point, got {queries.shape[0]}")
+    return queries
+
+
 class DSHIndex:
     """``L``-table asymmetric hashing index over a fixed point set.
 
@@ -226,12 +237,6 @@ class DSHIndex:
         """Hash one or more query rows through every table's ``g``."""
         return [pair.hash_query(query) for pair in self._pairs]
 
-    def _single_query(self, query: np.ndarray) -> np.ndarray:
-        query = _check_query_block(query, self._dim)
-        if query.shape[0] != 1:
-            raise ValueError(f"query must be a single point, got {query.shape[0]}")
-        return query
-
     def query(
         self, query: np.ndarray, max_retrieved: int | None = None
     ) -> CandidateResult:
@@ -259,7 +264,7 @@ class DSHIndex:
         table — hash work for tables beyond it is never spent.
         """
         self._require_built()
-        query = self._single_query(query)
+        query = _check_single_query(query, self._dim)
         return self._backend.query(
             (pair.hash_query(query) for pair in self._pairs), max_retrieved
         )
@@ -270,7 +275,7 @@ class DSHIndex:
         (annulus search) consume as much as they need.  Hashing stays lazy:
         table ``i`` is only hashed/probed if the consumer reaches it."""
         self._require_built()
-        query = self._single_query(query)
+        query = _check_single_query(query, self._dim)
         for table_number, pair in enumerate(self._pairs):
             bucket = self._backend.bucket(table_number, pair.hash_query(query))
             for idx in bucket:
@@ -282,7 +287,7 @@ class DSHIndex:
         :meth:`iter_candidates` for consumers that always drain every table
         (range reporting)."""
         self._require_built()
-        query = self._single_query(query)
+        query = _check_single_query(query, self._dim)
         return self._backend.query_hits(self._query_components(query))
 
     def batch_query(

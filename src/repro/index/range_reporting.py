@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.family import DSHFamily
 from repro.index.backends import IndexBackend, QueryStats
-from repro.index.lsh_index import DSHIndex
+from repro.index.lsh_index import DSHIndex, _check_single_query
 from repro.index.queryable import QueryResult
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_real_dtype
@@ -200,8 +200,8 @@ class RangeReportingIndex:
         Range reporting always drains every table, so the candidate stream
         comes from :meth:`DSHIndex.query_hits` in bulk.
         """
-        query_point = check_real_dtype(query_point, "query")
-        query_point = query_point.astype(np.float64).ravel()
+        query_point = _check_single_query(query_point, self._index.dim)
+        query_point = query_point[0].astype(np.float64)
         hits = self._index.query_hits(query_point)
         return self._report_from_hits(query_point, hits)
 

@@ -111,7 +111,11 @@ from repro.index.backends import (
     clip_batch_hits,
     segment_gather,
 )
-from repro.index.lsh_index import DSHIndex, _check_query_block
+from repro.index.lsh_index import (
+    DSHIndex,
+    _check_query_block,
+    _check_single_query,
+)
 from repro.index.persistence import (
     FORMAT_VERSION,
     IndexIntegrityError,
@@ -1062,11 +1066,7 @@ class ShardedIndex:
         pool recovery is exhausted (under ``on_shard_failure="raise"``)
         and :class:`TimeoutError` past a ``timeout=`` deadline.
         """
-        queries = _check_query_block(query, self._dim)
-        if queries.shape[0] != 1:
-            raise ValueError(
-                f"query must be a single point, got {queries.shape[0]}"
-            )
+        queries = _check_single_query(query, self._dim)
         return self.batch_query(queries, max_retrieved, timeout)[0]
 
     # -- health ----------------------------------------------------------

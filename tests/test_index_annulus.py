@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.combinators import PoweredFamily
 from repro.data.synthetic import planted_sphere_annulus
 from repro.index.annulus import AnnulusIndex, sphere_annulus_index
 from repro.index.hyperplane import HyperplaneIndex, hyperplane_rho
 from repro.families.euclidean_lsh import ShiftedGaussianProjection
+from repro.families.simhash import SimHash
 from repro.spaces import euclidean, sphere
 
 D = 24
@@ -138,3 +140,47 @@ class TestHyperplane:
         pts = sphere.random_points(10, D, rng=16)
         with pytest.raises(ValueError):
             HyperplaneIndex(pts, alpha=1.5, t=1.5, n_tables=5)
+
+
+class TestProximityContract:
+    """``proximity`` maps ``(query (d,), points (m, d))`` to shape ``(m,)``.
+    An output of any other shape raises ``ValueError`` on every query path
+    instead of being broadcast over the hits or indexed past its end."""
+
+    @staticmethod
+    def _index(proximity):
+        # Symmetric family, so a data point collides with itself in every
+        # table and each query path reaches the proximity check.
+        pts = sphere.random_points(30, 10, rng=0)
+        index = AnnulusIndex(
+            pts, PoweredFamily(SimHash(10), 2), interval=(0.1, 0.2),
+            proximity=proximity, n_tables=4, rng=1,
+        )
+        return index, pts[:3]
+
+    PATHS = {
+        "query": lambda index, qs: index.query(qs[0]),
+        "query_many": lambda index, qs: index.query_many(qs[0], 2),
+        "batch_query": lambda index, qs: index.batch_query(qs),
+    }
+
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_scalar_output_rejected(self, path):
+        index, queries = self._index(lambda q, pts: float(pts[0] @ q))
+        with pytest.raises(ValueError, match="proximity must map"):
+            self.PATHS[path](index, queries)
+
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_extra_rows_rejected(self, path):
+        index, queries = self._index(
+            lambda q, pts: np.append(pts @ q, 0.0)
+        )
+        with pytest.raises(ValueError, match="proximity must map"):
+            self.PATHS[path](index, queries)
+
+    def test_length_one_output_rejected_by_batch(self):
+        # On the one-row calls of query / query_many a length-1 output is
+        # the correct shape; only the batched call exposes it.
+        index, queries = self._index(lambda q, pts: (pts @ q)[:1])
+        with pytest.raises(ValueError, match="proximity must map"):
+            index.batch_query(queries)

@@ -117,6 +117,38 @@ class TestDimensionValidation:
         with pytest.raises(ValueError, match="dimensionality"):
             reporting.batch_query(np.zeros((2, 5)))
 
+    @pytest.mark.parametrize(
+        "method", ["annulus.query", "annulus.query_many", "range.query",
+                   "hyperplane.query"],
+    )
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 8)])
+    def test_single_point_methods_reject_blocks(self, method, shape):
+        """A ``(2, 4)`` block on a ``d = 8`` index holds 8 numbers, but it
+        is two points: like ``DSHIndex.query``, every single-point method
+        must raise instead of flattening a block into one query."""
+        pts = sphere.random_points(40, 8, rng=2)
+        inst = planted_euclidean_range(40, 8, 4.0, n_near=2, rng=4)
+        design = design_step_family(8, r_flat=4.0, level=0.12, n_components=3)
+        calls = {
+            "annulus.query": lambda q: sphere_annulus_index(
+                pts, (0.3, 0.6), t=1.5, n_tables=4, rng=3
+            ).query(q),
+            "annulus.query_many": lambda q: sphere_annulus_index(
+                pts, (0.3, 0.6), t=1.5, n_tables=4, rng=3
+            ).query_many(q, 2),
+            "range.query": lambda q: RangeReportingIndex(
+                inst.points, design.family, 4.0, _euclid, 4, rng=5
+            ).query(q),
+            "hyperplane.query": lambda q: HyperplaneIndex(
+                pts, alpha=0.3, t=1.5, n_tables=4, rng=5
+            ).query(q),
+        }
+        block = np.full(shape, 0.25)
+        with pytest.raises(ValueError, match="dimensionality|single point"):
+            calls[method](block)
+        # One point in a (1, d) row is still a single query.
+        calls[method](pts[:1])
+
     def test_matching_dim_accepted(self, index):
         candidates, stats = index.query(np.zeros(16, dtype=np.int8))
         assert stats.tables_probed == 3
