@@ -104,7 +104,7 @@ def _run():
                     lambda: served.batch_query(queries), QUERY_REPEATS
                 )
                 recovery_times = []
-                out["respawns"] = out["swept_segments"] = 0
+                out["respawns"] = 0
                 for repeat in range(RECOVERY_REPEATS):
                     faults.arm(fault_dir, "pool_worker", "kill")
                     observed, elapsed = timed(
@@ -116,7 +116,6 @@ def _run():
                     health = served.last_health
                     assert health["respawns"] >= 1, "kill did not respawn"
                     out["respawns"] += health["respawns"]
-                    out["swept_segments"] += health["swept_segments"]
                     recovery_times.append(elapsed)
                 out["recovery_s"] = statistics.median(recovery_times)
 
@@ -165,7 +164,6 @@ def bench_fault_recovery(benchmark):
         "",
         f"crash recovery: x{recovery_x:.1f} the healthy latency "
         f"({timings['respawns']} respawn(s), "
-        f"{timings['swept_segments']} journaled segment(s) swept, "
         "results bit-identical every repeat)",
         f"degraded serving: x{degraded_x:.2f} the healthy latency "
         "(surviving shard exact, failure reported)",
@@ -182,7 +180,6 @@ def bench_fault_recovery(benchmark):
             "degraded_s": timings["degraded_s"],
             "degraded_overhead_x": degraded_x,
             "respawns": timings["respawns"],
-            "swept_segments": timings["swept_segments"],
             "load_s": {
                 mode: timings[f"load_{mode}_s"]
                 for mode in ("off", "lazy", "eager")

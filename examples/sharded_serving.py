@@ -14,11 +14,11 @@ walks the full lifecycle:
    the points into contiguous shards with identical hash pairs, saves one
    file pair per shard, and (reloaded with ``workers=``) fans `batch_query`
    out over a persistent process pool whose workers mmap the shard files —
-   no table data is ever pickled.  Large hit streams come back through
-   POSIX shared memory instead of the executor pipe, and a
-   ``max_retrieved`` budget is clipped *inside the workers* (exactly —
-   merged results stay bit-identical), so the pipe carries only small
-   metadata; ``pool_index.last_transport`` reports the split.
+   no table data is ever pickled.  Hit streams come back pickled through
+   the executor pipe, and a ``max_retrieved`` budget is clipped *inside
+   the workers* (exactly — merged results stay bit-identical), so the
+   pipe carries only hits the merge can use;
+   ``pool_index.last_transport`` reports the bytes.
 
 Run:  python examples/sharded_serving.py
 """
@@ -98,9 +98,8 @@ def main():
             )
             print(
                 f"transport: {transport['pipe_bytes']} B over the executor "
-                f"pipe, {transport['shm_bytes']} B via shared memory "
-                f"({transport['tasks']} tasks across {transport['chunks']} "
-                "query chunks)"
+                f"pipe ({transport['tasks']} tasks across "
+                f"{transport['chunks']} query chunks)"
             )
 
 

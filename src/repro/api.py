@@ -748,13 +748,12 @@ def load_index(
     is detected from the sidecar and dispatched to
     :meth:`~repro.serving.sharded.ShardedIndex.load`; ``options.workers``
     then selects process-pool serving (it is invalid for single indexes)
-    — query blocks are chunked across ``(shard, chunk)`` tasks, workers
-    apply the exactness-preserving ``max_retrieved`` clip shard-locally,
-    and large hit payloads return through ``multiprocessing``
-    shared-memory segments rather than the executor pipe (see
-    :mod:`repro.serving.sharded`).  Pool workers cache each shard by
-    ``(path, mtime_ns, size)``, so re-saving a shard file in place is
-    picked up on the next request.  ``options.on_shard_failure``
+    — query blocks are chunked across ``(shard, chunk)`` tasks, and
+    workers apply the exactness-preserving ``max_retrieved`` clip
+    shard-locally before pickling their hits back through the executor
+    pipe (see :mod:`repro.serving.sharded`).  Pool workers cache each
+    shard by ``(path, mtime_ns, size)``, so re-saving a shard file in
+    place is picked up on the next request.  ``options.on_shard_failure``
     (sharded pool serving only) selects what ``batch_query`` does once a
     shard's retries are exhausted: ``"raise"`` propagates the failure,
     ``"degrade"`` serves the surviving shards' exact merge with

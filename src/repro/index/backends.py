@@ -168,6 +168,16 @@ class BatchHits:
             else self.full_table_counts
         )
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the block's arrays: its transport size, less the
+        pickle framing."""
+        arrays = (self.hits, self.offsets, self.table_counts, self.truncated)
+        extra = self.full_table_counts
+        return sum(a.nbytes for a in arrays) + (
+            0 if extra is None else extra.nbytes
+        )
+
     def segment(self, i: int) -> np.ndarray:
         """Query ``i``'s hits in probe order (duplicates preserved)."""
         return self.hits[self.offsets[i] : self.offsets[i + 1]]

@@ -24,6 +24,7 @@ for a batch, both returning :class:`~repro.index.backends.CandidateResult`
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator
 
@@ -69,6 +70,27 @@ def _check_query_block(queries: np.ndarray, dim: int | None) -> np.ndarray:
     if np.issubdtype(queries.dtype, np.floating):
         check_finite(queries, "queries")
     return queries
+
+
+def _check_budget(max_retrieved: object) -> int | None:
+    """Validate a ``max_retrieved`` budget at the index boundary (shared by
+    :class:`DSHIndex`, the sharded index and the async server's
+    admission): ``None`` (no budget) or a non-negative integer, returned
+    as a Python ``int``.  A non-integer (``2.5``, ``"8"``) raises
+    ``TypeError`` and a negative value ``ValueError``, instead of being
+    compared as a float or answered as a one-table probe."""
+    if max_retrieved is None:
+        return None
+    try:
+        budget = operator.index(max_retrieved)  # type: ignore[arg-type]
+    except TypeError:
+        raise TypeError(
+            "max_retrieved must be None or an integer, got "
+            f"{type(max_retrieved).__name__} {max_retrieved!r}"
+        ) from None
+    if budget < 0:
+        raise ValueError(f"max_retrieved must be >= 0, got {budget}")
+    return budget
 
 
 def _check_single_query(query: np.ndarray, dim: int | None) -> np.ndarray:
@@ -247,9 +269,11 @@ class DSHIndex:
         query:
             One point, shape ``(d,)`` or ``(1, d)``.
         max_retrieved:
-            Optional budget on total retrievals (with multiplicity); probing
-            stops once exceeded (the ``8L`` early-termination device in the
-            proof of Theorem 6.1).
+            Optional budget on total retrievals (with multiplicity), a
+            non-negative integer; probing stops once it is reached (the
+            ``8L`` early-termination device in the proof of Theorem 6.1).
+            A non-integer raises ``TypeError``, a negative one
+            ``ValueError``.
 
         Returns
         -------
@@ -265,6 +289,7 @@ class DSHIndex:
         """
         self._require_built()
         query = _check_single_query(query, self._dim)
+        max_retrieved = _check_budget(max_retrieved)
         return self._backend.query(
             (pair.hash_query(query) for pair in self._pairs), max_retrieved
         )
@@ -307,6 +332,7 @@ class DSHIndex:
         """
         self._require_built()
         queries = _check_query_block(queries, self._dim)
+        max_retrieved = _check_budget(max_retrieved)
         return self._backend.batch_query(self._query_components(queries), max_retrieved)
 
     def batch_query_hits(

@@ -4,7 +4,7 @@
   contiguous data-partition sharding of the Theorem 6.1 index with exact
   candidate-stream merging, persisted shard files, process-pool fan-out
   for multi-core batched serving, and fault tolerance (pool crash
-  recovery, graceful shard degradation, shared-memory crash journal).
+  recovery, graceful shard degradation).
 * :mod:`repro.serving.server` — :class:`~repro.serving.server.AsyncIndexServer`:
   the asyncio front door that coalesces concurrent single-query traffic
   into micro-batches over replicated snapshots, with backpressure
@@ -16,7 +16,7 @@
   entry point (`load_index`, `ShardedIndex.load`, `AsyncIndexServer`)
   accepts, with dict/JSON round-trip alongside ``IndexSpec``.
 * :mod:`repro.serving.faults` — opt-in fault-injection hooks (worker
-  kill, segment loss, bundle corruption) for chaos tests and recovery
+  kill/raise/hang, bundle corruption) for chaos tests and recovery
   benchmarks.
 
 Persistence itself (save/load, zero-copy mmap cold starts, integrity

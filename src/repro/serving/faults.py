@@ -1,8 +1,8 @@
 """Fault-injection hooks for chaos-testing the serving path.
 
-Production failure modes — a pool worker segfaulting mid-request, a shard
-bundle rotting on disk, a shared-memory segment vanishing between ship
-and attach — are exactly the ones unit tests never hit by accident.  This
+Production failure modes — a pool worker segfaulting or hanging
+mid-request, a shard bundle rotting on disk or vanishing — are exactly
+the ones unit tests never hit by accident.  This
 module makes them injectable on demand so ``tests/test_serving_faults.py``
 and ``benchmarks/bench_fault_recovery.py`` can drive the recovery
 machinery in :mod:`repro.serving.sharded` deterministically.
@@ -10,9 +10,8 @@ machinery in :mod:`repro.serving.sharded` deterministically.
 Two mechanisms:
 
 **Fault points** — the serving code calls :func:`fault_point` at named
-instrumentation sites (``"pool_worker"`` at pool-task entry,
-``"shm_ship"`` after a worker creates a shared-memory segment,
-``"shm_attach"`` before the parent attaches one).  The call is a no-op
+instrumentation sites (today one: ``"pool_worker"`` at pool-task
+entry; any name works for tests).  The call is a no-op
 unless the :data:`ENV_FAULT_DIR` environment variable names an armed
 token directory, so the production hot path pays one ``os.environ``
 lookup.  Tokens are one-shot files created by :func:`arm`; a fault point
@@ -66,8 +65,8 @@ _TOKEN_SEP = "@"
 
 class FaultInjected(RuntimeError):
     """Raised by a claimed ``"raise"`` fault token — the injected stand-in
-    for a transient infrastructure failure (e.g. a shared-memory segment
-    that vanished between ship and attach)."""
+    for a transient infrastructure failure inside a pool task; the pool
+    retries the task like a lost worker's."""
 
 
 def arm(

@@ -57,6 +57,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.index.lsh_index import _check_budget
 from repro.index.persistence import IndexIntegrityError
 from repro.serving.options import ServingOptions
 from repro.serving.sharded import PoolRecoveryError
@@ -418,7 +419,8 @@ class AsyncIndexServer:
         Raises ``ValueError`` at admission for a row of the wrong shape
         or dimension, a floating row with NaN/inf entries, or a negative
         budget, and ``TypeError`` for a row whose dtype is not bool,
-        integer or real floating; such a request never joins a batch.
+        integer or real floating or a non-integer budget; such a request
+        never joins a batch.
 
         Sheds with :class:`ServerOverloadedError` when ``max_pending``
         admitted requests are still outstanding (queued or in flight).  Replica-side failures propagate:
@@ -450,9 +452,7 @@ class AsyncIndexServer:
         # check it would fail every request coalesced with it.
         if np.issubdtype(row.dtype, np.floating):
             check_finite(row, "query")
-        budget = None if max_retrieved is None else int(max_retrieved)
-        if budget is not None and budget < 0:
-            raise ValueError(f"max_retrieved must be >= 0, got {budget}")
+        budget = _check_budget(max_retrieved)
         loop = asyncio.get_running_loop()
         # ``_pending`` counts every admitted-but-unresolved request —
         # queued *and* in flight on a replica — so backpressure bounds

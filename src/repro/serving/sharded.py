@@ -29,23 +29,14 @@ Two serving modes share the merge:
   No table data is ever pickled, and the OS page cache shares the mapped
   arrays across workers.
 
-Pool results travel back through two devices that keep the executor pipe
-nearly empty:
-
-* **worker-side budget clipping** — each worker applies the
-  exactness-preserving table-granularity ``max_retrieved`` clip
-  (:func:`~repro.index.backends.clip_batch_hits`) before returning, so
-  only hits the merge can actually use are shipped; the pre-clip
-  ``full_table_counts`` ride along and the merged
-  :func:`~repro.index.backends.budget_truncation` runs on the *full*
-  merged counts, keeping results bit-identical to the unsharded index.
-* **shared-memory transport** — hit arrays at or above
-  :data:`SHM_MIN_BYTES` are written to ``multiprocessing.shared_memory``
-  blocks and only a small descriptor is pickled through the pipe (small
-  results fall back to plain pickling, which is cheaper than a segment
-  round trip).  The parent takes ownership of each segment (attach +
-  unlink) before merging, so segments never outlive the request even if
-  the merge raises.
+Each pool worker applies the exactness-preserving table-granularity
+``max_retrieved`` clip (:func:`~repro.index.backends.clip_batch_hits`)
+before returning, so only hits the merge can actually use cross the
+executor pipe; the pre-clip ``full_table_counts`` ride along and the
+merged :func:`~repro.index.backends.budget_truncation` runs on the *full*
+merged counts, keeping results bit-identical to the unsharded index.
+The clipped :class:`~repro.index.backends.BatchHits` is returned as is,
+pickled through the pipe.
 
 Fault tolerance
 ---------------
@@ -66,14 +57,9 @@ Pool serving survives the failures long-lived serving actually sees:
   every result's ``stats.degraded`` flag set and the failed-shard list
   in ``last_health``.  :meth:`ShardedIndex.health` probes shards and
   workers on demand without mutating anything.
-* **segment leaks** — a worker can die after creating a shared-memory
-  segment but before its descriptor reaches the parent.  Workers journal
-  every segment name into a parent-owned crash-journal directory before
-  shipping; after a pool respawn (old workers provably dead) and on
-  ``close()`` the parent sweeps the journal (attach + unlink), so no
-  injected failure leaks a segment.  Fault-injection hooks live in
-  :mod:`repro.serving.faults`; ``tests/test_serving_faults.py`` drives
-  all of the above.
+
+Fault-injection hooks live in :mod:`repro.serving.faults`;
+``tests/test_serving_faults.py`` drives all of the above.
 """
 
 from __future__ import annotations
@@ -82,11 +68,7 @@ import dataclasses
 import json
 import os
 import pathlib
-import pickle
-import shutil
-import tempfile
 import time
-import warnings
 import weakref
 from concurrent.futures import (
     BrokenExecutor,
@@ -95,11 +77,10 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from concurrent.futures import TimeoutError as _FuturesTimeout
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api builds us)
     from repro.api import IndexSpec
-from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
@@ -113,6 +94,7 @@ from repro.index.backends import (
 )
 from repro.index.lsh_index import (
     DSHIndex,
+    _check_budget,
     _check_query_block,
     _check_single_query,
 )
@@ -128,17 +110,10 @@ __all__ = [
     "PoolRecoveryError",
     "check_manifest_coherence",
     "shard_bounds",
-    "SHM_MIN_BYTES",
 ]
 
-#: Hit payloads at or above this many bytes return from pool workers via a
-#: shared-memory segment; smaller ones are pickled through the executor
-#: pipe directly (a segment create/attach/unlink round trip costs more
-#: than pickling a few KB).
-SHM_MIN_BYTES = 32_768
-
 #: Smallest query-chunk a pool ``batch_query`` will split off — below this
-#: the per-task overhead (submit, hash, descriptor) dominates.
+#: the per-task overhead (submit, hash, pickling) dominates.
 MIN_CHUNK_QUERIES = 16
 
 class PoolRecoveryError(RuntimeError):
@@ -249,260 +224,23 @@ def _cached_shard(
     return index
 
 
-# Warn-once flag for unexpected resource-tracker unregister failures (the
-# expected ones — already unregistered, tracker pipe gone at teardown —
-# stay silent).
-_UNREGISTER_WARNED = False
-
-
-def _unregister_segment(tracker_name: str) -> None:
-    """Drop a shared-memory segment's resource-tracker registration.
-
-    Expected failures are silent: ``KeyError`` (the tracker already
-    dropped the name) and ``OSError`` (the tracker pipe is gone during
-    interpreter teardown).  Anything else indicates a real bug in the
-    segment handoff and is surfaced once per process via ``warnings``
-    instead of being swallowed.
-    """
-    global _UNREGISTER_WARNED
-    try:
-        resource_tracker.unregister(tracker_name, "shared_memory")
-    except (KeyError, OSError):
-        pass
-    except Exception as exc:
-        if not _UNREGISTER_WARNED:
-            _UNREGISTER_WARNED = True
-            warnings.warn(
-                "unexpected error unregistering shared-memory segment "
-                f"{tracker_name!r}: {exc!r}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-
-def _journal_record(journal_dir: str | None, name: str) -> None:
-    """Journal a just-created segment name so the parent can reclaim it
-    if this worker dies before the descriptor crosses the pipe.  Best
-    effort: a missing journal directory (index being closed) must not
-    fail the request."""
-    if journal_dir is None:
-        return
-    try:
-        with open(os.path.join(journal_dir, name), "x"):
-            pass
-    except OSError:
-        pass
-
-
-def _journal_discard(journal_dir: str | None, name: str) -> None:
-    """Remove a segment's journal entry once ownership is settled."""
-    if journal_dir is None:
-        return
-    try:
-        os.remove(os.path.join(journal_dir, name))
-    except OSError:
-        pass
-
-
-def _sweep_journal(journal_dir: str | None) -> int:
-    """Reclaim every journaled segment (attach + unlink) and clear the
-    journal; returns how many leaked segments were actually found.
-
-    Only safe when no journal writer can be mid-ship — i.e. after the
-    old pool's workers are confirmed dead (post-respawn, post-shutdown).
-    Entries whose segment is already gone (the worker unlinked it on its
-    own error path, or the parent resolved it) are just forgotten.
-    """
-    if journal_dir is None:
-        return 0
-    try:
-        names = os.listdir(journal_dir)
-    except FileNotFoundError:
-        return 0
-    swept = 0
-    for name in names:
-        try:
-            segment = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:
-            pass
-        else:
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass
-            segment.close()
-            swept += 1
-        _journal_discard(journal_dir, name)
-    return swept
-
-
-@dataclasses.dataclass(frozen=True)
-class _ShmBlock:
-    """Picklable descriptor of a :class:`BatchHits` whose ``hits`` array
-    lives in a shared-memory segment: what actually crosses the executor
-    pipe instead of the hit bytes."""
-
-    shm_name: str
-    dtype: str
-    size: int
-    offsets: np.ndarray
-    table_counts: np.ndarray
-    full_table_counts: np.ndarray | None
-    truncated: np.ndarray
-
-
-def _ship_block(
-    block: BatchHits,
-    shm_min_bytes: int | None,
-    journal_dir: str | None = None,
-) -> BatchHits | _ShmBlock:
-    """Worker-side transport encoding: shared memory for large hit arrays,
-    the block itself (plain pickle) below the threshold (and always for
-    empty streams — a zero-byte segment cannot be created).
-
-    The segment's name is journaled *before* any further work, so a
-    worker dying mid-ship leaves a name the parent sweeps after the pool
-    respawn instead of a leaked segment; every worker-side failure path
-    after creation unlinks the segment itself."""
-    if (
-        shm_min_bytes is None
-        or block.hits.nbytes < shm_min_bytes
-        or block.hits.nbytes == 0
-    ):
-        return block
-    segment = shared_memory.SharedMemory(create=True, size=block.hits.nbytes)
-    _journal_record(journal_dir, segment.name)
-    try:
-        fault_point("shm_ship")
-        # The parent attaches and unlinks this segment; unregister it from
-        # this worker's resource tracker so worker shutdown neither warns
-        # about nor double-unlinks a segment it no longer owns.
-        _unregister_segment(segment._name)
-        view = np.frombuffer(
-            segment.buf, dtype=block.hits.dtype, count=block.hits.size
-        )
-        view[:] = block.hits
-        del view
-        name = segment.name
-        segment.close()
-    except BaseException:
-        # Failure after create but before the descriptor ships: reclaim
-        # the segment here so this worker's error path leaks nothing.
-        try:
-            segment.close()
-        except BufferError:
-            pass
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-        _journal_discard(journal_dir, segment.name)
-        raise
-    return _ShmBlock(
-        shm_name=name,
-        dtype=block.hits.dtype.str,
-        size=int(block.hits.size),
-        offsets=block.offsets,
-        table_counts=block.table_counts,
-        full_table_counts=block.full_table_counts,
-        truncated=block.truncated,
-    )
-
-
-def _resolve_block(
-    raw: BatchHits | _ShmBlock, journal_dir: str | None = None
-) -> tuple[BatchHits, Callable[[], None] | None]:
-    """Parent-side transport decoding: returns ``(block, release)`` where
-    ``release`` (or ``None`` for pickled blocks) must be called after every
-    view of ``block.hits`` is dropped.  The segment is unlinked immediately
-    on attach — the parent owns it from here (its journal entry is
-    cleared), and the memory is freed when the last mapping closes even
-    if the process dies mid-merge."""
-    if isinstance(raw, BatchHits):
-        return raw, None
-    fault_point("shm_attach")
-    segment = shared_memory.SharedMemory(name=raw.shm_name)
-    try:
-        segment.unlink()
-    except FileNotFoundError:
-        pass
-    _journal_discard(journal_dir, raw.shm_name)
-    hits = np.frombuffer(
-        segment.buf, dtype=np.dtype(raw.dtype), count=raw.size
-    )
-    block = BatchHits(
-        hits=hits,
-        offsets=raw.offsets,
-        table_counts=raw.table_counts,
-        truncated=raw.truncated,
-        full_table_counts=raw.full_table_counts,
-    )
-
-    def release() -> None:
-        try:
-            segment.close()
-        except BufferError:  # a stray view still alive; freed at exit
-            pass
-
-    return block, release
-
-
-def _discard_raw(raw: object, journal_dir: str | None) -> None:
-    """Dispose of a transport payload whose result is no longer wanted
-    (superseded retry, failed shard, abandoned request): unlink its
-    shared-memory segment, if any, and clear the journal entry."""
-    if not isinstance(raw, _ShmBlock):
-        return
-    try:
-        segment = shared_memory.SharedMemory(name=raw.shm_name)
-    except FileNotFoundError:
-        pass
-    else:
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-        segment.close()
-    _journal_discard(journal_dir, raw.shm_name)
-
-
-def _abandon_future(future: Future[Any], journal_dir: str | None) -> None:
-    """Walk away from a pool future without leaking its result: cancel it
-    if it has not started, otherwise attach a callback that discards the
-    shared-memory payload whenever the straggler finishes."""
-    if future.cancel():
-        return
-
-    def _discard(done: Future[Any]) -> None:
-        try:
-            raw = done.result()
-        except BaseException:
-            return
-        _discard_raw(raw, journal_dir)
-
-    future.add_done_callback(_discard)
-
-
 def _pool_batch_hits(
     shard_path: str,
     queries: np.ndarray,
     mmap: bool,
     max_retrieved: int | None = None,
-    shm_min_bytes: int | None = SHM_MIN_BYTES,
     verify: str = "lazy",
-    journal_dir: str | None = None,
-) -> BatchHits | _ShmBlock:
-    """Pool worker: resolve one shard's hit streams for a query chunk,
-    budget-clip them shard-locally, and encode them for transport.
+) -> BatchHits:
+    """Pool worker: resolve one shard's hit streams for a query chunk and
+    budget-clip them shard-locally before they are pickled back.
     Shard (re)loads verify the bundle at the ``verify`` level the index
     was loaded with, so a hot-swapped-in corrupted file is rejected here
     instead of silently served."""
     fault_point("pool_worker")
     index = _cached_shard(shard_path, mmap, verify)
-    block = clip_batch_hits(
+    return clip_batch_hits(
         index.batch_query_hits(queries), index.n_tables, max_retrieved
     )
-    return _ship_block(block, shm_min_bytes, journal_dir)
 
 
 def _probe_worker(delay: float = 0.0) -> int:
@@ -521,19 +259,6 @@ def _chunk_bounds(n_queries: int, n_shards: int, workers: int) -> np.ndarray:
     target = max(1, -(-2 * workers // max(n_shards, 1)))
     chunks = min(target, max(1, n_queries // MIN_CHUNK_QUERIES))
     return shard_bounds(n_queries, chunks)
-
-
-def _cleanup_pool(
-    pool: ProcessPoolExecutor, journal_dir: str | None
-) -> None:
-    """GC-time fallback for a leaked pool (see ``weakref.finalize`` in
-    :meth:`ShardedIndex.load`): must not block the collector, then
-    best-effort reclaims crash-journaled segments and the journal
-    directory itself."""
-    pool.shutdown(wait=False, cancel_futures=True)
-    _sweep_journal(journal_dir)
-    if journal_dir is not None:
-        shutil.rmtree(journal_dir, ignore_errors=True)
 
 
 def _merge_blocks(
@@ -617,8 +342,8 @@ class ShardedIndex:
     is what makes the merge exact.  ``save``/``load`` round the shards
     through per-shard zero-copy files; ``load(path,
     options=ServingOptions(workers=W))`` switches to process-pool serving
-    (shared-memory result transport, worker-side budget clipping,
-    query-block chunking, crash recovery — see the module docstring).
+    (worker-side budget clipping, query-block chunking, crash recovery
+    — see the module docstring).
 
     Parameters
     ----------
@@ -677,21 +402,18 @@ class ShardedIndex:
         self._options = options
         self._pool: ProcessPoolExecutor | None = None
         self._finalizer: weakref.finalize | None = None
-        self._journal_dir: str | None = None
-        #: Smallest hit payload shipped through shared memory (``None``:
-        #: never); tests lower or disable it to force one transport.
-        self._shm_min_bytes: int | None = SHM_MIN_BYTES
         #: Transport accounting for the most recent pool ``batch_query``:
-        #: ``pipe_bytes`` (pickled bytes through the executor pipe),
-        #: ``shm_bytes`` (hit bytes moved via shared memory), ``tasks``
-        #: and ``chunks`` submitted.  ``None`` before any pool query.
+        #: ``pipe_bytes`` (array payload of the result blocks returned
+        #: through the executor pipe), ``tasks`` and ``chunks``
+        #: submitted, and ``shm_bytes``, always 0 (perfbench's
+        #: ``sharded-pool`` workload still reads it).  ``None`` before
+        #: any pool query.
         self.last_transport: dict[str, int] | None = None
         #: Recovery accounting for the most recent pool ``batch_query``:
-        #: ``retries`` (task re-submissions), ``respawns`` (executor
-        #: replacements), ``swept_segments`` (leaked shared-memory
-        #: segments reclaimed from the crash journal), ``failed_shards``
-        #: (per-shard error records), ``degraded``.  ``None`` before any
-        #: pool query; also populated when the request raises.
+        #: ``mode``, ``retries`` (task re-submissions), ``respawns``
+        #: (executor replacements), ``failed_shards`` (per-shard error
+        #: records), ``degraded``.  ``None`` before any pool query; also
+        #: populated when the request raises.
         self.last_health: dict[str, Any] | None = None
 
     # -- introspection ---------------------------------------------------
@@ -764,50 +486,37 @@ class ShardedIndex:
             for shard in self._shards
         ]
 
-    def _respawn_pool(self) -> int:
-        """Replace a broken executor with a fresh one.  Blocks until the
-        dead pool's remaining processes are reaped, then sweeps the
-        crash journal — safe only once the old workers are gone, since a
-        live worker could still be writing a journaled segment.  Returns
-        the number of leaked segments reclaimed."""
-        pool, self._pool = self._pool, None
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-        swept = _sweep_journal(self._journal_dir)
+    def _start_pool(self) -> None:
+        """Start the worker pool.  A ``weakref.finalize`` hook shuts it
+        down without blocking the collector if the index is garbage
+        collected unclosed."""
         self._pool = ProcessPoolExecutor(max_workers=self._options.workers)
         self._finalizer = weakref.finalize(
-            self, _cleanup_pool, self._pool, self._journal_dir
+            self, self._pool.shutdown, wait=False, cancel_futures=True
         )
-        return swept
 
     def _pool_blocks(
         self,
         queries: np.ndarray,
         max_retrieved: int | None,
         timeout: float | None,
-    ) -> tuple[
-        list[list[BatchHits]], list[Callable[[], None]], list[int], bool
-    ]:
+    ) -> tuple[list[list[BatchHits]], list[int], bool]:
         """Fan ``(shard, query-chunk)`` tasks over the worker pool with
-        crash recovery; returns ``(blocks, releases, offsets, degraded)``
-        — each surviving shard's per-chunk blocks plus that shard's
-        global offset — and records transport + recovery accounting.
+        crash recovery; returns ``(blocks, offsets, degraded)`` — each
+        surviving shard's per-chunk blocks plus that shard's global
+        offset — and records transport + recovery accounting.
 
         Worker loss (``BrokenProcessPool``) respawns the executor and
         retries only the unfinished tasks, with exponential backoff and
-        at most ``options.max_retries`` retry rounds; a shared-memory
-        segment that vanished between ship and attach retries the same
-        way.  Deterministic shard errors (integrity failures, missing
-        files) are never retried.  ``timeout`` bounds the whole request:
-        on expiry unfinished futures are abandoned with discard
-        callbacks (their segments are reclaimed on arrival) and builtin
-        :class:`TimeoutError` is raised.  Shards whose retries are
-        exhausted raise :class:`PoolRecoveryError`, or — in
-        ``on_shard_failure="degrade"`` mode — are dropped from the merge
-        and reported in :attr:`last_health`.
+        at most ``options.max_retries`` retry rounds.  Deterministic shard
+        errors (integrity failures, missing files) are never retried.
+        ``timeout`` bounds the whole request: on expiry unfinished futures
+        are cancelled (a straggler already running finishes in its worker
+        and its result is dropped) and builtin :class:`TimeoutError` is
+        raised.  Shards whose retries are exhausted raise
+        :class:`PoolRecoveryError`, or — in ``on_shard_failure="degrade"``
+        mode — are dropped from the merge and reported in
+        :attr:`last_health`.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         chunk_bounds = _chunk_bounds(
@@ -819,185 +528,132 @@ class ShardedIndex:
             (s, c) for c in range(len(chunks)) for s in range(len(paths))
         ]
         resolved: dict[tuple[int, int], BatchHits] = {}
-        releases: list[Callable[[], None]] = []
         failed: dict[int, str] = {}
         health: dict[str, Any] = {
             "mode": "pool",
             "retries": 0,
             "respawns": 0,
-            "swept_segments": 0,
             "failed_shards": [],
             "degraded": False,
         }
+        self.last_health = health
         submitted = 0
         pipe_bytes = 0
-        shm_bytes = 0
         attempts = 0
-        try:
-            while pending:
-                pool = self._pool
-                if pool is None:
-                    raise PoolRecoveryError(
-                        "worker pool is gone (index closed mid-request?)"
+        while pending:
+            pool = self._pool
+            if pool is None:
+                raise PoolRecoveryError(
+                    "worker pool is gone (index closed mid-request?)"
+                )
+            futures: list[tuple[tuple[int, int], Future[BatchHits]]] = []
+            broken = False
+            try:
+                for s, c in pending:
+                    lo, hi = chunks[c]
+                    futures.append(
+                        ((s, c), pool.submit(
+                            _pool_batch_hits,
+                            paths[s],
+                            queries[lo:hi],
+                            self._options.mmap,
+                            max_retrieved,
+                            self._options.verify,
+                        ))
                     )
-                futures: list[tuple[tuple[int, int], Future[Any]]] = []
-                broken = False
+            except BrokenExecutor:
+                broken = True
+            submitted += len(futures)
+            # Tasks never submitted (executor broke mid-fan-out) go
+            # straight back on the retry list.
+            retry: list[tuple[int, int]] = list(pending[len(futures):])
+            for key, future in futures:
+                s = key[0]
+                remaining = (
+                    None if deadline is None
+                    else deadline - time.monotonic()
+                )
                 try:
-                    for s, c in pending:
-                        lo, hi = chunks[c]
-                        futures.append(
-                            ((s, c), pool.submit(
-                                _pool_batch_hits,
-                                paths[s],
-                                queries[lo:hi],
-                                self._options.mmap,
-                                max_retrieved,
-                                self._shm_min_bytes,
-                                self._options.verify,
-                                self._journal_dir,
-                            ))
-                        )
-                except BrokenExecutor:
-                    broken = True
-                submitted += len(futures)
-                # Tasks never submitted (executor broke mid-fan-out) go
-                # straight back on the retry list.
-                retry: list[tuple[int, int]] = list(pending[len(futures):])
-                for key, future in futures:
-                    s = key[0]
-                    remaining = (
-                        None if deadline is None
-                        else deadline - time.monotonic()
-                    )
-                    try:
-                        if remaining is not None and remaining <= 0:
-                            raise _FuturesTimeout()
-                        raw = future.result(timeout=remaining)
-                    except _FuturesTimeout:
-                        for _, straggler in futures:
-                            _abandon_future(straggler, self._journal_dir)
-                        raise TimeoutError(
-                            f"batch_query deadline ({timeout:g}s) exceeded "
-                            "with pool tasks outstanding"
-                        ) from None
-                    except BrokenExecutor as exc:
-                        # Drop the traceback: the future retains this
-                        # exception, and a traceback referencing this
-                        # frame would cycle frame -> futures -> exception
-                        # -> frame, pinning segment views past release.
-                        exc.__traceback__ = None
-                        broken = True
-                        retry.append(key)
-                        continue
-                    except (IndexIntegrityError, FileNotFoundError) as exc:
-                        # Deterministic shard failure: the file itself is
-                        # bad or gone; retrying cannot help.
-                        failed.setdefault(
-                            s, f"{type(exc).__name__}: {exc}"
-                        )
-                        exc.__traceback__ = None
-                        continue
-                    except FaultInjected as exc:
-                        exc.__traceback__ = None
-                        retry.append(key)
-                        continue
-                    # Re-pickling what came off the pipe measures the
-                    # actual transport cost (descriptors are tiny;
-                    # fallback blocks carry their hit bytes).
-                    pipe_bytes += len(
-                        pickle.dumps(raw, protocol=pickle.HIGHEST_PROTOCOL)
-                    )
-                    if isinstance(raw, _ShmBlock):
-                        shm_bytes += raw.size * np.dtype(raw.dtype).itemsize
-                    if s in failed:
-                        _discard_raw(raw, self._journal_dir)
-                        continue
-                    try:
-                        # Keep no loose local reference to the block: if
-                        # this frame later raises, its traceback must not
-                        # pin a segment view past ``resolved.clear()``.
-                        pair = _resolve_block(raw, self._journal_dir)
-                    except (FileNotFoundError, FaultInjected):
-                        # The segment vanished between ship and attach —
-                        # transient infrastructure failure; re-run the
-                        # task.
-                        retry.append(key)
-                        continue
-                    resolved[key] = pair[0]
-                    if pair[1] is not None:
-                        releases.append(pair[1])
-                    del pair
-                if broken:
-                    health["respawns"] += 1
-                    health["swept_segments"] += self._respawn_pool()
-                pending = [key for key in retry if key[0] not in failed]
-                if not pending:
-                    break
-                attempts += 1
-                if attempts > self._options.max_retries:
-                    for s, _ in pending:
-                        failed.setdefault(
-                            s,
-                            f"retries exhausted after "
-                            f"{self._options.max_retries} retry round(s) "
-                            "of worker failures",
-                        )
-                    break
-                health["retries"] += len(pending)
-                delay = self._options.retry_backoff_s * (2 ** (attempts - 1))
-                if (
-                    deadline is not None
-                    and time.monotonic() + delay >= deadline
-                ):
+                    if remaining is not None and remaining <= 0:
+                        raise _FuturesTimeout()
+                    block = future.result(timeout=remaining)
+                except _FuturesTimeout:
+                    for _, straggler in futures:
+                        straggler.cancel()
                     raise TimeoutError(
                         f"batch_query deadline ({timeout:g}s) exceeded "
-                        "while backing off before a retry round"
+                        "with pool tasks outstanding"
+                    ) from None
+                except BrokenExecutor:
+                    broken = True
+                    retry.append(key)
+                    continue
+                except (IndexIntegrityError, FileNotFoundError) as exc:
+                    # Deterministic shard failure: the file itself is bad
+                    # or gone; retrying cannot help.
+                    failed.setdefault(s, f"{type(exc).__name__}: {exc}")
+                    continue
+                except FaultInjected:
+                    retry.append(key)
+                    continue
+                pipe_bytes += block.nbytes
+                resolved[key] = block
+            if broken:
+                health["respawns"] += 1
+                self.close()
+                self._start_pool()
+            pending = [key for key in retry if key[0] not in failed]
+            if not pending:
+                break
+            attempts += 1
+            if attempts > self._options.max_retries:
+                for s, _ in pending:
+                    failed.setdefault(
+                        s,
+                        f"retries exhausted after "
+                        f"{self._options.max_retries} retry round(s) "
+                        "of worker failures",
                     )
-                time.sleep(delay)
-            health["failed_shards"] = [
-                {"shard": s, "path": paths[s], "error": failed[s]}
-                for s in sorted(failed)
-            ]
-            degraded = False
-            if failed:
-                summary = "; ".join(
-                    f"shard {s} ({os.path.basename(paths[s])}): {failed[s]}"
-                    for s in sorted(failed)
+                break
+            health["retries"] += len(pending)
+            delay = self._options.retry_backoff_s * (2 ** (attempts - 1))
+            if deadline is not None and time.monotonic() + delay >= deadline:
+                raise TimeoutError(
+                    f"batch_query deadline ({timeout:g}s) exceeded "
+                    "while backing off before a retry round"
                 )
-                if len(failed) == len(paths):
-                    raise PoolRecoveryError(f"every shard failed: {summary}")
-                if self._options.on_shard_failure == "raise":
-                    raise PoolRecoveryError(
-                        f"{len(failed)}/{len(paths)} shard(s) failed after "
-                        f"recovery attempts: {summary} (load with "
-                        "on_shard_failure='degrade' to serve surviving "
-                        "shards)"
-                    )
-                degraded = True
-                health["degraded"] = True
-            surviving = [s for s in range(len(paths)) if s not in failed]
-            blocks = [
-                [resolved[(s, c)] for c in range(len(chunks))]
-                for s in surviving
-            ]
-            offsets = [int(self._bounds[s]) for s in surviving]
-        except BaseException:
-            # Drop every view into the shared-memory segments before
-            # closing them (resolved blocks hold live exports; a mapped
-            # segment cannot close under them); already unlinked.
-            resolved.clear()
-            for release in releases:
-                release()
-            self.last_health = health
-            raise
+            time.sleep(delay)
+        health["failed_shards"] = [
+            {"shard": s, "path": paths[s], "error": failed[s]}
+            for s in sorted(failed)
+        ]
+        if failed:
+            summary = "; ".join(
+                f"shard {s} ({os.path.basename(paths[s])}): {failed[s]}"
+                for s in sorted(failed)
+            )
+            if len(failed) == len(paths):
+                raise PoolRecoveryError(f"every shard failed: {summary}")
+            if self._options.on_shard_failure == "raise":
+                raise PoolRecoveryError(
+                    f"{len(failed)}/{len(paths)} shard(s) failed after "
+                    f"recovery attempts: {summary} (load with "
+                    "on_shard_failure='degrade' to serve surviving "
+                    "shards)"
+                )
+            health["degraded"] = True
+        surviving = [s for s in range(len(paths)) if s not in failed]
         self.last_transport = {
             "pipe_bytes": int(pipe_bytes),
-            "shm_bytes": int(shm_bytes),
+            "shm_bytes": 0,
             "tasks": submitted,
             "chunks": len(chunks),
         }
-        self.last_health = health
-        return blocks, releases, offsets, degraded
+        return (
+            [[resolved[(s, c)] for c in range(len(chunks))] for s in surviving],
+            [int(self._bounds[s]) for s in surviving],
+            health["degraded"],
+        )
 
     def batch_query(
         self,
@@ -1022,6 +678,7 @@ class ShardedIndex:
         :attr:`last_health`.
         """
         queries = _check_query_block(queries, self._dim)
+        max_retrieved = _check_budget(max_retrieved)
         if self._shards is None and self._pool is None:
             raise ValueError(
                 "this ShardedIndex has been closed; load it again to serve"
@@ -1033,21 +690,13 @@ class ShardedIndex:
         if queries.shape[0] == 0:
             return []
         if self._pool is not None:
-            blocks, releases, offsets, degraded = self._pool_blocks(
+            blocks, offsets, degraded = self._pool_blocks(
                 queries, max_retrieved, timeout
             )
-            try:
-                return _merge_blocks(
-                    blocks, offsets, self.n_tables, self.n_points,
-                    max_retrieved, degraded=degraded,
-                )
-            finally:
-                # Drop every view into the shared-memory segments before
-                # closing them (a mapped segment cannot close under live
-                # exports); they are already unlinked.
-                blocks.clear()
-                for release in releases:
-                    release()
+            return _merge_blocks(
+                blocks, offsets, self.n_tables, self.n_points,
+                max_retrieved, degraded=degraded,
+            )
         return _merge_blocks(
             self._shard_blocks(queries),
             [int(b) for b in self._bounds[:-1]],
@@ -1195,8 +844,7 @@ class ShardedIndex:
         shut down by :meth:`close` (idempotent), by the context-manager
         exit, or — as a safety net — by a ``weakref.finalize`` hook when
         the index is garbage collected, so forgotten handles cannot leak
-        worker processes (the hook also reclaims the shared-memory crash
-        journal).
+        worker processes.
 
         ``options.verify`` sets the integrity level every shard bundle
         is held to, at load time and on every worker-side (re)load:
@@ -1262,29 +910,20 @@ class ShardedIndex:
                 for p in paths:
                     verify_saved_index(p, verify=opts.verify)
             self._shards = None
-            self._journal_dir = tempfile.mkdtemp(prefix="repro-shm-journal-")
-            self._pool = ProcessPoolExecutor(max_workers=opts.workers)
-            self._finalizer = weakref.finalize(
-                self, _cleanup_pool, self._pool, self._journal_dir
-            )
+            self._start_pool()
         return self
 
     # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the worker pool and reclaim any crash-journaled
-        shared-memory segments.  Idempotent; a no-op for in-process
-        serving."""
+        """Shut down the worker pool, waiting for its processes to exit.
+        Idempotent; a no-op for in-process serving."""
         pool, self._pool = self._pool, None
-        journal_dir, self._journal_dir = self._journal_dir, None
         if self._finalizer is not None:
             self._finalizer.detach()
             self._finalizer = None
         if pool is not None:
             pool.shutdown()
-        if journal_dir is not None:
-            _sweep_journal(journal_dir)
-            shutil.rmtree(journal_dir, ignore_errors=True)
 
     def __enter__(self) -> "ShardedIndex":
         return self

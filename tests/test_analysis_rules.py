@@ -290,7 +290,7 @@ def test_rr008_good_with_try_finally_and_finalize():
     assert lint(good, select="RR008") == []
 
 
-def test_rr008_good_escape_and_journal_handoff():
+def test_rr008_good_escape():
     # Returned resources transfer ownership to the caller.
     escape = (
         "import numpy as np\n"
@@ -299,9 +299,15 @@ def test_rr008_good_escape_and_journal_handoff():
         "    return np.memmap(path, dtype='uint8', mode='r')\n"
     )
     assert lint(escape, select="RR008") == []
-    # The journal-mediated shm handoff in serving/sharded.py is
-    # sanctioned: the crash journal sweeper reclaims orphans.
-    journal = (
+
+
+@pytest.mark.parametrize(
+    "path", ["src/repro/serving/sharded.py", "src/repro/api.py"]
+)
+def test_rr008_flags_linear_shm_handoff_on_every_path(path):
+    # Create, record the name, write, close: a leak if the write raises.
+    # No module is exempt from that, the serving layer included.
+    handoff = (
         "from multiprocessing.shared_memory import SharedMemory\n"
         "def _ship(journal_dir, payload):\n"
         '    """Doc."""\n'
@@ -310,11 +316,7 @@ def test_rr008_good_escape_and_journal_handoff():
         "    shm.buf[: len(payload)] = payload\n"
         "    shm.close()\n"
     )
-    assert lint(journal, path="src/repro/serving/sharded.py", select="RR008") == []
-    # The same shape outside sharded.py is a leak.
-    assert codes(lint(journal, path="src/repro/api.py", select="RR008")) == [
-        "RR008"
-    ]
+    assert codes(lint(handoff, path=path, select="RR008")) == ["RR008"]
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,32 @@ class TestBackpressure:
         served = asyncio.run(scenario())
         assert served.stats.retrieved >= 0
 
+    @pytest.mark.parametrize(
+        "budget, error",
+        [(2.5, TypeError), ("8", TypeError), (-1, ValueError)],
+        ids=["float", "str", "negative"],
+    )
+    def test_budget_check_matches_direct_index(
+        self, saved_single, data, flat, budget, error
+    ):
+        """Admission applies the index's own budget check: what the
+        direct call rejects is rejected at admission with the same error,
+        and an integer-like budget is served exactly as its int."""
+        _, queries = data
+        with pytest.raises(error, match="max_retrieved"):
+            flat.query(queries[0], max_retrieved=budget)
+
+        async def scenario():
+            async with AsyncIndexServer(str(saved_single)) as server:
+                with pytest.raises(error, match="max_retrieved"):
+                    await server.query(queries[0], max_retrieved=budget)
+                return await server.query(
+                    queries[0], max_retrieved=np.int64(5)
+                )
+
+        served = asyncio.run(scenario())
+        _assert_exact(served.result, flat.query(queries[0], max_retrieved=5))
+
     def test_non_finite_query_fails_alone_in_its_window(
         self, saved_single, flat, data
     ):

@@ -9,9 +9,11 @@ past the stopping point must never even be *hashed*.
 import numpy as np
 import pytest
 
+from repro.api import IndexSpec, load_index
 from repro.core.family import DSHFamily, HashPair
 from repro.families.bit_sampling import BitSampling
 from repro.index import DSHIndex, clip_batch_hits
+from repro.serving import ServingOptions, ShardedIndex
 from repro.spaces import hamming
 
 BACKENDS = ["dict", "packed"]
@@ -316,3 +318,86 @@ class TestHashLaziness:
         family.query_hashes = 0
         index.query(points[0])
         assert family.query_hashes == 6
+
+
+SURFACES = ["dict", "packed", "sharded-inprocess", "sharded-pool"]
+
+
+@pytest.fixture(scope="module")
+def budget_surfaces(tmp_path_factory):
+    """One clustered bit-sampling point set served by every surface that
+    takes a ``max_retrieved`` budget, plus the packed unsharded index as
+    the reference."""
+    rng = np.random.default_rng(3)
+    prototypes = hamming.random_points(4, 16, rng=rng)
+    points = prototypes[rng.integers(0, 4, size=60)]
+    spec = IndexSpec(
+        kind="raw",
+        family="bit_sampling",
+        family_params={"d": 16, "power": 3},
+        n_tables=6,
+        backend="packed",
+        seed=5,
+    )
+    surfaces = {
+        backend: DSHIndex(
+            BitSampling(16), n_tables=6, rng=0, backend=backend
+        ).build(points)
+        for backend in BACKENDS
+    }
+    sharded_spec = IndexSpec.from_dict({**spec.to_dict(), "shards": 2})
+    surfaces["sharded-inprocess"] = ShardedIndex(points, sharded_spec)
+    path = tmp_path_factory.mktemp("budget") / "srv"
+    surfaces["sharded-inprocess"].save(path)
+    surfaces["sharded-pool"] = load_index(
+        path, options=ServingOptions(workers=1)
+    )
+    references = {
+        "dict": surfaces["packed"],
+        "packed": surfaces["dict"],
+        "sharded-inprocess": spec.build(points),
+        "sharded-pool": spec.build(points),
+    }
+    yield surfaces, references, points
+    surfaces["sharded-pool"].close()
+
+
+class TestBudgetValidation:
+    """Every surface rejects a budget that is not ``None`` or a
+    non-negative integer, the same way, before any probing (or pool
+    submit): a float is not compared as a float, and a negative budget
+    is not answered as a one-table probe."""
+
+    @pytest.mark.parametrize("surface", SURFACES)
+    @pytest.mark.parametrize(
+        "budget, error",
+        [(2.5, TypeError), (np.float64(3.0), TypeError), ("8", TypeError),
+         (-1, ValueError), (np.int64(-3), ValueError)],
+        ids=["float", "np-float", "str", "negative", "np-negative"],
+    )
+    def test_rejects_bad_budget(
+        self, budget_surfaces, surface, budget, error
+    ):
+        surfaces, _, points = budget_surfaces
+        index = surfaces[surface]
+        transport = getattr(index, "last_transport", None)
+        with pytest.raises(error, match="max_retrieved"):
+            index.query(points[0], max_retrieved=budget)
+        with pytest.raises(error, match="max_retrieved"):
+            index.batch_query(points[:3], max_retrieved=budget)
+        # Rejected before anything reached the worker pool.
+        assert getattr(index, "last_transport", None) == transport
+
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_integer_like_budgets_answer_as_ints(
+        self, budget_surfaces, surface
+    ):
+        surfaces, references, points = budget_surfaces
+        index, reference = surfaces[surface], references[surface]
+        for budget in (0, 7, np.int64(7), np.int32(40)):
+            assert index.batch_query(
+                points[:5], max_retrieved=budget
+            ) == reference.batch_query(points[:5], max_retrieved=int(budget))
+            assert index.query(
+                points[0], max_retrieved=budget
+            ) == reference.query(points[0], max_retrieved=int(budget))

@@ -4,13 +4,17 @@ Every failure the serving path claims to survive is injected here via
 :mod:`repro.serving.faults` and proven against the differential oracle:
 after any recovery, results must be *bit-identical* to the unsharded
 reference; after degradation, exactly equal to the surviving shards'
-own reference; and no injected failure may leak a shared-memory
-segment (asserted by ``/dev/shm`` accounting around every pool test).
+own reference.  Pool serving returns hits through the executor pipe, so
+no pool test may create a shared-memory segment at all (asserted by
+``/dev/shm`` accounting around every pool test), and repeated crash
+recovery must leave no file descriptor, thread or child process behind.
 """
 
+import multiprocessing
 import os
 import pathlib
 import shutil
+import threading
 import time
 
 import numpy as np
@@ -56,6 +60,16 @@ def _assert_results_equal(reference, observed):
     for a, b in zip(reference, observed):
         assert a.indices == b.indices
         assert a.stats == b.stats
+
+
+def _resource_counts():
+    """Open file descriptors, live threads and live child processes of
+    this process (``active_children`` also reaps finished ones)."""
+    return (
+        len(os.listdir("/proc/self/fd")),
+        threading.active_count(),
+        len(multiprocessing.active_children()),
+    )
 
 
 def _assert_degraded_equal(reference, observed):
@@ -115,19 +129,14 @@ def fault_dir(tmp_path, monkeypatch):
 
 @pytest.fixture
 def shm_guard():
-    """Assert zero leaked shared-memory segments: any ``psm_*`` entry
-    created during the test must be gone shortly after it finishes."""
+    """Assert that pool serving creates no shared-memory segment: no
+    ``psm_*`` entry may appear in ``/dev/shm`` while the test runs."""
     if not DEV_SHM.is_dir():
         pytest.skip("/dev/shm not available for segment accounting")
     before = {p.name for p in DEV_SHM.glob("psm_*")}
     yield
-    deadline = time.monotonic() + 5.0
-    while time.monotonic() < deadline:
-        leaked = {p.name for p in DEV_SHM.glob("psm_*")} - before
-        if not leaked:
-            return
-        time.sleep(0.05)
-    raise AssertionError(f"leaked shared-memory segments: {sorted(leaked)}")
+    created = {p.name for p in DEV_SHM.glob("psm_*")} - before
+    assert not created, f"pool serving created segments: {sorted(created)}"
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +160,7 @@ class TestFaultHooks:
         faults.fault_point("pool_worker")  # disarmed: no-op
 
     def test_tokens_are_point_scoped(self, fault_dir):
-        faults.arm(fault_dir, "shm_attach", "raise")
+        faults.arm(fault_dir, "other_point", "raise")
         faults.fault_point("pool_worker")  # different point: not claimed
         assert len(faults.armed(fault_dir)) == 1
 
@@ -194,16 +203,12 @@ class TestFaultHooks:
 
 
 class TestPoolRecovery:
-    @pytest.mark.parametrize(
-        "shm", [False, True], ids=["pipe-transport", "shm-transport"]
-    )
     def test_killed_worker_recovered_bit_identical(
-        self, data, flat, served_dir, fault_dir, shm_guard, shm
+        self, data, flat, served_dir, fault_dir, shm_guard
     ):
         _, queries = data
         reference = flat.batch_query(queries, max_retrieved=23)
         with load_index(served_dir / "srv", options=ServingOptions(workers=2)) as served:
-            served._shm_min_bytes = 0 if shm else None
             faults.arm(fault_dir, "pool_worker", "kill")
             observed = served.batch_query(queries, max_retrieved=23)
             _assert_results_equal(reference, observed)
@@ -214,36 +219,6 @@ class TestPoolRecovery:
             _assert_results_equal(
                 reference, served.batch_query(queries, max_retrieved=23)
             )
-            assert served.last_health["respawns"] == 0
-
-    def test_kill_mid_ship_sweeps_journaled_segment(
-        self, data, flat, served_dir, fault_dir, shm_guard
-    ):
-        """A worker dying *after* creating its shared-memory segment is
-        the leak window: the crash journal must reclaim it."""
-        _, queries = data
-        reference = flat.batch_query(queries)
-        with load_index(served_dir / "srv", options=ServingOptions(workers=1)) as served:
-            served._shm_min_bytes = 0
-            faults.arm(fault_dir, "shm_ship", "kill")
-            observed = served.batch_query(queries)
-            _assert_results_equal(reference, observed)
-            assert served.last_health["respawns"] >= 1
-            assert served.last_health["swept_segments"] >= 1
-
-    def test_vanished_segment_retried_transparently(
-        self, data, flat, served_dir, fault_dir, shm_guard
-    ):
-        """A shm attach failing in the parent is transient: the task is
-        re-run, not the request failed."""
-        _, queries = data
-        reference = flat.batch_query(queries)
-        with load_index(served_dir / "srv", options=ServingOptions(workers=1)) as served:
-            served._shm_min_bytes = 0
-            faults.arm(fault_dir, "shm_attach", "raise")
-            observed = served.batch_query(queries)
-            _assert_results_equal(reference, observed)
-            assert served.last_health["retries"] >= 1
             assert served.last_health["respawns"] == 0
 
     def test_retries_exhausted_raises_then_pool_recovers(
@@ -283,6 +258,35 @@ class TestPoolRecovery:
         with load_index(served_dir / "srv", options=ServingOptions(workers=1)) as served:
             with pytest.raises(ValueError, match="timeout must be positive"):
                 served.batch_query(queries, timeout=0.0)
+
+    def test_kill_respawn_soak_leaks_nothing(
+        self, data, flat, served_dir, fault_dir, shm_guard
+    ):
+        """Five kill/respawn cycles, each answered bit-identically, then
+        close(): open fds, threads and child processes are back where
+        they were before the load."""
+        _, queries = data
+        reference = flat.batch_query(queries, max_retrieved=23)
+        options = ServingOptions(workers=2)
+        # One load/close first, so process-wide helpers a pool may start
+        # once (a fork server, the resource tracker) exist before counting.
+        load_index(served_dir / "srv", options=options).close()
+        multiprocessing.active_children()
+        before = _resource_counts()
+        served = load_index(served_dir / "srv", options=options)
+        try:
+            for _ in range(5):
+                faults.arm(fault_dir, "pool_worker", "kill")
+                observed = served.batch_query(queries, max_retrieved=23)
+                _assert_results_equal(reference, observed)
+                assert served.last_health["respawns"] >= 1
+                assert served.last_health["failed_shards"] == []
+        finally:
+            served.close()
+        deadline = time.monotonic() + 5.0
+        while _resource_counts() != before and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _resource_counts() == before
 
 
 # ---------------------------------------------------------------------------

@@ -186,36 +186,23 @@ class TestShardedPersistence:
 
 
 class TestPoolTransport:
-    """The shared-memory + worker-clipping transport must be invisible to
-    correctness: identical results whether hits travel through shm
-    segments or the pickle fallback, with or without chunking, with or
-    without a worker-side budget clip."""
+    """Worker-side clipping and query chunking must be invisible to
+    correctness: pool results pickled back through the executor pipe
+    equal the unsharded index's, for every budget and pool shape."""
 
-    def test_shm_forced_parity_across_budgets(self, data, tmp_path):
+    @pytest.mark.parametrize(
+        "shards, workers", [(2, 1), (3, 2)], ids=["2x1", "3x2"]
+    )
+    def test_pool_parity_across_budgets(self, data, tmp_path, shards, workers):
         points, queries = data
         flat = _spec().build(points)
-        ShardedIndex(points, _spec(shards=3)).save(tmp_path / "srv")
-        with load_index(tmp_path / "srv", options=ServingOptions(workers=2)) as served:
-            served._shm_min_bytes = 0  # every result through shared memory
+        ShardedIndex(points, _spec(shards=shards)).save(tmp_path / "srv")
+        with load_index(tmp_path / "srv", options=ServingOptions(workers=workers)) as served:
             for budget in BUDGETS:
                 _assert_results_equal(
                     flat.batch_query(queries, max_retrieved=budget),
                     served.batch_query(queries, max_retrieved=budget),
                 )
-                assert served.last_transport["shm_bytes"] > 0
-
-    def test_pickle_fallback_parity(self, data, tmp_path):
-        points, queries = data
-        flat = _spec().build(points)
-        ShardedIndex(points, _spec(shards=2)).save(tmp_path / "srv")
-        with load_index(tmp_path / "srv", options=ServingOptions(workers=1)) as served:
-            served._shm_min_bytes = None  # never use shared memory
-            for budget in (None, 1, 23):
-                _assert_results_equal(
-                    flat.batch_query(queries, max_retrieved=budget),
-                    served.batch_query(queries, max_retrieved=budget),
-                )
-                assert served.last_transport["shm_bytes"] == 0
                 assert served.last_transport["pipe_bytes"] > 0
 
     def test_query_chunking_parity(self, data, tmp_path):
@@ -242,7 +229,6 @@ class TestPoolTransport:
         points, queries = data
         ShardedIndex(points, _spec(shards=2)).save(tmp_path / "srv")
         with load_index(tmp_path / "srv", options=ServingOptions(workers=1)) as served:
-            served._shm_min_bytes = None  # everything over the pipe
             served.batch_query(queries)
             unclipped = served.last_transport["pipe_bytes"]
             served.batch_query(queries, max_retrieved=1)

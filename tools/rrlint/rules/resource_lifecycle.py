@@ -9,14 +9,10 @@ is structural.  The rule accepts a resource acquisition when it is:
   ``contextlib.closing``/``ExitStack.enter_context``,
 - registered with ``weakref.finalize``,
 - cleaned up in a ``try/finally`` (or an except-cleanup-and-reraise
-  block, the ``_ship_block`` pattern),
+  block),
 - handed off: returned/yielded to the caller, captured by a closure,
   stored on an object, or passed whole to another function (ownership
-  transfer — the receiver is then checked at its own site),
-- part of the journal-mediated shm handoff in ``serving/sharded.py``
-  (segments recorded in the crash journal are swept by
-  ``_sweep_journal`` even if the process dies between create and
-  unlink, so linear cleanup there is sanctioned).
+  transfer — the receiver is then checked at its own site).
 
 Straight-line ``x = open(...) ... x.close()`` is exactly the
 leak-on-exception shape this rule exists to reject.
@@ -51,7 +47,6 @@ _CLEANUP_METHODS = {
 }
 _WRAPPER_LEAVES = {"finalize", "closing", "enter_context", "push"}
 _CLASS_CLEANUP_METHODS = {"close", "shutdown", "stop", "__exit__", "__del__"}
-_JOURNAL_PATH = "serving/sharded.py"
 
 
 class ResourceLifecycleRule(Rule):
@@ -61,8 +56,7 @@ class ResourceLifecycleRule(Rule):
     name = "resource-lifecycle"
     rationale = (
         "SharedMemory/pools/memmap/file handles must reach close/unlink/"
-        "shutdown on all paths: with, try-finally, or weakref.finalize "
-        "(journal-mediated shm handoff in serving/sharded.py excepted)"
+        "shutdown on all paths: with, try-finally, or weakref.finalize"
     )
 
     def check(self, src: SourceFile) -> Iterator[Violation]:
@@ -77,7 +71,7 @@ class ResourceLifecycleRule(Rule):
                 kind = self._resource_kind(node)
                 if kind is None:
                     continue
-                if self._managed(src, mod, qualname, scope, node):
+                if self._managed(mod, qualname, scope, node):
                     continue
                 yield self.violation(
                     src,
@@ -105,7 +99,6 @@ class ResourceLifecycleRule(Rule):
 
     def _managed(
         self,
-        src: SourceFile,
         mod: ProjectModule,
         qualname: str,
         scope: ast.AST,
@@ -126,8 +119,6 @@ class ResourceLifecycleRule(Rule):
         # return np.memmap(...) — ownership transfers to the caller.
         if isinstance(parent, (ast.Return, ast.Yield, ast.YieldFrom)):
             return True
-        if self._journal_exempt(src, qualname, scope, node):
-            return True
         binding = self._binding(node)
         if binding is None:
             return False
@@ -138,30 +129,6 @@ class ResourceLifecycleRule(Rule):
             if dotted is None:
                 return False
             return self._attr_managed(dotted, qualname, scope, mod)
-        return False
-
-    def _journal_exempt(
-        self,
-        src: SourceFile,
-        qualname: str,
-        scope: ast.AST,
-        node: ast.Call,
-    ) -> bool:
-        if not src.path_endswith(_JOURNAL_PATH):
-            return False
-        dotted = dotted_name(node.func)
-        if dotted is None or dotted.split(".")[-1] != "SharedMemory":
-            return False
-        func_name = qualname.split(".")[-1]
-        if func_name.startswith(("_journal", "_sweep")):
-            return True
-        for inner in ast.walk(scope):
-            if isinstance(inner, ast.Call):
-                inner_dotted = dotted_name(inner.func)
-                if inner_dotted is not None and inner_dotted.split(".")[
-                    -1
-                ].startswith("_journal"):
-                    return True
         return False
 
     def _binding(self, node: ast.Call) -> ast.expr | None:
