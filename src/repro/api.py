@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
+from repro.core.family import DSHFamily
 from repro.families.registry import (
     check_power,
     family_entry,
@@ -62,7 +63,7 @@ from repro.families.registry import (
 )
 from repro.index.annulus import (
     AnnulusIndex,
-    sphere_family_for_interval,
+    _inner_product_proximity,
     sphere_peak_placement,
 )
 from repro.index.backends import BACKENDS
@@ -71,7 +72,6 @@ from repro.index.lsh_index import DSHIndex
 from repro.index.persistence import (
     FORMAT_VERSION,
     IndexIntegrityError,
-    classify_archive_error,
     integrity_record,
     read_arrays,
     verify_integrity,
@@ -98,10 +98,6 @@ __all__ = [
 SPEC_VERSION = 1
 
 
-def _inner_product(query: np.ndarray, points: np.ndarray) -> np.ndarray:
-    return points @ query
-
-
 def _euclidean_distance(query: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.linalg.norm(points - query, axis=1)
 
@@ -114,7 +110,7 @@ def _hamming_distance(query: np.ndarray, points: np.ndarray) -> np.ndarray:
 #: ``(query (d,), points (m, d)) -> (m,)``.  Specs refer to these by name so
 #: they serialize; :func:`register_proximity` adds custom ones.
 PROXIMITIES: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "inner_product": _inner_product,
+    "inner_product": _inner_product_proximity,
     "euclidean_distance": _euclidean_distance,
     "hamming_distance": _hamming_distance,
 }
@@ -277,6 +273,11 @@ class IndexSpec:
                 raise ValueError(
                     f"interval must satisfy lo < hi, got {(lo, hi)}"
                 )
+        for key in ("budget_factor", "r_report"):
+            if key in self.options and not self.options[key] > 0:
+                raise ValueError(
+                    f"{key} must be positive, got {self.options[key]}"
+                )
 
     # -- serialization ---------------------------------------------------
 
@@ -358,59 +359,67 @@ class IndexSpec:
             from repro.serving.sharded import ShardedIndex
 
             return ShardedIndex(points, self, build_workers=workers)
-        opts = self.options
-        if self.kind == "raw":
-            index = DSHIndex(
-                self._make_family(),
-                n_tables=self.n_tables,
-                rng=self.seed,
-                backend=self.backend,
-            ).build(points, workers=workers)
-        elif self.kind == "annulus":
-            proximity = opts.get("proximity")
-            if proximity is None:
-                if self.family != "annulus_sphere":
-                    raise ValueError(
-                        "kind='annulus' needs an explicit proximity option "
-                        f"for family {self.family!r}; registered proximities: "
-                        f"{sorted(PROXIMITIES)}"
-                    )
-                proximity = "inner_product"
-            index = AnnulusIndex(
-                points,
-                self._make_family(),
-                interval=tuple(opts["interval"]),
-                proximity=_resolve_proximity(proximity),
-                n_tables=self.n_tables,
-                budget_factor=opts.get("budget_factor", 8.0),
-                rng=self.seed,
-                backend=self.backend,
-                workers=workers,
-            )
-        elif self.kind == "hyperplane":
-            index = HyperplaneIndex(
-                points,
-                alpha=opts["alpha"],
-                t=opts["t"],
-                n_tables=self.n_tables,
-                budget_factor=opts.get("budget_factor", 8.0),
-                rng=self.seed,
-                backend=self.backend,
-                workers=workers,
-            )
-        else:  # range_reporting
-            index = RangeReportingIndex(
-                points,
-                self._make_family(),
-                r_report=opts["r_report"],
-                distance=_resolve_proximity(opts["distance"]),
-                n_tables=self.n_tables,
-                rng=self.seed,
-                backend=self.backend,
-                workers=workers,
-            )
+
+        def inner(family: DSHFamily, rows: np.ndarray | None) -> DSHIndex:
+            return DSHIndex(
+                family, self.n_tables, rng=self.seed, backend=self.backend
+            ).build(np.asarray(rows), workers=workers)
+
+        index = _assemble(self, np.atleast_2d(np.asarray(points)), inner)
         index.spec = self
         return index
+
+
+def _assemble(
+    spec: IndexSpec,
+    points: np.ndarray | None,
+    inner: Callable[[DSHFamily, np.ndarray | None], DSHIndex],
+) -> DSHIndex | AnnulusIndex | RangeReportingIndex:
+    """Every per-kind decision, made once for building and loading: the
+    family, the Section 6 wrapper and its defaults around the Theorem 6.1
+    index ``inner(family, points)`` supplies — freshly built by
+    :meth:`IndexSpec.build`, revived over stored tables by
+    :func:`load_index`.  Application kinds hold (and are built on) their
+    points as float64; ``points`` is ``None`` only for a loaded raw
+    index, which keeps none."""
+    opts = spec.options
+    if spec.kind == "raw":
+        return inner(spec._make_family(), points)
+    if points is None:
+        raise ValueError(f"kind {spec.kind!r} needs its points array")
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if spec.kind == "range_reporting":
+        return RangeReportingIndex._restore(
+            points=points,
+            r_report=opts["r_report"],
+            distance=_resolve_proximity(opts["distance"]),
+            index=inner(spec._make_family(), points),
+        )
+    cls: type[AnnulusIndex] = AnnulusIndex
+    if spec.kind == "hyperplane":
+        cls = HyperplaneIndex
+        family, interval = HyperplaneIndex._band(
+            points.shape[1], opts["alpha"], opts["t"]
+        )
+        proximity = "inner_product"
+    else:
+        family, interval = spec._make_family(), tuple(opts["interval"])
+        proximity = opts.get("proximity")
+        if proximity is None:
+            if spec.family != "annulus_sphere":
+                raise ValueError(
+                    "kind='annulus' needs an explicit proximity option "
+                    f"for family {spec.family!r}; registered proximities: "
+                    f"{sorted(PROXIMITIES)}"
+                )
+            proximity = "inner_product"
+    return cls._restore(
+        points=points,
+        interval=interval,
+        proximity=_resolve_proximity(proximity),
+        budget_factor=opts.get("budget_factor", 8.0),
+        index=inner(family, points),
+    )
 
 
 def build_index(
@@ -534,21 +543,6 @@ def index_paths(path: str | pathlib.Path) -> tuple[pathlib.Path, pathlib.Path]:
     return base.with_name(name + ".npz"), base.with_name(name + ".json")
 
 
-def _inner_dsh_index(index) -> DSHIndex:
-    """The Theorem 6.1 machine inside any application index."""
-    if isinstance(index, DSHIndex):
-        return index
-    if isinstance(index, HyperplaneIndex):
-        return index._annulus._index
-    if isinstance(index, (AnnulusIndex, RangeReportingIndex)):
-        return index._index
-    raise TypeError(
-        f"cannot persist {type(index).__name__}; expected an index built "
-        "by repro.api (DSHIndex, AnnulusIndex, HyperplaneIndex, "
-        "RangeReportingIndex, or ShardedIndex)"
-    )
-
-
 def save_index(index: Queryable, path: str | pathlib.Path) -> pathlib.Path:
     """Persist a built index as ``<path>.npz`` + ``<path>.json``.
 
@@ -573,17 +567,17 @@ def save_index(index: Queryable, path: str | pathlib.Path) -> pathlib.Path:
             "index has no spec; only indexes built through repro.api "
             "(build_index / IndexSpec.build) can be saved"
         )
-    inner = _inner_dsh_index(index)
+    if isinstance(index, DSHIndex):
+        inner, points = index, None
+    elif isinstance(index, (AnnulusIndex, RangeReportingIndex)):
+        inner, points = index._index, index.points
+    else:
+        raise TypeError(f"cannot persist {type(index).__name__}")
     arrays = {
         _BACKEND_PREFIX + key: value
         for key, value in inner._backend.export_arrays().items()
     }
-    if spec.kind != "raw":
-        points = (
-            index._annulus.points
-            if isinstance(index, HyperplaneIndex)
-            else index.points
-        )
+    if points is not None:
         arrays["points"] = points
     npz_path, json_path = index_paths(path)
     write_arrays(npz_path, arrays)
@@ -600,9 +594,12 @@ def save_index(index: Queryable, path: str | pathlib.Path) -> pathlib.Path:
     return json_path
 
 
-def _revive(spec: IndexSpec, sidecar: dict, arrays: dict):
+def _revive(
+    spec: IndexSpec, sidecar: dict[str, Any], arrays: dict[str, np.ndarray]
+) -> DSHIndex | AnnulusIndex | RangeReportingIndex:
     """Reconstruct the application object around a loaded backend — the
-    load-time mirror of :meth:`IndexSpec.build`, with zero hashing."""
+    load-time twin of :meth:`IndexSpec.build` through the same
+    :func:`_assemble`, with zero hashing."""
     backend = BACKENDS[spec.backend]()
     backend.import_arrays(
         {
@@ -611,53 +608,18 @@ def _revive(spec: IndexSpec, sidecar: dict, arrays: dict):
             if key.startswith(_BACKEND_PREFIX)
         }
     )
-    n_points = int(sidecar["n_points"])
-    dim = int(sidecar["dim"])
-    state = sidecar["pair_rng_state"]
-    opts = spec.options
 
-    def inner(family):
+    def inner(family: DSHFamily, rows: np.ndarray | None) -> DSHIndex:
         return DSHIndex.from_state(
             family,
             spec.n_tables,
-            pair_rng_state=state,
+            pair_rng_state=sidecar["pair_rng_state"],
             backend=backend,
-            n_points=n_points,
-            dim=dim,
+            n_points=int(sidecar["n_points"]),
+            dim=int(sidecar["dim"]),
         )
 
-    if spec.kind == "raw":
-        return inner(spec._make_family())
-    points = arrays["points"]
-    if spec.kind == "annulus":
-        proximity = opts.get("proximity")
-        if proximity is None:
-            proximity = "inner_product"
-        return AnnulusIndex._restore(
-            points=points,
-            interval=tuple(opts["interval"]),
-            proximity=_resolve_proximity(proximity),
-            budget_factor=opts.get("budget_factor", 8.0),
-            index=inner(spec._make_family()),
-        )
-    if spec.kind == "hyperplane":
-        alpha = float(opts["alpha"])
-        family = sphere_family_for_interval(dim, (-alpha, alpha), opts["t"])
-        annulus = AnnulusIndex._restore(
-            points=points,
-            interval=(-alpha, alpha),
-            proximity=_resolve_proximity("inner_product"),
-            budget_factor=opts.get("budget_factor", 8.0),
-            index=inner(family),
-        )
-        return HyperplaneIndex._restore(alpha=alpha, annulus=annulus)
-    # range_reporting
-    return RangeReportingIndex._restore(
-        points=points,
-        r_report=float(opts["r_report"]),
-        distance=_resolve_proximity(opts["distance"]),
-        index=inner(spec._make_family()),
-    )
+    return _assemble(spec, arrays.get("points"), inner)
 
 
 def _check_sidecar_format(sidecar: dict, json_path: pathlib.Path) -> None:
@@ -669,23 +631,6 @@ def _check_sidecar_format(sidecar: dict, json_path: pathlib.Path) -> None:
             f"format {FORMAT_VERSION})",
             kind="manifest",
         )
-
-
-def _read_arrays_checked(
-    npz_path: pathlib.Path, mmap: bool
-) -> dict[str, np.ndarray]:
-    """``read_arrays`` with unreadable-archive errors classified: a
-    bundle that cannot even be parsed is a damaged copy, and the caller
-    deserves :class:`IndexIntegrityError` (``kind`` separating member
-    CRC failures from truncation), not a zipfile internal."""
-    import zipfile
-
-    try:
-        return read_arrays(npz_path, mmap=mmap)
-    except FileNotFoundError:
-        raise
-    except (zipfile.BadZipFile, EOFError, OSError, ValueError, KeyError) as exc:
-        raise classify_archive_error(npz_path, exc) from exc
 
 
 def verify_saved_index(
@@ -781,10 +726,17 @@ def load_index(
             "file holds a single index"
         )
     spec = IndexSpec.from_dict(sidecar["spec"])
-    arrays = _read_arrays_checked(npz_path, mmap=opts.mmap)
-    verify_integrity(
-        npz_path, sidecar.get("integrity"), mode=opts.verify, arrays=arrays
-    )
+    arrays = read_arrays(npz_path, mmap=opts.mmap)
+    try:
+        verify_integrity(
+            npz_path, sidecar.get("integrity"), mode=opts.verify,
+            arrays=arrays,
+        )
+    except IndexIntegrityError:
+        # The traceback keeps this frame alive; drop the memory maps so a
+        # rejected bundle holds no descriptors.
+        arrays.clear()
+        raise
     index = _revive(spec, sidecar, arrays)
     index.spec = spec
     return index

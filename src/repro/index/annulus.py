@@ -25,7 +25,7 @@ together by the differential batch-vs-loop parity suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -36,6 +36,9 @@ from repro.index.lsh_index import DSHIndex, _check_single_query
 from repro.index.queryable import QueryResult
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_real_dtype
+
+if TYPE_CHECKING:
+    from typing import Self
 
 __all__ = [
     "AnnulusQueryResult",
@@ -124,15 +127,7 @@ class AnnulusIndex:
         backend: str | IndexBackend = "packed",
         workers: int | None = None,
     ) -> None:
-        lo, hi = interval
-        if not lo < hi:
-            raise ValueError(f"interval must satisfy lo < hi, got {interval}")
-        self.points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        self.interval = (float(lo), float(hi))
-        self.proximity = proximity
-        if budget_factor <= 0:
-            raise ValueError(f"budget_factor must be positive, got {budget_factor}")
-        self.budget = int(np.ceil(budget_factor * n_tables))
+        self._configure(points, interval, proximity, budget_factor, n_tables)
         self._index = DSHIndex(
             family, n_tables, ensure_rng(rng), backend=backend
         ).build(self.points, workers=workers)
@@ -146,18 +141,36 @@ class AnnulusIndex:
         proximity: Callable[[np.ndarray, np.ndarray], np.ndarray],
         budget_factor: float,
         index: DSHIndex,
-    ) -> "AnnulusIndex":
-        """Persistence hook: revive an instance around an already-built
-        (typically memory-mapped) :class:`DSHIndex` — no hashing, no point
-        copies.  ``points`` may be a read-only memmap; every query path
-        only reads it."""
+    ) -> Self:
+        """Wrap an already-built :class:`DSHIndex` over ``points`` — no
+        hashing, no point copies.  The one assembly step behind
+        :meth:`repro.api.IndexSpec.build` (a freshly built index) and
+        :func:`repro.api.load_index` (one revived over memory-mapped
+        tables, where ``points`` may be a read-only memmap; every query
+        path only reads it)."""
         self = object.__new__(cls)
-        self.points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        self.interval = (float(interval[0]), float(interval[1]))
-        self.proximity = proximity
-        self.budget = int(np.ceil(budget_factor * index.n_tables))
+        self._configure(points, interval, proximity, budget_factor, index.n_tables)
         self._index = index
         return self
+
+    def _configure(
+        self,
+        points: np.ndarray,
+        interval: tuple[float, float],
+        proximity: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        budget_factor: float,
+        n_tables: int,
+    ) -> None:
+        """Validate and set everything but the inner index."""
+        lo, hi = interval
+        if not lo < hi:
+            raise ValueError(f"interval must satisfy lo < hi, got {interval}")
+        if budget_factor <= 0:
+            raise ValueError(f"budget_factor must be positive, got {budget_factor}")
+        self.points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        self.interval = (float(lo), float(hi))
+        self.proximity = proximity
+        self.budget = int(np.ceil(budget_factor * n_tables))
 
     @property
     def backend(self) -> str:
@@ -168,6 +181,11 @@ class AnnulusIndex:
     def n_points(self) -> int:
         """Number of indexed points."""
         return self._index.n_points
+
+    @property
+    def dim(self) -> int | None:
+        """Dimensionality of the indexed point set."""
+        return self._index.dim
 
     def __repr__(self) -> str:
         return (
@@ -378,6 +396,9 @@ class AnnulusIndex:
 
 
 def _inner_product_proximity(query: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Row-wise inner product ``points @ query``: the proximity of every
+    sphere index (Theorem 6.4 annuli, Section 6.1 hyperplanes) and the
+    ``"inner_product"`` entry of :data:`repro.api.PROXIMITIES`."""
     return points @ query
 
 
@@ -430,10 +451,11 @@ def sphere_family_for_interval(
 ) -> AnnulusFamily:
     """The Theorem 6.4 family for a reporting interval: peak at the
     :func:`sphere_peak_placement` midpoint, threshold ``t``.  THE single
-    construction shared by :func:`sphere_annulus_index` (build) and index
-    persistence (revive) — a loaded index must regenerate its hash pairs
-    from *exactly* the family that populated the stored tables, so this
-    mapping is defined once."""
+    construction shared by :func:`sphere_annulus_index` and the hyperplane
+    index (which :func:`repro.api.load_index` revives through the same
+    derivation) — a loaded index must regenerate its hash pairs from
+    *exactly* the family that populated the stored tables, so this mapping
+    is defined once."""
     return AnnulusFamily(
         d, alpha_max=sphere_peak_placement(alpha_interval), t=t
     )

@@ -425,35 +425,6 @@ class IndexBackend(ABC):
         may be read-only memmaps: backends must treat imported storage as
         immutable, which every query path already does."""
 
-    def save(self, path: str | pathlib.Path) -> pathlib.Path:
-        """Persist the built tables as one uncompressed ``.npz`` whose
-        members can be memory-mapped back (see
-        :mod:`repro.index.persistence`)."""
-        from repro.index.persistence import save_backend
-
-        return save_backend(self, path)
-
-    @classmethod
-    def load(
-        cls, path: str | pathlib.Path, mmap: bool = True
-    ) -> "IndexBackend":
-        """Load a :meth:`save` bundle into a fresh, unattached instance.
-
-        With ``mmap=True`` the table arrays are zero-copy views into the
-        file — cold start is O(1) in the number of indexed points.  When
-        called on a concrete subclass, the bundle's recorded backend type
-        must match.
-        """
-        from repro.index.persistence import load_backend
-
-        backend = load_backend(path, mmap=mmap)
-        if cls is not IndexBackend and not isinstance(backend, cls):
-            raise ValueError(
-                f"{path!s} holds a {type(backend).__name__} bundle, not "
-                f"{cls.__name__}"
-            )
-        return backend
-
     @abstractmethod
     def bucket(self, table: int, components: np.ndarray) -> np.ndarray:
         """Point indices in ``table`` under one query's component row

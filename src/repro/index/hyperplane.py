@@ -8,16 +8,22 @@ Section 6.2 family with ``alpha_max = 0``, achieving
 ``rho* = (1 - alpha^2)/(1 + alpha^2)`` for reporting tolerance ``alpha``
 (Section 6.1 discussion).
 
-:class:`HyperplaneIndex` is :class:`~repro.index.queryable.Queryable`:
-``query`` / ``batch_query`` delegate to the underlying annulus machinery,
-so batched hyperplane queries ride the same vectorized multi-query path.
+:class:`HyperplaneIndex` is therefore an :class:`AnnulusIndex` over the
+inner-product interval ``(-alpha, alpha)``: it only derives that interval
+and its sphere family from ``alpha`` and ``t``, and inherits every query
+path (``query``, ``batch_query``, ``query_many``) unchanged.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.index.annulus import AnnulusIndex, AnnulusQueryResult, sphere_annulus_index
+from repro.families.annulus_sphere import AnnulusFamily
+from repro.index.annulus import (
+    AnnulusIndex,
+    _inner_product_proximity,
+    sphere_family_for_interval,
+)
 from repro.index.backends import IndexBackend
 from repro.utils.validation import check_in_open_interval
 
@@ -32,7 +38,7 @@ def hyperplane_rho(alpha: float) -> float:
     return (1.0 - alpha**2) / (1.0 + alpha**2)
 
 
-class HyperplaneIndex:
+class HyperplaneIndex(AnnulusIndex):
     """Find data vectors approximately orthogonal to a query vector.
 
     Parameters
@@ -46,13 +52,12 @@ class HyperplaneIndex:
     n_tables:
         Repetition count ``L``.
     budget_factor:
-        Early termination after ``budget_factor * L`` retrievals
-        (forwarded to :class:`AnnulusIndex`; the Theorem 6.1 proof uses 8).
+        Early termination after ``budget_factor * L`` retrievals (the
+        Theorem 6.1 proof uses 8).
     rng:
         Seed or generator.
     backend:
-        Storage backend forwarded to the underlying index (``"packed"`` by
-        default).
+        Storage backend of the underlying index (``"packed"`` by default).
     workers:
         Thread count for the build's per-table hashing; ``None`` hashes
         serially.
@@ -69,50 +74,33 @@ class HyperplaneIndex:
         backend: str | IndexBackend = "packed",
         workers: int | None = None,
     ) -> None:
-        check_in_open_interval(alpha, 0.0, 1.0, "alpha")
-        self.alpha = float(alpha)
-        self._annulus: AnnulusIndex = sphere_annulus_index(
-            points,
-            alpha_interval=(-alpha, alpha),
-            t=t,
-            n_tables=n_tables,
-            budget_factor=budget_factor,
-            rng=rng,
-            backend=backend,
-            workers=workers,
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        family, interval = self._band(points.shape[1], alpha, t)
+        super().__init__(
+            points, family, interval, _inner_product_proximity, n_tables,
+            budget_factor, rng, backend, workers,
         )
 
-    @classmethod
-    def _restore(cls, *, alpha: float, annulus: AnnulusIndex) -> "HyperplaneIndex":
-        """Persistence hook: wrap an already-revived annulus index."""
-        self = object.__new__(cls)
-        self.alpha = float(alpha)
-        self._annulus = annulus
-        return self
+    @staticmethod
+    def _band(
+        d: int, alpha: float, t: float
+    ) -> tuple[AnnulusFamily, tuple[float, float]]:
+        """The Section 6.1 reduction: the sphere family and inner-product
+        interval ``(-alpha, alpha)`` a hyperplane index searches — shared
+        by this constructor and :func:`repro.api.load_index`, so a loaded
+        index regenerates the hash pairs that populated its tables."""
+        check_in_open_interval(alpha, 0.0, 1.0, "alpha")
+        interval = (-alpha, alpha)
+        return sphere_family_for_interval(d, interval, t), interval
 
     @property
-    def backend(self) -> str:
-        """Name of the underlying storage backend."""
-        return self._annulus.backend
-
-    @property
-    def n_points(self) -> int:
-        """Number of indexed points."""
-        return self._annulus.n_points
+    def alpha(self) -> float:
+        """Reporting tolerance: the upper end of ``interval``."""
+        return self.interval[1]
 
     def __repr__(self) -> str:
-        inner = self._annulus._index
         return (
-            f"{type(self).__name__}(family={type(inner.family).__name__}, "
-            f"L={inner.n_tables}, backend={self.backend!r}, "
+            f"{type(self).__name__}(family={type(self._index.family).__name__}, "
+            f"L={self._index.n_tables}, backend={self.backend!r}, "
             f"n_points={self.n_points}, alpha={self.alpha})"
         )
-
-    def query(self, query_point: np.ndarray) -> AnnulusQueryResult:
-        """Return a point with ``|<x, q>| <= alpha`` if the search succeeds."""
-        return self._annulus.query(query_point)
-
-    def batch_query(self, query_points: np.ndarray) -> list[AnnulusQueryResult]:
-        """Run :meth:`query` for every row of ``query_points`` through the
-        vectorized annulus multi-query path (identical results to a loop)."""
-        return self._annulus.batch_query(query_points)

@@ -178,10 +178,11 @@ class DSHIndex:
     ) -> "DSHIndex":
         """Revive a built index from persisted state — no data hashing.
 
-        ``backend`` must already hold the built tables (typically loaded
-        via :meth:`IndexBackend.load` with memory-mapped arrays) and be
-        unattached; the hash pairs are regenerated by replaying
-        ``pair_rng_state`` through ``family.sample_pairs``, so they match
+        ``backend`` must already hold the built tables (as
+        :func:`repro.api.load_index` fills it through
+        :meth:`IndexBackend.import_arrays`, typically with memory-mapped
+        arrays) and be unattached; the hash pairs are regenerated by
+        replaying ``pair_rng_state`` through ``family.sample_pairs``, so they match
         the pairs that populated those tables bit for bit.  Cost is O(L)
         pair sampling — independent of ``n_points``.
         """

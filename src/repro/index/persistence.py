@@ -1,10 +1,12 @@
 """Zero-copy index persistence primitives.
 
 Built indexes are flat array bundles (the packed backend is literally CSR
-arrays), so persistence is array persistence: every saved object is one
-uncompressed ``.npz`` holding named arrays, optionally next to a JSON
-sidecar carrying the non-array state (spec, RNG state — written by
-:func:`repro.api.save_index`, not here).
+arrays), so persistence is array persistence.  The one on-disk format is
+:func:`repro.api.save_index`'s: an uncompressed ``.npz`` holding named
+arrays (:func:`write_arrays`) next to a JSON sidecar carrying the
+non-array state — spec, RNG state and the CRC-32 records of
+:func:`integrity_record`.  The sidecar is written by :mod:`repro.api`,
+not here.
 
 The point of this module is the *loading* discipline.  ``np.load`` on an
 ``.npz`` copies each member into fresh memory on access, so a serving
@@ -24,7 +26,7 @@ Integrity
 ---------
 A serving fleet replicates these bundles over networks and disks that
 *do* flip bits and truncate files, so the module also owns the integrity
-vocabulary: :func:`checksum_arrays` computes the per-member CRC-32
+vocabulary: :func:`integrity_record` computes the per-member CRC-32
 records :func:`repro.api.save_index` embeds in the JSON sidecar, and
 :func:`verify_integrity` checks a bundle against them under three modes
 — ``"eager"`` (every member's bytes re-checksummed), ``"lazy"`` (cheap
@@ -48,26 +50,19 @@ import zlib
 
 import numpy as np
 
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:  # pragma: no cover - lazy cycle with backends.save()
-    from repro.index.backends import IndexBackend
+from typing import IO, Any
 
 __all__ = [
     "FORMAT_VERSION",
     "VERIFY_MODES",
     "IndexIntegrityError",
-    "classify_archive_error",
     "write_arrays",
     "read_arrays",
-    "checksum_arrays",
     "integrity_record",
     "verify_integrity",
-    "save_backend",
-    "load_backend",
 ]
 
-#: On-disk format version for backend/index array bundles.  Bump on any
+#: On-disk format version of saved index bundles.  Bump on any
 #: incompatible change to the array layout or sidecar schema.
 FORMAT_VERSION = 1
 
@@ -112,48 +107,9 @@ def _check_verify_mode(mode: str) -> None:
         )
 
 
-def classify_archive_error(
-    npz_path: str | pathlib.Path, exc: BaseException
-) -> IndexIntegrityError:
-    """Turn an unreadable-archive exception into the right
-    :class:`IndexIntegrityError`.  ``zipfile`` reports a member whose
-    stored CRC-32 disagrees with its bytes as ``BadZipFile`` — content
-    corruption, not truncation — so that case is classified
-    ``"checksum"``; every other parse failure is ``"truncated"``."""
-    if isinstance(exc, zipfile.BadZipFile) and "CRC" in str(exc):
-        return IndexIntegrityError(
-            f"{npz_path}: member failed its CRC-32 check ({exc}) — the "
-            "bundle's bytes changed since it was saved",
-            kind="checksum",
-        )
-    return IndexIntegrityError(
-        f"{npz_path}: archive is unreadable ({exc}) — truncated or "
-        "corrupted bundle",
-        kind="truncated",
-    )
-
-
 def _array_crc32(array: np.ndarray) -> int:
     """CRC-32 of an array's logical content bytes (C-order)."""
     return zlib.crc32(np.ascontiguousarray(array).tobytes())
-
-
-def checksum_arrays(
-    arrays: dict[str, np.ndarray]
-) -> dict[str, dict[str, Any]]:
-    """Per-member integrity records: CRC-32 over each array's content
-    bytes plus the dtype/shape that make the bytes interpretable.  The
-    JSON-able return value is what :func:`verify_integrity` later checks
-    loaded arrays against."""
-    return {
-        name: {
-            "crc32": _array_crc32(array),
-            "nbytes": int(array.nbytes),
-            "dtype": np.asarray(array).dtype.str,
-            "shape": [int(s) for s in np.asarray(array).shape],
-        }
-        for name, array in arrays.items()
-    }
 
 
 def integrity_record(
@@ -161,11 +117,21 @@ def integrity_record(
 ) -> dict[str, Any]:
     """The full sidecar ``"integrity"`` block for a just-written bundle:
     algorithm tag, total archive size (the lazy-mode truncation check),
-    and the per-member checksum records."""
+    and per member the CRC-32 of its content bytes plus the dtype/shape
+    that make the bytes interpretable — what :func:`verify_integrity`
+    later checks loaded arrays against."""
     return {
         "algorithm": "crc32",
         "npz_nbytes": int(os.stat(npz_path).st_size),
-        "members": checksum_arrays(arrays),
+        "members": {
+            name: {
+                "crc32": _array_crc32(array),
+                "nbytes": int(array.nbytes),
+                "dtype": np.asarray(array).dtype.str,
+                "shape": [int(s) for s in np.asarray(array).shape],
+            }
+            for name, array in arrays.items()
+        },
     }
 
 
@@ -207,48 +173,64 @@ def verify_integrity(
     if mode == "lazy":
         return
     if arrays is None:
-        try:
-            arrays = read_arrays(npz_path, mmap=False)
-        except FileNotFoundError:
-            raise
-        except (zipfile.BadZipFile, EOFError, OSError, ValueError, KeyError) as exc:
-            raise classify_archive_error(npz_path, exc) from exc
+        arrays = read_arrays(npz_path, mmap=False)
     members: dict[str, dict[str, Any]] = (
         {} if integrity is None else integrity.get("members", {})
     )
     for name, record in members.items():
-        if name not in arrays:
-            raise IndexIntegrityError(
-                f"{npz_path}: member {name!r} is recorded in the sidecar "
-                "but missing from the archive — manifest/bundle skew",
-                kind="manifest",
-            )
-        array = np.asarray(arrays[name])
-        if (
-            array.dtype.str != record.get("dtype")
-            or [int(s) for s in array.shape] != list(record.get("shape", []))
-        ):
-            raise IndexIntegrityError(
-                f"{npz_path}: member {name!r} has dtype/shape "
-                f"{array.dtype.str}/{list(array.shape)} but the sidecar "
-                f"records {record.get('dtype')}/{record.get('shape')} — "
-                "manifest/bundle skew",
-                kind="manifest",
-            )
-        if _array_crc32(array) != int(record.get("crc32", -1)):
-            raise IndexIntegrityError(
-                f"{npz_path}: member {name!r} failed its CRC-32 check — "
-                "the bundle's bytes changed since it was saved",
-                kind="checksum",
-            )
+        error = _member_error(npz_path, name, record, arrays)
+        if error is not None:
+            raise error
 
-# Keys reserved for bundle metadata inside the .npz itself, so a backend
-# payload can be identified without a sidecar.
-_META_BACKEND = "__backend__"
-_META_FORMAT = "__format__"
+
+def _member_error(
+    npz_path: pathlib.Path,
+    name: str,
+    record: dict[str, Any],
+    arrays: dict[str, np.ndarray],
+) -> IndexIntegrityError | None:
+    """One member's integrity error, or ``None``.  Returned, not raised,
+    so no frame of the traceback holds the member's memory map."""
+    if name not in arrays:
+        return IndexIntegrityError(
+            f"{npz_path}: member {name!r} is recorded in the sidecar "
+            "but missing from the archive — manifest/bundle skew",
+            kind="manifest",
+        )
+    array = np.asarray(arrays[name])
+    if (
+        array.dtype.str != record.get("dtype")
+        or [int(s) for s in array.shape] != list(record.get("shape", []))
+    ):
+        return IndexIntegrityError(
+            f"{npz_path}: member {name!r} has dtype/shape "
+            f"{array.dtype.str}/{list(array.shape)} but the sidecar "
+            f"records {record.get('dtype')}/{record.get('shape')} — "
+            "manifest/bundle skew",
+            kind="manifest",
+        )
+    if _array_crc32(array) != int(record.get("crc32", -1)):
+        return IndexIntegrityError(
+            f"{npz_path}: member {name!r} failed its CRC-32 check — "
+            "the bundle's bytes changed since it was saved",
+            kind="checksum",
+        )
+    return None
 
 _ZIP_LOCAL_HEADER_SIZE = 30
 _NPY_MAGIC = b"\x93NUMPY"
+
+
+def _member_data_offset(f: IO[bytes], info: zipfile.ZipInfo) -> int | None:
+    """Offset of ``info``'s stored bytes in the open archive ``f``, read
+    from its local header (``None`` if there is none at its offset)."""
+    f.seek(info.header_offset)
+    local = f.read(_ZIP_LOCAL_HEADER_SIZE)
+    if local[:4] != b"PK\x03\x04":
+        return None
+    name_len = int.from_bytes(local[26:28], "little")
+    extra_len = int.from_bytes(local[28:30], "little")
+    return info.header_offset + _ZIP_LOCAL_HEADER_SIZE + name_len + extra_len
 
 
 def write_arrays(path: str | pathlib.Path, arrays: dict[str, np.ndarray]) -> pathlib.Path:
@@ -334,83 +316,51 @@ def read_arrays(
     copied until a page is actually touched.  ``mmap=False`` forces eager
     in-memory copies (useful when the file will be deleted or rewritten
     while the arrays are still alive).
+
+    A missing file raises :class:`FileNotFoundError`; an archive that
+    cannot be parsed is a damaged copy and raises
+    :class:`IndexIntegrityError`, not a zipfile internal: ``"checksum"``
+    for a member whose stored CRC-32 disagrees with its bytes (``zipfile``
+    reports that as ``BadZipFile``), ``"truncated"`` for anything else.
     """
     path = pathlib.Path(path)
-    if not mmap:
-        with np.load(path) as bundle:
-            return {name: bundle[name] for name in bundle.files}
-    out: dict[str, np.ndarray] = {}
-    eager: list[str] = []
-    with zipfile.ZipFile(path) as archive, open(path, "rb") as f:
-        for info in archive.infolist():
-            name = info.filename
-            if name.endswith(".npy"):
-                name = name[: -len(".npy")]
-            array = None
-            if info.compress_type == zipfile.ZIP_STORED:
-                f.seek(info.header_offset)
-                local = f.read(_ZIP_LOCAL_HEADER_SIZE)
-                if local[:4] == b"PK\x03\x04":
-                    name_len = int.from_bytes(local[26:28], "little")
-                    extra_len = int.from_bytes(local[28:30], "little")
-                    data_start = (
-                        info.header_offset
-                        + _ZIP_LOCAL_HEADER_SIZE
-                        + name_len
-                        + extra_len
-                    )
-                    array = _mmap_member(path, f, data_start)
-            if array is None:
-                eager.append(info.filename)
-            else:
-                out[name] = array
-    if eager:
-        with np.load(path) as bundle:
-            for filename in eager:
-                name = filename[: -len(".npy")] if filename.endswith(".npy") else filename
-                out[name] = bundle[name]
-    return out
-
-
-def save_backend(backend: IndexBackend, path: str | pathlib.Path) -> pathlib.Path:
-    """Persist a built :class:`~repro.index.backends.IndexBackend` to one
-    self-describing ``.npz`` (backend name + format version travel inside
-    the archive)."""
-    arrays = dict(backend.export_arrays())
-    for reserved in (_META_BACKEND, _META_FORMAT):
-        if reserved in arrays:
-            raise ValueError(
-                f"backend export uses reserved key {reserved!r}"
-            )
-    arrays[_META_BACKEND] = np.array(backend.name)
-    arrays[_META_FORMAT] = np.array([FORMAT_VERSION], dtype=np.int64)
-    return write_arrays(path, arrays)
-
-
-def load_backend(path: str | pathlib.Path, mmap: bool = True) -> IndexBackend:
-    """Load a :func:`save_backend` bundle back into a fresh, unattached
-    backend instance of the recorded type."""
-    from repro.index.backends import BACKENDS
-
-    arrays = read_arrays(path, mmap=mmap)
     try:
-        name = str(arrays.pop(_META_BACKEND)[()])
-        version = int(arrays.pop(_META_FORMAT)[0])
-    except KeyError:
-        raise ValueError(
-            f"{path!s} is not a backend bundle (missing metadata keys)"
-        ) from None
-    if version != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported backend bundle format {version} (this build "
-            f"reads format {FORMAT_VERSION})"
-        )
-    try:
-        backend = BACKENDS[name]()
-    except KeyError:
-        raise ValueError(
-            f"bundle was written by unknown backend {name!r}; "
-            f"available: {sorted(BACKENDS)}"
-        ) from None
-    backend.import_arrays(arrays)
-    return backend
+        if not mmap:
+            with np.load(path) as bundle:
+                return {name: bundle[name] for name in bundle.files}
+        out: dict[str, np.ndarray] = {}
+        eager: list[str] = []
+        with zipfile.ZipFile(path) as archive, open(path, "rb") as f:
+            for info in archive.infolist():
+                name = info.filename
+                if name.endswith(".npy"):
+                    name = name[: -len(".npy")]
+                array = None
+                if info.compress_type == zipfile.ZIP_STORED:
+                    data_start = _member_data_offset(f, info)
+                    if data_start is not None:
+                        array = _mmap_member(path, f, data_start)
+                if array is None:
+                    eager.append(info.filename)
+                else:
+                    out[name] = array
+        if eager:
+            with np.load(path) as bundle:
+                for filename in eager:
+                    name = filename[: -len(".npy")] if filename.endswith(".npy") else filename
+                    out[name] = bundle[name]
+        return out
+    except FileNotFoundError:
+        raise
+    except (zipfile.BadZipFile, EOFError, OSError, ValueError, KeyError) as exc:
+        if isinstance(exc, zipfile.BadZipFile) and "CRC" in str(exc):
+            raise IndexIntegrityError(
+                f"{path}: member failed its CRC-32 check ({exc}) — the "
+                "bundle's bytes changed since it was saved",
+                kind="checksum",
+            ) from exc
+        raise IndexIntegrityError(
+            f"{path}: archive is unreadable ({exc}) — truncated or "
+            "corrupted bundle",
+            kind="truncated",
+        ) from exc

@@ -116,11 +116,7 @@ class RangeReportingIndex:
         backend: str | IndexBackend = "packed",
         workers: int | None = None,
     ) -> None:
-        if r_report <= 0:
-            raise ValueError(f"r_report must be positive, got {r_report}")
-        self.points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        self.r_report = float(r_report)
-        self.distance = distance
+        self._configure(points, r_report, distance)
         self._index = DSHIndex(
             family, n_tables, ensure_rng(rng), backend=backend
         ).build(self.points, workers=workers)
@@ -134,15 +130,28 @@ class RangeReportingIndex:
         distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
         index: DSHIndex,
     ) -> "RangeReportingIndex":
-        """Persistence hook: revive an instance around an already-built
-        (typically memory-mapped) :class:`DSHIndex` — no hashing, no point
-        copies."""
+        """Wrap an already-built :class:`DSHIndex` over ``points`` — no
+        hashing, no point copies.  The one assembly step behind
+        :meth:`repro.api.IndexSpec.build` (a freshly built index) and
+        :func:`repro.api.load_index` (one revived over memory-mapped
+        tables)."""
         self = object.__new__(cls)
+        self._configure(points, r_report, distance)
+        self._index = index
+        return self
+
+    def _configure(
+        self,
+        points: np.ndarray,
+        r_report: float,
+        distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ) -> None:
+        """Validate and set everything but the inner index."""
+        if r_report <= 0:
+            raise ValueError(f"r_report must be positive, got {r_report}")
         self.points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         self.r_report = float(r_report)
         self.distance = distance
-        self._index = index
-        return self
 
     @property
     def backend(self) -> str:
@@ -153,6 +162,11 @@ class RangeReportingIndex:
     def n_points(self) -> int:
         """Number of indexed points."""
         return self._index.n_points
+
+    @property
+    def dim(self) -> int | None:
+        """Dimensionality of the indexed point set."""
+        return self._index.dim
 
     def __repr__(self) -> str:
         return (

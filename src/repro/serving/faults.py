@@ -38,6 +38,9 @@ import time
 import uuid
 import zipfile
 
+from repro.api import index_paths
+from repro.index.persistence import _member_data_offset
+
 __all__ = [
     "ENV_FAULT_DIR",
     "KILL_EXIT_CODE",
@@ -163,15 +166,6 @@ def fault_point(point: str) -> None:
 # -- bundle corruption utilities ------------------------------------------
 
 
-def _npz_path(path: str | pathlib.Path) -> pathlib.Path:
-    from repro.api import index_paths
-
-    npz_path, _ = index_paths(path)
-    return npz_path
-
-_ZIP_LOCAL_HEADER_SIZE = 30
-
-
 def corrupt_bundle(
     path: str | pathlib.Path, member: str | None = None
 ) -> int:
@@ -185,7 +179,7 @@ def corrupt_bundle(
     signature stay plausible, which is exactly what makes this failure
     mode dangerous.
     """
-    npz_path = _npz_path(path)
+    npz_path = index_paths(path)[0]
     with zipfile.ZipFile(npz_path) as archive:
         infos = archive.infolist()
         if member is not None:
@@ -197,13 +191,9 @@ def corrupt_bundle(
                 )
         info = max(infos, key=lambda i: i.file_size)
     with open(npz_path, "r+b") as f:
-        f.seek(info.header_offset)
-        local = f.read(_ZIP_LOCAL_HEADER_SIZE)
-        name_len = int.from_bytes(local[26:28], "little")
-        extra_len = int.from_bytes(local[28:30], "little")
-        data_start = (
-            info.header_offset + _ZIP_LOCAL_HEADER_SIZE + name_len + extra_len
-        )
+        data_start = _member_data_offset(f, info)
+        if data_start is None:
+            raise ValueError(f"{npz_path}: no local header for {info.filename!r}")
         offset = data_start + info.file_size // 2
         f.seek(offset)
         byte = f.read(1)
@@ -221,7 +211,7 @@ def truncate_bundle(
         raise ValueError(
             f"keep_fraction must be in [0, 1), got {keep_fraction}"
         )
-    npz_path = _npz_path(path)
+    npz_path = index_paths(path)[0]
     keep = int(os.stat(npz_path).st_size * keep_fraction)
     os.truncate(npz_path, keep)
     return keep
@@ -231,4 +221,4 @@ def delete_bundle(path: str | pathlib.Path) -> None:
     """Delete a saved index's array bundle (the ``.npz``), leaving the
     sidecar — a shard file lost from a replica, the degraded-serving
     scenario."""
-    os.remove(_npz_path(path))
+    os.remove(index_paths(path)[0])

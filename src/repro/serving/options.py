@@ -55,8 +55,8 @@ class ServingOptions:
         ``"degrade"`` serves from the surviving shards and marks results
         ``stats.degraded``.  Must be ``"raise"`` for single-file indexes.
     ``timeout``
-        Default per-request deadline in seconds applied when a call does
-        not pass its own ``timeout=`` (``None`` = wait indefinitely).
+        Per-request deadline in seconds for sharded pool serving
+        (``None`` = wait indefinitely).
     ``max_retries`` / ``retry_backoff_s``
         Crash-recovery budget per request: at most ``max_retries`` retry
         rounds of the failed ``(shard, chunk)`` tasks, with an

@@ -57,11 +57,10 @@ from typing import Any
 
 import numpy as np
 
-from repro.index.lsh_index import _check_budget
+from repro.index.lsh_index import _check_budget, _check_single_query
 from repro.index.persistence import IndexIntegrityError
 from repro.serving.options import ServingOptions
 from repro.serving.sharded import PoolRecoveryError
-from repro.utils.validation import check_finite, check_real_dtype
 
 __all__ = [
     "AsyncIndexServer",
@@ -180,25 +179,13 @@ class _Snapshot:
         self.in_flight = 0
         self.retired = False
         self.drained = asyncio.Event()
-        self.dim = _index_dim(replicas[0]) if replicas else None
+        self.dim: int | None = replicas[0].dim if replicas else None
 
     def retire(self) -> None:
         """Stop new dispatches (callers switch first) and arm ``drained``."""
         self.retired = True
         if self.in_flight == 0:
             self.drained.set()
-
-
-def _index_dim(index: Any) -> int | None:
-    """Best-effort query dimensionality of a loaded index (for admission
-    validation); ``None`` when the index does not expose it."""
-    dim = getattr(index, "dim", None)
-    if dim is not None:
-        return int(dim)
-    points = getattr(index, "points", None)
-    if points is not None and getattr(points, "ndim", 0) == 2:
-        return int(points.shape[1])
-    return None
 
 
 def _load_replicas(path: str, count: int, options: ServingOptions) -> list[Any]:
@@ -430,28 +417,13 @@ class AsyncIndexServer:
         replica has been routed out as unhealthy.
         """
         queue = self._require_running()
-        row = check_real_dtype(query, "query")
-        if row.ndim == 2 and row.shape[0] == 1:
-            row = row[0]
-        if row.ndim != 1:
-            raise ValueError(
-                f"query must be a single point, got shape {row.shape}"
-            )
         snapshot = self._snapshot
-        if (
-            snapshot is not None
-            and snapshot.dim is not None
-            and row.shape[0] != snapshot.dim
-        ):
-            raise ValueError(
-                f"query has dimension {row.shape[0]}, index expects "
-                f"{snapshot.dim}"
-            )
-        # Reject a NaN/inf row here (and a non-numeric one above), before
-        # it is stacked into a shared batch: inside the replica's block
-        # check it would fail every request coalesced with it.
-        if np.issubdtype(row.dtype, np.floating):
-            check_finite(row, "query")
+        # The index's own single-query check (shape, dimension, dtype,
+        # finiteness), run here: a bad row that reached a shared batch
+        # would fail every request coalesced with it.
+        row = _check_single_query(
+            query, None if snapshot is None else snapshot.dim
+        )[0]
         budget = _check_budget(max_retrieved)
         loop = asyncio.get_running_loop()
         # ``_pending`` counts every admitted-but-unresolved request —

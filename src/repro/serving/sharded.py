@@ -46,9 +46,9 @@ Pool serving survives the failures long-lived serving actually sees:
   (``BrokenProcessPool``); ``batch_query`` respawns it and retries only
   the unfinished ``(shard, chunk)`` tasks, with exponential backoff,
   at most ``ServingOptions.max_retries`` retry rounds, and an optional
-  per-request ``timeout=`` deadline.  Recovery accounting for the most
-  recent request lands in :attr:`ShardedIndex.last_health` next to
-  :attr:`ShardedIndex.last_transport`.
+  per-request ``ServingOptions.timeout`` deadline.  Recovery accounting
+  for the most recent request lands in :attr:`ShardedIndex.last_health`
+  next to :attr:`ShardedIndex.last_transport`.
 * **shard loss / corruption** — deterministic shard errors (missing
   files, :class:`~repro.index.persistence.IndexIntegrityError` from the
   ``verify=`` integrity modes) are never retried; they either raise
@@ -424,8 +424,7 @@ class ShardedIndex:
 
         For in-memory builds this is the defaults; for :meth:`load` it is
         the resolved load-time configuration.  ``options.timeout`` is the
-        default per-request deadline applied when :meth:`batch_query` is
-        called without ``timeout=``.
+        per-request deadline of :meth:`batch_query`.
         """
         return self._options
 
@@ -496,10 +495,7 @@ class ShardedIndex:
         )
 
     def _pool_blocks(
-        self,
-        queries: np.ndarray,
-        max_retrieved: int | None,
-        timeout: float | None,
+        self, queries: np.ndarray, max_retrieved: int | None
     ) -> tuple[list[list[BatchHits]], list[int], bool]:
         """Fan ``(shard, query-chunk)`` tasks over the worker pool with
         crash recovery; returns ``(blocks, offsets, degraded)`` — each
@@ -510,14 +506,15 @@ class ShardedIndex:
         retries only the unfinished tasks, with exponential backoff and
         at most ``options.max_retries`` retry rounds.  Deterministic shard
         errors (integrity failures, missing files) are never retried.
-        ``timeout`` bounds the whole request: on expiry unfinished futures
-        are cancelled (a straggler already running finishes in its worker
-        and its result is dropped) and builtin :class:`TimeoutError` is
-        raised.  Shards whose retries are exhausted raise
+        ``options.timeout`` bounds the whole request: on expiry unfinished
+        futures are cancelled (a straggler already running finishes in its
+        worker and its result is dropped) and builtin :class:`TimeoutError`
+        is raised.  Shards whose retries are exhausted raise
         :class:`PoolRecoveryError`, or — in ``on_shard_failure="degrade"``
         mode — are dropped from the merge and reported in
         :attr:`last_health`.
         """
+        timeout = self._options.timeout
         deadline = None if timeout is None else time.monotonic() + timeout
         chunk_bounds = _chunk_bounds(
             queries.shape[0], self.n_shards, self._options.workers or 1
@@ -656,10 +653,7 @@ class ShardedIndex:
         )
 
     def batch_query(
-        self,
-        queries: np.ndarray,
-        max_retrieved: int | None = None,
-        timeout: float | None = None,
+        self, queries: np.ndarray, max_retrieved: int | None = None
     ) -> list[CandidateResult]:
         """Candidate retrieval for a query block, fanned out across shards
         and merged exactly (global ids, first-seen dedup order, summed
@@ -667,9 +661,9 @@ class ShardedIndex:
 
         Pool serving transparently recovers from worker loss (executor
         respawn + bounded same-request retries; see the module
-        docstring); ``timeout`` bounds one request end to end, raising
-        builtin :class:`TimeoutError` on expiry (``None`` falls back to
-        the load-time ``options.timeout`` default).  Once a shard's
+        docstring); the load-time ``options.timeout`` bounds one request
+        end to end, raising builtin :class:`TimeoutError` on expiry.
+        Once a shard's
         retries are exhausted the load-time ``on_shard_failure`` mode
         decides:
         ``"raise"`` raises :class:`PoolRecoveryError`; ``"degrade"``
@@ -683,15 +677,11 @@ class ShardedIndex:
             raise ValueError(
                 "this ShardedIndex has been closed; load it again to serve"
             )
-        if timeout is None:
-            timeout = self._options.timeout
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
         if queries.shape[0] == 0:
             return []
         if self._pool is not None:
             blocks, offsets, degraded = self._pool_blocks(
-                queries, max_retrieved, timeout
+                queries, max_retrieved
             )
             return _merge_blocks(
                 blocks, offsets, self.n_tables, self.n_points,
@@ -704,19 +694,16 @@ class ShardedIndex:
         )
 
     def query(
-        self,
-        query: np.ndarray,
-        max_retrieved: int | None = None,
-        timeout: float | None = None,
+        self, query: np.ndarray, max_retrieved: int | None = None
     ) -> CandidateResult:
         """Single-query spelling of :meth:`batch_query`.
 
         Like :meth:`batch_query`, raises :class:`PoolRecoveryError` when
         pool recovery is exhausted (under ``on_shard_failure="raise"``)
-        and :class:`TimeoutError` past a ``timeout=`` deadline.
+        and :class:`TimeoutError` past the ``options.timeout`` deadline.
         """
         queries = _check_single_query(query, self._dim)
-        return self.batch_query(queries, max_retrieved, timeout)[0]
+        return self.batch_query(queries, max_retrieved)[0]
 
     # -- health ----------------------------------------------------------
 
@@ -854,7 +841,7 @@ class ShardedIndex:
         are exhausted: ``"raise"`` (default) propagates
         :class:`PoolRecoveryError`, ``"degrade"`` serves the surviving
         shards' exact merge with results flagged ``degraded`` (see
-        :meth:`batch_query`).  ``options.timeout`` becomes the default
+        :meth:`batch_query`).  ``options.timeout`` becomes the
         per-request deadline; ``options.max_retries`` /
         ``options.retry_backoff_s`` set the crash-recovery budget.
 

@@ -260,6 +260,26 @@ class TestSpecValidation:
                 options={"interval": (0.6, 0.2)},
             )
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("annulus", {"family": "annulus_sphere", "t": 1.5,
+                         "interval": (0.2, 0.6), "budget_factor": 0}),
+            ("hyperplane", {"alpha": 0.3, "t": 1.4, "budget_factor": -1.0}),
+            ("range_reporting", {"family": "simhash", "r_report": -1.0,
+                                 "distance": "euclidean_distance"}),
+        ],
+    )
+    def test_nonpositive_budget_or_radius_fails_before_building(
+        self, sphere_points, kind, params, monkeypatch
+    ):
+        def no_build(*args, **kwargs):
+            raise AssertionError("index built before its spec was checked")
+
+        monkeypatch.setattr(DSHIndex, "build", no_build)
+        with pytest.raises(ValueError, match="must be positive"):
+            build_index(sphere_points, kind=kind, n_tables=2, rng=0, **params)
+
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):
             IndexSpec(
@@ -311,7 +331,7 @@ class TestSpecValidation:
             sphere_points, kind="hyperplane", alpha=0.3, t=1.4,
             n_tables=10, budget_factor=2.0, rng=0,
         )
-        assert index._annulus.budget == 20  # 2.0 * L, not the default 8L
+        assert index.budget == 20  # 2.0 * L, not the default 8L
 
     def test_sphere_interval_outside_unit_range_rejected(self, sphere_points):
         for bad in [(1.2, 1.5), (0.35, 1.5), (-1.5, 0.2)]:

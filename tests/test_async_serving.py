@@ -19,7 +19,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.api import IndexSpec, load_index, save_index
+from repro.api import IndexSpec, build_index, load_index, save_index
 from repro.index.persistence import IndexIntegrityError
 from repro.serving import (
     AsyncIndexServer,
@@ -30,7 +30,7 @@ from repro.serving import (
     shard_bounds,
 )
 from repro.serving import faults
-from repro.spaces import hamming
+from repro.spaces import hamming, sphere
 
 D = 24
 N_TABLES = 8
@@ -362,6 +362,38 @@ class TestBackpressure:
         assert metrics["served"] == len(good)
         assert metrics["failed"] == 0
         assert metrics["max_batch_size"] > 1
+
+    def test_wrong_dimension_fails_alone_on_a_hyperplane_snapshot(
+        self, tmp_path
+    ):
+        """An application index exposes ``dim`` like a raw one, so a
+        request of the wrong length is rejected at admission instead of
+        failing the batch it would have been stacked into."""
+        points = sphere.random_points(200, 8, rng=3)
+        good = sphere.random_points(2, 8, rng=4)
+        index = build_index(
+            points, kind="hyperplane", alpha=0.3, t=1.4, n_tables=10, rng=5
+        )
+        save_index(index, tmp_path / "hyp")
+        reference = index.batch_query(good)
+
+        async def scenario():
+            async with AsyncIndexServer(
+                str(tmp_path / "hyp"), max_batch=8, max_wait_us=20_000
+            ) as server:
+                return await asyncio.gather(
+                    server.query(good[0]),
+                    server.query(np.zeros(5)),
+                    server.query(good[1]),
+                    return_exceptions=True,
+                )
+
+        first, error, second = asyncio.run(scenario())
+        assert isinstance(error, ValueError)
+        assert "dimensionality 5" in str(error)
+        for served, ref in zip((first, second), reference):
+            assert served.result.index == ref.index
+            assert served.result.stats == ref.stats
 
     @pytest.mark.parametrize("dtype", [object, str, np.complex128])
     def test_non_numeric_query_fails_alone_in_its_window(

@@ -9,6 +9,7 @@ also covers indexes built *without* a fixed seed.
 """
 
 import json
+import os
 import pickle
 
 import numpy as np
@@ -22,7 +23,7 @@ from repro.api import (
     save_index,
     verify_saved_index,
 )
-from repro.index import DictBackend, DSHIndex, IndexBackend, PackedBackend
+from repro.index import DSHIndex
 from repro.index.persistence import (
     FORMAT_VERSION,
     IndexIntegrityError,
@@ -211,50 +212,60 @@ class TestApplicationKindsRoundTrip:
             assert a.in_range_retrievals == b.in_range_retrievals
 
 
-class TestBackendSaveLoadContract:
-    def _built_backends(self):
-        points = hamming.random_points(120, 16, rng=0)
-        out = []
-        for name in BACKENDS:
-            index = DSHIndex(
-                BitSampling(16), n_tables=4, rng=1, backend=name
-            ).build(points)
-            out.append(index._backend)
-        return out
+# One spec per kind: (build_index parameters, point sampler).
+KIND_CASES = {
+    "raw": (
+        dict(kind="raw", family="bit_sampling", power=4),
+        lambda n, rng: hamming.random_points(n, 24, rng=rng),
+    ),
+    "annulus": (
+        dict(kind="annulus", family="annulus_sphere", t=1.6,
+             interval=(0.3, 0.8)),
+        lambda n, rng: sphere.random_points(n, 12, rng=rng),
+    ),
+    "hyperplane": (
+        dict(kind="hyperplane", alpha=0.25, t=1.5),
+        lambda n, rng: sphere.random_points(n, 12, rng=rng),
+    ),
+    "range_reporting": (
+        dict(kind="range_reporting", family="simhash", power=3,
+             r_report=0.9, distance="euclidean_distance"),
+        lambda n, rng: sphere.random_points(n, 12, rng=rng),
+    ),
+}
 
-    def test_standalone_roundtrip(self, tmp_path):
-        for backend in self._built_backends():
-            path = tmp_path / f"{backend.name}.npz"
-            backend.save(path)
-            loaded = IndexBackend.load(path)
-            assert type(loaded) is type(backend)
-            assert loaded.bucket_sizes() == backend.bucket_sizes()
-            assert not loaded.attached
-            loaded.attach()
-            with pytest.raises(ValueError, match="already attached"):
-                loaded.attach()
 
-    def test_typed_load_rejects_other_backend(self, tmp_path):
-        dict_backend = self._built_backends()[0]
-        assert isinstance(dict_backend, DictBackend)
-        path = tmp_path / "dict.npz"
-        dict_backend.save(path)
-        with pytest.raises(ValueError, match="DictBackend bundle"):
-            PackedBackend.load(path)
+class TestEveryKindRoundTrip:
+    """Build and load share one assembly path per kind: the loaded index
+    is the built one — same type, dimension, stored tables and answers."""
 
-    def test_load_rejects_plain_npz(self, tmp_path):
-        path = write_arrays(tmp_path / "plain.npz", {"a": np.arange(3)})
-        with pytest.raises(ValueError, match="not a backend bundle"):
-            IndexBackend.load(path)
-
-    def test_suffixless_save_path_round_trips(self, tmp_path):
-        """np.savez appends .npz silently; save must return the real file
-        and load must accept the path the caller used for save."""
-        backend = self._built_backends()[1]
-        returned = backend.save(tmp_path / "tables")
-        assert returned.exists() and returned.suffix == ".npz"
-        loaded = IndexBackend.load(returned)
-        assert loaded.bucket_sizes() == backend.bucket_sizes()
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kind", sorted(KIND_CASES))
+    def test_load_reproduces_build(self, tmp_path, kind, backend):
+        params, sampler = KIND_CASES[kind]
+        points = sampler(N_POINTS, 3)
+        built = build_index(
+            points, n_tables=20, rng=5, backend=backend, **params
+        )
+        save_index(built, tmp_path / kind)
+        loaded = load_index(tmp_path / kind)
+        assert type(loaded) is type(built)
+        assert loaded.dim == built.dim == points.shape[1]
+        ours, theirs = (
+            (index if isinstance(index, DSHIndex) else index._index)
+            ._backend.export_arrays()
+            for index in (built, loaded)
+        )
+        assert sorted(ours) == sorted(theirs)
+        for name, array in ours.items():
+            other = np.asarray(theirs[name])
+            assert other.dtype == array.dtype, name
+            assert other.tobytes() == np.asarray(array).tobytes(), name
+        queries = sampler(12, 9)
+        # repr is exact for floats and prints a nan proximity as "nan".
+        assert [repr(r) for r in loaded.batch_query(queries)] == [
+            repr(r) for r in built.batch_query(queries)
+        ]
 
 
 class TestPersistenceErrors:
@@ -386,6 +397,21 @@ class TestIntegrityVerification:
         # documented price of the O(1) check).
         loaded = load_index(base, options=ServingOptions(verify="lazy"))
         assert loaded.n_points == 60
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_rejected_eager_load_closes_its_descriptors(self, tmp_path):
+        """A bundle that fails its eager checksum holds no descriptor
+        through the error: every member's memory map is released while
+        the traceback (kept alive here by ``excinfo``) still exists."""
+        _, base, _ = self._saved(tmp_path)
+        faults.corrupt_bundle(base)
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(IndexIntegrityError) as excinfo:
+            load_index(base, options=ServingOptions(verify="eager"))
+        assert excinfo.value.kind == "checksum"
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_size_skew_modes(self, tmp_path):
         """The recorded archive size is the lazy check; ``verify="off"``

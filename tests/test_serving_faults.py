@@ -241,23 +241,20 @@ class TestPoolRecovery:
         self, data, flat, served_dir, fault_dir, shm_guard
     ):
         _, queries = data
-        with load_index(served_dir / "srv", options=ServingOptions(workers=1)) as served:
+        options = ServingOptions(workers=1, timeout=1.0)
+        with load_index(served_dir / "srv", options=options) as served:
             faults.arm(fault_dir, "pool_worker", "sleep:2.0")
             start = time.monotonic()
             with pytest.raises(TimeoutError) as excinfo:
-                served.batch_query(queries, timeout=0.3)
+                served.batch_query(queries)
             assert type(excinfo.value) is TimeoutError  # builtin, all Pythons
             assert time.monotonic() - start < 1.5
-            # The straggler drains and the pool serves the next request.
+            # Once the straggler drains, the pool serves the next request
+            # within the same deadline.
+            time.sleep(max(0.0, start + 2.5 - time.monotonic()))
             _assert_results_equal(
                 flat.batch_query(queries), served.batch_query(queries)
             )
-
-    def test_rejects_nonpositive_timeout(self, data, served_dir):
-        _, queries = data
-        with load_index(served_dir / "srv", options=ServingOptions(workers=1)) as served:
-            with pytest.raises(ValueError, match="timeout must be positive"):
-                served.batch_query(queries, timeout=0.0)
 
     def test_kill_respawn_soak_leaks_nothing(
         self, data, flat, served_dir, fault_dir, shm_guard

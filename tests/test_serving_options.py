@@ -133,11 +133,10 @@ class TestPlumbThrough:
         with load_index(sharded_path, options=opts) as index:
             results = index.batch_query(points[:4])
             assert len(results) == 4
-        # ... while an absurdly small explicit per-call timeout still
-        # overrides the default validation-wise.
+        # ... and it is the only deadline setting: no call takes its own.
         with load_index(sharded_path, options=opts) as index:
-            with pytest.raises(ValueError, match="timeout must be positive"):
-                index.batch_query(points[:4], timeout=-1.0)
+            with pytest.raises(TypeError):
+                index.batch_query(points[:4], timeout=1.0)
 
     def test_single_index_rejects_pool_only_options(self, saved):
         single_path, _, _ = saved
