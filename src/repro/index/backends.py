@@ -120,6 +120,10 @@ class BatchHits:
     hits:
         Flat point-index array, query-major; within a query, hits are in
         probe order (table by table, insertion order inside a bucket).
+        Its integer dtype is the producer's:
+        :meth:`IndexBackend.budgeted_hits` keeps the backend's stored id
+        dtype (int32 for a packed index whose ids fit), while
+        :meth:`IndexBackend.batch_query_hits` always widens to int64.
     offsets:
         Shape ``(n_queries + 1,)``; query ``i`` owns
         ``hits[offsets[i]:offsets[i + 1]]``.
@@ -137,12 +141,12 @@ class BatchHits:
     full_table_counts:
         ``None`` when the stream is unclipped (``table_counts`` already
         *are* the full counts).  When a producer clipped the stream
-        (``max_hits`` here, or the worker-side ``max_retrieved`` clip in
-        :func:`clip_batch_hits`), this carries the **pre-clip** per-table
-        retrieval counts for every table, so a downstream merge can apply
-        table-granularity budget semantics on the counts the unclipped
-        stream *would* have had — the contract that lets sharded pool
-        workers ship clipped hits while the merged
+        (``max_hits`` here, or the ``max_retrieved`` clip of
+        :meth:`IndexBackend.budgeted_hits`), this carries the **pre-clip**
+        per-table retrieval counts for every table, so a downstream merge
+        can apply table-granularity budget semantics on the counts the
+        unclipped stream *would* have had — the contract that lets shards
+        ship clipped hits while the merged
         :func:`budget_truncation` stays bit-identical to the unsharded
         index.
     """
@@ -330,7 +334,10 @@ def clip_batch_hits(
     """Apply the Theorem 6.1 table-granularity ``max_retrieved`` budget to
     an *unclipped* :class:`BatchHits` stream, keeping the pre-clip counts.
 
-    The exactness-preserving device behind worker-side clipping in sharded
+    The reference path of :meth:`IndexBackend.budgeted_hits` for backends
+    without a budgeted gather (it gathers every hit, then clips), and the
+    oracle the packed clip-before-gather version is held to.  The
+    exactness-preserving device behind shard-local clipping in sharded
     serving: a query's merged scan stops after the first table where the
     *merged* cumulative count reaches the budget, and since every shard's
     own cumulative counts are bounded by the merged ones, the merged
@@ -442,6 +449,23 @@ class IndexBackend(ABC):
     ) -> list[CandidateResult]:
         """Probe all tables for every query row; one :class:`CandidateResult`
         per query, candidates distinct and in first-seen order."""
+
+    def budgeted_hits(
+        self, comps: list[np.ndarray], max_retrieved: int | None
+    ) -> BatchHits:
+        """Hit streams for every query row, clipped at table granularity
+        to the Theorem 6.1 ``max_retrieved`` budget, with the pre-clip
+        per-table counts in ``full_table_counts`` (``None`` when unbudgeted)
+        — the probe every budgeted table-granularity consumer shares: the
+        packed :meth:`batch_query` and every shard of a sharded index.
+
+        This reference version gathers every hit and then clips
+        (:func:`clip_batch_hits`); :class:`PackedBackend` clips on the
+        count matrix first, so no table past a query's stopping table is
+        ever gathered."""
+        return clip_batch_hits(
+            self.batch_query_hits(comps), len(comps), max_retrieved
+        )
 
     def _scan(
         self, buckets, max_retrieved: int | None
@@ -826,29 +850,38 @@ class PackedBackend(IndexBackend):
             counts[t] = np.where(found, offsets[pos_c + 1] - lo, 0)
         return starts, counts
 
-    def batch_query(
-        self, comps: list[np.ndarray], max_retrieved: int | None = None
-    ) -> list[CandidateResult]:
-        """Vectorized probe: one lookup, the budget clip on the count
-        matrix (clipped tables are never gathered), one gather of every
-        query's stream in the narrowed id dtype, then
-        :func:`batch_results`."""
-        n_tables = len(comps)
+    def budgeted_hits(
+        self, comps: list[np.ndarray], max_retrieved: int | None
+    ) -> BatchHits:
+        """Clip before the gather: one lookup, the budget clip on the count
+        matrix, then one gather of the included buckets only, in the
+        stored (possibly int32) id dtype."""
         starts, counts = self._lookup(comps)
         full = counts.T
-        included, truncated = _table_clip(full, n_tables, max_retrieved)
+        included, truncated = _table_clip(full, len(comps), max_retrieved)
         kept = np.where(included, full, 0)
         offsets = np.zeros(full.shape[0] + 1, dtype=np.int64)
         np.cumsum(kept.sum(axis=1), out=offsets[1:])
         # Query-major so each query's hits are contiguous and table-major.
-        block = BatchHits(
+        return BatchHits(
             hits=segment_gather(self._ids, starts.T.ravel(), kept.ravel()),
             offsets=offsets,
             table_counts=kept,
             truncated=truncated,
-            full_table_counts=full,
+            full_table_counts=None if max_retrieved is None else full,
         )
-        return batch_results(block, n_tables, self._n_points, max_retrieved)
+
+    def batch_query(
+        self, comps: list[np.ndarray], max_retrieved: int | None = None
+    ) -> list[CandidateResult]:
+        """Vectorized probe: :meth:`budgeted_hits`, then
+        :func:`batch_results`."""
+        return batch_results(
+            self.budgeted_hits(comps, max_retrieved),
+            len(comps),
+            self._n_points,
+            max_retrieved,
+        )
 
     def batch_query_hits(
         self, comps: list[np.ndarray], max_hits: int | None = None

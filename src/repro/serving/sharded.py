@@ -29,14 +29,18 @@ Two serving modes share the merge:
   No table data is ever pickled, and the OS page cache shares the mapped
   arrays across workers.
 
-Each pool worker applies the exactness-preserving table-granularity
-``max_retrieved`` clip (:func:`~repro.index.backends.clip_batch_hits`)
-before returning, so only hits the merge can actually use cross the
-executor pipe; the pre-clip ``full_table_counts`` ride along and the
-merged :func:`~repro.index.backends.budget_truncation` runs on the *full*
-merged counts, keeping results bit-identical to the unsharded index.
-The clipped :class:`~repro.index.backends.BatchHits` is returned as is,
-pickled through the pipe.
+Every shard — a pool worker or an in-process shard alike — probes
+through :meth:`~repro.index.backends.IndexBackend.budgeted_hits`, which
+applies the exactness-preserving table-granularity ``max_retrieved`` clip
+*before* the gather: a packed shard clips on its per-table count matrix
+and gathers only the buckets up to its local stopping table, so hits the
+merge could never use are neither gathered nor shipped.  The pre-clip
+``full_table_counts`` ride along and the merged
+:func:`~repro.index.backends.budget_truncation` runs on the *full* merged
+counts, keeping results bit-identical to the unsharded index.  A pool
+worker returns its clipped :class:`~repro.index.backends.BatchHits` as
+is, pickled through the pipe, in the backend's id dtype (int32 when the
+shard's ids fit); the merge widens to int64 when it lifts ids to global.
 
 Fault tolerance
 ---------------
@@ -89,7 +93,6 @@ from repro.index.backends import (
     CandidateResult,
     _table_clip,
     batch_results,
-    clip_batch_hits,
     segment_gather,
 )
 from repro.index.lsh_index import (
@@ -231,15 +234,16 @@ def _pool_batch_hits(
     max_retrieved: int | None = None,
     verify: str = "lazy",
 ) -> BatchHits:
-    """Pool worker: resolve one shard's hit streams for a query chunk and
-    budget-clip them shard-locally before they are pickled back.
-    Shard (re)loads verify the bundle at the ``verify`` level the index
-    was loaded with, so a hot-swapped-in corrupted file is rejected here
-    instead of silently served."""
+    """Pool worker: resolve one shard's hit streams for a query chunk,
+    budget-clipped shard-locally before the gather, ready to be pickled
+    back.  Shard (re)loads verify the bundle at the ``verify`` level the
+    index was loaded with, so a hot-swapped-in corrupted file is rejected
+    here instead of silently served."""
     fault_point("pool_worker")
     index = _cached_shard(shard_path, mmap, verify)
-    return clip_batch_hits(
-        index.batch_query_hits(queries), index.n_tables, max_retrieved
+    queries = _check_query_block(queries, index.dim)
+    return index._backend.budgeted_hits(
+        index._query_components(queries), max_retrieved
     )
 
 
@@ -282,7 +286,7 @@ def _merge_blocks(
     single :func:`~repro.index.backends.segment_gather`, and
     :func:`~repro.index.backends.batch_results` builds the results.  The
     budget runs on the **pre-clip** merged per-table counts, so
-    worker-side clipping never changes the merged stopping table,
+    shard-local clipping never changes the merged stopping table,
     retrieval stats, or candidate stream: a clipped block only omits hits
     past its shard-local stopping table, which is never before the merged
     one.  ``degraded=True`` stamps every result's ``stats.degraded``.
@@ -304,13 +308,18 @@ def _merge_blocks(
     # Every block's hits, lifted to global ids, in one flat array.  A
     # block's stream is exactly its (query, table) segments in order, so
     # the flat array is laid out (shard, query, table) like ``clipped``.
+    # Blocks may carry int32 shard-local ids: the add runs in int64 so a
+    # global id past the int32 range cannot wrap.
     flat = np.empty(
         sum(b.hits.size for chunks in blocks for b in chunks), dtype=np.int64
     )
     pos = 0
     for offset, chunks in zip(offsets, blocks):
         for b in chunks:
-            np.add(b.hits, offset, out=flat[pos : pos + b.hits.size])
+            np.add(
+                b.hits, offset, out=flat[pos : pos + b.hits.size],
+                dtype=np.int64,
+            )
             pos += b.hits.size
     sizes = clipped.ravel()
     starts = (np.cumsum(sizes) - sizes).reshape(clipped.shape)
@@ -407,7 +416,8 @@ class ShardedIndex:
         #: through the executor pipe), ``tasks`` and ``chunks``
         #: submitted, and ``shm_bytes``, always 0 (perfbench's
         #: ``sharded-pool`` workload still reads it).  ``None`` before
-        #: any pool query.
+        #: any pool query; like :attr:`last_health`, also populated (with
+        #: the bytes and tasks so far) when the request raises.
         self.last_transport: dict[str, int] | None = None
         #: Recovery accounting for the most recent pool ``batch_query``:
         #: ``mode``, ``retries`` (task re-submissions), ``respawns``
@@ -473,15 +483,16 @@ class ShardedIndex:
 
     # -- querying --------------------------------------------------------
 
-    def _shard_blocks(self, queries: np.ndarray) -> list[list[BatchHits]]:
-        """In-process per-shard hit streams (unclipped, one chunk each):
-        all shards share the hash pairs, so hash the query block once and
-        probe each shard's backend directly."""
-        comps = [
-            pair.hash_query(queries) for pair in self._shards[0]._pairs
-        ]
+    def _shard_blocks(
+        self, queries: np.ndarray, max_retrieved: int | None
+    ) -> list[list[BatchHits]]:
+        """In-process per-shard hit streams (one chunk each), each clipped
+        to ``max_retrieved`` at its shard-local stopping table before the
+        gather: all shards share the hash pairs, so hash the query block
+        once and probe each shard's backend directly."""
+        comps = self._shards[0]._query_components(queries)
         return [
-            [shard._backend.batch_query_hits(comps)]
+            [shard._backend.budgeted_hits(comps, max_retrieved)]
             for shard in self._shards
         ]
 
@@ -533,9 +544,16 @@ class ShardedIndex:
             "failed_shards": [],
             "degraded": False,
         }
+        # Published before any task runs, so a request that raises leaves
+        # its own transport (bytes and tasks so far) next to its health.
+        transport = {
+            "pipe_bytes": 0,
+            "shm_bytes": 0,
+            "tasks": 0,
+            "chunks": len(chunks),
+        }
         self.last_health = health
-        submitted = 0
-        pipe_bytes = 0
+        self.last_transport = transport
         attempts = 0
         while pending:
             pool = self._pool
@@ -560,7 +578,7 @@ class ShardedIndex:
                     )
             except BrokenExecutor:
                 broken = True
-            submitted += len(futures)
+            transport["tasks"] += len(futures)
             # Tasks never submitted (executor broke mid-fan-out) go
             # straight back on the retry list.
             retry: list[tuple[int, int]] = list(pending[len(futures):])
@@ -593,7 +611,7 @@ class ShardedIndex:
                 except FaultInjected:
                     retry.append(key)
                     continue
-                pipe_bytes += block.nbytes
+                transport["pipe_bytes"] += block.nbytes
                 resolved[key] = block
             if broken:
                 health["respawns"] += 1
@@ -640,12 +658,6 @@ class ShardedIndex:
                 )
             health["degraded"] = True
         surviving = [s for s in range(len(paths)) if s not in failed]
-        self.last_transport = {
-            "pipe_bytes": int(pipe_bytes),
-            "shm_bytes": 0,
-            "tasks": submitted,
-            "chunks": len(chunks),
-        }
         return (
             [[resolved[(s, c)] for c in range(len(chunks))] for s in surviving],
             [int(self._bounds[s]) for s in surviving],
@@ -688,7 +700,7 @@ class ShardedIndex:
                 max_retrieved, degraded=degraded,
             )
         return _merge_blocks(
-            self._shard_blocks(queries),
+            self._shard_blocks(queries, max_retrieved),
             [int(b) for b in self._bounds[:-1]],
             self.n_tables, self.n_points, max_retrieved,
         )

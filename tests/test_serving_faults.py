@@ -256,6 +256,38 @@ class TestPoolRecovery:
                 flat.batch_query(queries), served.batch_query(queries)
             )
 
+    @pytest.mark.parametrize(
+        "options, action, count, error",
+        [
+            (ServingOptions(workers=1, timeout=1.0), "sleep:2.0", 1,
+             TimeoutError),
+            (ServingOptions(workers=1, max_retries=1, retry_backoff_s=0.01),
+             "kill", 10, PoolRecoveryError),
+        ],
+        ids=["timeout", "retries-exhausted"],
+    )
+    def test_failed_request_records_its_own_transport(
+        self, data, served_dir, fault_dir, shm_guard,
+        options, action, count, error,
+    ):
+        """A request that raises leaves its own transport accounting (the
+        tasks it submitted, no bytes back) next to its own health, not the
+        previous request's."""
+        _, queries = data
+        with load_index(served_dir / "srv", options=options) as served:
+            served.batch_query(queries)
+            healthy = served.last_transport
+            assert healthy["pipe_bytes"] > 0
+            faults.arm(fault_dir, "pool_worker", action, count=count)
+            with pytest.raises(error):
+                served.batch_query(queries)
+            failed = served.last_transport
+            assert failed is not healthy
+            assert failed["pipe_bytes"] == 0
+            assert failed["tasks"] >= 1
+            assert failed["chunks"] == healthy["chunks"]
+            faults.disarm_all(fault_dir)
+
     def test_kill_respawn_soak_leaks_nothing(
         self, data, flat, served_dir, fault_dir, shm_guard
     ):

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from repro.api import IndexSpec, build_index, load_index, save_index
+from repro.index import backends
+from repro.index.backends import clip_batch_hits
 from repro.serving import ServingOptions, ShardedIndex, shard_bounds
 from repro.spaces import hamming
 
@@ -252,6 +254,42 @@ class TestPoolTransport:
                 _spec().build(replacement).batch_query(queries),
                 served.batch_query(queries),
             )
+
+
+class TestShardLocalClip:
+    def test_budgeted_shards_gather_only_clipped_hits(
+        self, data, monkeypatch
+    ):
+        """A budgeted in-process probe clips each shard on its count
+        matrix before the gather: the backends gather exactly the
+        shard-local clipped hits, never the full streams."""
+        points, queries = data
+        budget = 40
+        sharded = ShardedIndex(points, _spec(shards=4))
+        comps = sharded._shards[0]._query_components(queries)
+        streams = [
+            shard._backend.batch_query_hits(comps) for shard in sharded._shards
+        ]
+        clipped = sum(
+            clip_batch_hits(block, N_TABLES, budget).hits.size
+            for block in streams
+        )
+        unbudgeted = sum(block.hits.size for block in streams)
+        expected = _spec().build(points).batch_query(
+            queries, max_retrieved=budget
+        )
+
+        gathered = []
+        original = backends.segment_gather
+
+        def counting_gather(values, starts, lengths):
+            gathered.append(int(np.sum(lengths)))
+            return original(values, starts, lengths)
+
+        monkeypatch.setattr(backends, "segment_gather", counting_gather)
+        observed = sharded.batch_query(queries, max_retrieved=budget)
+        assert sum(gathered) == clipped < unbudgeted
+        _assert_results_equal(expected, observed)
 
 
 class TestPoolLifecycle:

@@ -1,10 +1,13 @@
-"""RR006 — budget clipping goes through ``clip_batch_hits``, never slices.
+"""RR006 — budget clipping goes through ``budgeted_hits``, never slices.
 
 The exactness argument of sharded serving (PR 4) hinges on *table-
 granularity* clipping: a shard may drop only the hits the merged
 Theorem 6.1 budget scan could never reach, and it must record the
 pre-clip ``full_table_counts`` so the merge recomputes exact stats.
-:func:`repro.index.backends.clip_batch_hits` implements exactly that.
+:meth:`repro.index.backends.IndexBackend.budgeted_hits` implements
+exactly that (the packed backend clips on the count matrix before it
+gathers), with :func:`repro.index.backends.clip_batch_hits` as its
+reference path for backends without a budgeted gather.
 Slicing a :class:`BatchHits` stream directly (``block.hits[:budget]``)
 cuts mid-table, loses the pre-clip counts, and silently breaks the
 bit-identical-to-unsharded guarantee — so any slice of a ``.hits``
@@ -32,8 +35,9 @@ class ClipDisciplineRule(Rule):
     rule_id = "RR006"
     name = "clip-discipline"
     rationale = (
-        "pool/merge code must reduce hit streams via clip_batch_hits "
-        "(table-granularity, pre-clip counts preserved); slicing "
+        "pool/merge code must reduce hit streams via budgeted_hits or "
+        "clip_batch_hits (table-granularity, pre-clip counts preserved); "
+        "slicing "
         ".hits directly breaks the exact-merge guarantee"
     )
 
@@ -55,7 +59,8 @@ class ClipDisciplineRule(Rule):
                 src,
                 node,
                 "direct slice of a BatchHits `.hits` stream: budget "
-                "reduction must go through clip_batch_hits so the clip "
+                "reduction must go through budgeted_hits or "
+                "clip_batch_hits so the clip "
                 "stays table-granular and full_table_counts survive for "
                 "the exact merge",
             )
