@@ -1,4 +1,4 @@
-"""Zero-copy persistence + multi-core sharded serving benchmark.
+"""Zero-copy persistence + sharded serving benchmark.
 
 Measures what the serving layer buys at production-ish scale (n = 100k
 points, L = 16 tables by default):
@@ -6,23 +6,18 @@ points, L = 16 tables by default):
 * **cold start** — reviving a saved packed index with ``load_index``
   (mmap'd CSR arrays, O(1) in ``n``) vs rebuilding from the spec
   (``O(L n)`` hash evaluations).  Asserted ≥ 10× at full size.
-* **batched query throughput** — a saved 4-shard index served by a
-  process pool with 4 workers vs 1 worker (identical machinery, so the
-  ratio isolates multi-core scaling).  Asserted ≥ 2.5× at full size
-  *when the host actually has ≥ 4 usable cores* — the assertion is
-  meaningless on smaller machines and is skipped with a note instead.
-* **result transport** — result-array bytes crossing the executor pipe per
-  pooled ``batch_query``, unbudgeted and with a worker-side budget clip
-  (reported, not asserted).
+* **sharded batch queries** — a saved 4-shard index, loaded back and
+  served in-process, vs the unsharded index (reported, not asserted:
+  sharding buys data partitioning and per-shard files, not speed).
 * **threaded build** — ``DSHIndex.build(workers=)`` per-table hashing
   speedup (reported, not asserted: thread scaling depends on BLAS/NumPy
   release behaviour per family).
 
-Every pool-served result — including a budgeted run that exercises the
-worker-side ``max_retrieved`` clip — is checked identical to the unsharded
-in-memory index before any timing is trusted.  Set ``BENCH_SMOKE=1`` to
-shrink the instance for CI smoke runs (assertions are only enforced at
-full size).
+Every sharded result — including a budgeted run that exercises the
+shard-local ``max_retrieved`` clip — is checked identical to the
+unsharded in-memory index before any timing is trusted.  Set
+``BENCH_SMOKE=1`` to shrink the instance for CI smoke runs (assertions
+are only enforced at full size).
 """
 
 import os
@@ -31,7 +26,6 @@ import tempfile
 import numpy as np
 
 from repro.api import IndexSpec, load_index, save_index
-from repro.serving import ServingOptions
 from repro.spaces import hamming
 
 from _harness import clustered_hamming, fmt_row, median_time, report, timed
@@ -45,10 +39,9 @@ D = 64
 K = 16
 SEED = 2018
 SHARDS = 4
-BUDGET = 16 * N_TABLES  # exercises the worker-side table-granularity clip
+BUDGET = 16 * N_TABLES  # exercises the shard-local table-granularity clip
 QUERY_REPEATS = 3 if SMOKE else 5
 MIN_COLD_START_SPEEDUP = 10.0
-MIN_POOL_SCALING = 2.5
 
 
 def _usable_cores() -> int:
@@ -70,19 +63,19 @@ def _spec(shards=1):
     )
 
 
-def _assert_pool_parity(served, queries, reference, reference_budget, label):
+def _assert_parity(served, queries, reference, reference_budget):
     results = served.batch_query(queries)
     assert [r.indices for r in results] == [
         r.indices for r in reference
     ] and [r.stats for r in results] == [
         r.stats for r in reference
-    ], f"pool results diverged at {label}"
+    ], "sharded results diverged"
     budgeted = served.batch_query(queries, max_retrieved=BUDGET)
     assert [r.indices for r in budgeted] == [
         r.indices for r in reference_budget
     ] and [r.stats for r in budgeted] == [
         r.stats for r in reference_budget
-    ], f"worker-clipped pool results diverged at {label}"
+    ], "budgeted sharded results diverged"
 
 
 def _run():
@@ -115,43 +108,34 @@ def _run():
             r.indices for r in reference
         ], "loaded index diverged from the original"
 
-        # Sharded pool serving: identical machinery at 1 vs 4 workers.
+        # Sharded serving: the saved shards loaded back, in-process.
         sharded_path = os.path.join(tmp, "sharded")
         sharded = _spec(shards=SHARDS).build(points, workers=2)
         save_index(sharded, sharded_path)
-        for workers in (1, 4):
-            with load_index(sharded_path, options=ServingOptions(workers=workers)) as served:
-                # Warm worker caches and verify both the plain and the
-                # worker-clipped paths before timing anything.
-                _assert_pool_parity(
-                    served, queries, reference, reference_budget,
-                    f"workers={workers}",
-                )
-                out[f"pool{workers}_s"] = median_time(
-                    lambda: served.batch_query(queries), QUERY_REPEATS
-                )
-                if workers == SHARDS:
-                    served.batch_query(queries)
-                    out["transport"] = dict(served.last_transport)
-                    served.batch_query(queries, max_retrieved=BUDGET)
-                    out["transport_budgeted"] = dict(served.last_transport)
+        served = load_index(sharded_path)
+        _assert_parity(served, queries, reference, reference_budget)
+        out["unsharded_s"] = median_time(
+            lambda: flat.batch_query(queries), QUERY_REPEATS
+        )
+        out["sharded_s"] = median_time(
+            lambda: served.batch_query(queries), QUERY_REPEATS
+        )
     return out
 
 
 def bench_sharded_serving(benchmark):
     """Time the persistence + sharded-serving sweep; require >= 10x cold
-    start vs rebuild, >= 2.5x batched throughput at 4 pool workers vs 1
-    (full size, >= 4 usable cores)."""
+    start vs rebuild (full size)."""
     timings = benchmark.pedantic(_run, rounds=1, iterations=1)
     cores = _usable_cores()
     cold_speedup = timings["rebuild_s"] / timings["load_s"]
     build_speedup = timings["build_serial_s"] / timings["build_threads_s"]
-    pool_scaling = timings["pool1_s"] / timings["pool4_s"]
-    qps = {w: N_QUERIES / timings[f"pool{w}_s"] for w in (1, 4)}
-    transport = timings["transport"]
-    transport_budgeted = timings["transport_budgeted"]
+    qps = {
+        name: N_QUERIES / timings[f"{name}_s"]
+        for name in ("unsharded", "sharded")
+    }
     lines = [
-        "Sharded serving: zero-copy cold start + process-pool batched "
+        "Sharded serving: zero-copy cold start + in-process sharded batch "
         f"queries (n={N_POINTS} clustered points, L={N_TABLES}, "
         f"c={K} components, {SHARDS} shards, {N_QUERIES} batched queries, "
         f"{cores} usable cores{', SMOKE' if SMOKE else ''})",
@@ -160,17 +144,14 @@ def bench_sharded_serving(benchmark):
         fmt_row("load_index (mmap)", timings["load_s"], width=28),
         fmt_row("build serial", timings["build_serial_s"], width=28),
         fmt_row("build 4 threads", timings["build_threads_s"], width=28),
-        fmt_row("batch query, pool x1", timings["pool1_s"], width=28),
-        fmt_row("batch query, pool x4", timings["pool4_s"], width=28),
+        fmt_row("batch query, unsharded", timings["unsharded_s"], width=28),
+        fmt_row(f"batch query, {SHARDS} shards", timings["sharded_s"],
+                width=28),
         "",
         f"cold-start speedup (load vs rebuild): x{cold_speedup:.1f}",
         f"threaded build speedup: x{build_speedup:.2f}",
-        f"pool throughput: {qps[1]:.0f} q/s @1 worker, "
-        f"{qps[4]:.0f} q/s @4 workers (x{pool_scaling:.2f})",
-        f"transport: {transport['pipe_bytes']} B over the pipe "
-        f"({transport['tasks']} tasks / {transport['chunks']} chunks)",
-        f"worker-clipped (max_retrieved={BUDGET}): "
-        f"{transport_budgeted['pipe_bytes']} B over the pipe",
+        f"batch throughput: {qps['unsharded']:.0f} q/s unsharded, "
+        f"{qps['sharded']:.0f} q/s over {SHARDS} loaded shards",
     ]
     report(
         "sharded_serving",
@@ -178,19 +159,12 @@ def bench_sharded_serving(benchmark):
         metrics={
             "cold_start_speedup": cold_speedup,
             "threaded_build_speedup": build_speedup,
-            "pool_scaling_4v1": pool_scaling,
-            "queries_per_s": {"workers_1": qps[1], "workers_4": qps[4]},
-            "transport": {
-                "pipe_bytes": transport["pipe_bytes"],
-                "tasks": transport["tasks"],
-                "chunks": transport["chunks"],
-                "budgeted_pipe_bytes": transport_budgeted["pipe_bytes"],
-            },
+            "queries_per_s": qps,
             "median_s": {
                 key: timings[key]
                 for key in (
                     "rebuild_s", "load_s", "build_serial_s",
-                    "build_threads_s", "pool1_s", "pool4_s",
+                    "build_threads_s", "unsharded_s", "sharded_s",
                 )
             },
         },
@@ -206,20 +180,9 @@ def bench_sharded_serving(benchmark):
         },
     )
     # Timing assertions only at full size — smoke instances are small
-    # enough that process startup and scheduler noise dominate.
+    # enough that scheduler noise dominates.
     if not SMOKE:
         assert cold_speedup >= MIN_COLD_START_SPEEDUP, (
             f"mmap cold start only x{cold_speedup:.1f} faster than rebuild "
             f"(required x{MIN_COLD_START_SPEEDUP})"
         )
-        if cores >= 4:
-            assert pool_scaling >= MIN_POOL_SCALING, (
-                f"4-worker pool only x{pool_scaling:.2f} over 1 worker "
-                f"(required x{MIN_POOL_SCALING})"
-            )
-        else:
-            print(
-                f"[sharded_serving] NOTE: only {cores} usable core(s); "
-                f"skipping the >=x{MIN_POOL_SCALING} 4-worker scaling "
-                "assertion (needs >= 4 cores to be meaningful)"
-            )

@@ -1,8 +1,7 @@
-"""Serving workflow: build once, save, zero-copy reload, shard for cores.
+"""Serving workflow: build once, save, zero-copy reload, shard the data.
 
 A production serving tier should not re-hash the whole point set on every
-cold start, and a batched query stream should use every core.  This script
-walks the full lifecycle:
+cold start.  This script walks the full lifecycle:
 
 1. build a packed Theorem 6.1 index and **save** it (`save_index`): the CSR
    table arrays land in one uncompressed `.npz`, the spec + sampled-pair
@@ -10,15 +9,14 @@ walks the full lifecycle:
 2. **reload** it (`load_index`): the arrays come back as read-only memory
    maps — cold start is file-open time, O(1) in n — and answers are
    byte-identical to the original;
-3. build the same spec with ``shards=4``: a `ShardedIndex` that partitions
-   the points into contiguous shards with identical hash pairs, saves one
-   file pair per shard, and (reloaded with ``workers=``) fans `batch_query`
-   out over a persistent process pool whose workers mmap the shard files —
-   no table data is ever pickled.  Hit streams come back pickled through
-   the executor pipe, and a ``max_retrieved`` budget is clipped *inside
-   the workers* (exactly — merged results stay bit-identical), so the
-   pipe carries only hits the merge can use;
-   ``pool_index.last_transport`` reports the bytes.
+3. build the same spec with ``shards=4`` (hashing the shards on two build
+   threads): a `ShardedIndex` that partitions the points into contiguous
+   shards with identical hash pairs and saves one file pair per shard.
+   Reloaded, it memory-maps every shard in this process, hashes each
+   query block once, probes the shards one after another and merges their
+   hit streams exactly — results stay bit-identical to the unsharded
+   index, with a ``max_retrieved`` budget clipped per shard before the
+   gather.
 
 Run:  python examples/sharded_serving.py
 """
@@ -30,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.api import build_index, load_index, save_index
-from repro.serving import ServingOptions
 from repro.spaces import hamming
 
 RNG_SEED = 2018
@@ -81,26 +78,23 @@ def main():
         save_index(sharded, shard_base)
         print(f"sharded save: {sharded!r}")
 
-        with load_index(shard_base, options=ServingOptions(workers=2)) as pool_index:
-            print(f"pool serving: {pool_index!r}")
-            pooled = pool_index.batch_query(queries)
-            assert [r.indices for r in pooled] == [
-                r.indices for r in reference
-            ]
-            start = time.perf_counter()
-            pool_index.batch_query(queries)
-            pool_s = time.perf_counter() - start
-            transport = pool_index.last_transport
-            print(
-                f"pooled batch of {N_QUERIES} queries: {pool_s * 1e3:.0f} ms "
-                f"({N_QUERIES / pool_s:.0f} q/s), results identical to the "
-                "unsharded in-memory index"
-            )
-            print(
-                f"transport: {transport['pipe_bytes']} B over the executor "
-                f"pipe ({transport['tasks']} tasks across "
-                f"{transport['chunks']} query chunks)"
-            )
+        start = time.perf_counter()
+        sharded_served = load_index(shard_base)
+        shard_load_s = time.perf_counter() - start
+        print(f"sharded load: {sharded_served!r} in {shard_load_s * 1e3:.1f} ms")
+        answers = sharded_served.batch_query(queries)
+        assert [r.indices for r in answers] == [r.indices for r in reference]
+        start = time.perf_counter()
+        sharded_served.batch_query(queries)
+        batch_s = time.perf_counter() - start
+        print(
+            f"sharded batch of {N_QUERIES} queries: {batch_s * 1e3:.0f} ms "
+            f"({N_QUERIES / batch_s:.0f} q/s), results identical to the "
+            "unsharded in-memory index"
+        )
+        budgeted = sharded_served.batch_query(queries, max_retrieved=8 * L)
+        assert budgeted == index.batch_query(queries, max_retrieved=8 * L)
+        print(f"budgeted (max_retrieved={8 * L}): identical as well")
 
 
 if __name__ == "__main__":

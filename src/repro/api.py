@@ -691,19 +691,10 @@ def load_index(
 
     A sharded save (``ShardedIndex.save`` / a spec with ``shards > 1``)
     is detected from the sidecar and dispatched to
-    :meth:`~repro.serving.sharded.ShardedIndex.load`; ``options.workers``
-    then selects process-pool serving (it is invalid for single indexes)
-    — query blocks are chunked across ``(shard, chunk)`` tasks, and
-    workers apply the exactness-preserving ``max_retrieved`` clip
-    shard-locally before pickling their hits back through the executor
-    pipe (see :mod:`repro.serving.sharded`).  Pool workers cache each
-    shard by ``(path, mtime_ns, size)``, so re-saving a shard file in
-    place is picked up on the next request.  ``options.on_shard_failure``
-    (sharded pool serving only) selects what ``batch_query`` does once a
-    shard's retries are exhausted: ``"raise"`` propagates the failure,
-    ``"degrade"`` serves the surviving shards' exact merge with
-    ``QueryStats.degraded=True`` and the failure recorded in
-    ``ShardedIndex.last_health``.
+    :meth:`~repro.serving.sharded.ShardedIndex.load`, which opens every
+    shard in the calling process under the same ``mmap`` and ``verify``
+    options.  ``options.workers`` selects nothing; it is still rejected
+    for single-file indexes.
     """
     from repro.serving.options import ServingOptions
 
@@ -719,11 +710,6 @@ def load_index(
         raise ValueError(
             "workers= applies to sharded indexes only; this file holds a "
             "single index"
-        )
-    if opts.on_shard_failure != "raise":
-        raise ValueError(
-            "on_shard_failure= applies to sharded indexes only; this "
-            "file holds a single index"
         )
     spec = IndexSpec.from_dict(sidecar["spec"])
     arrays = read_arrays(npz_path, mmap=opts.mmap)

@@ -30,7 +30,7 @@ Memory contract.  Each sampled pair keeps its first projection chunk,
 ``min(m, 2048) x d`` float64, drawn lazily from the pair's seed on the first
 ``h`` or ``g`` call and shared by both sides: ``8 * d * min(m, 2048)`` bytes
 per filter, held for the pair's lifetime.  An annulus index holds ``2 L``
-filters, and every replica or pool worker holds its own copy: ~3.4 MB for
+filters, and every replica holds its own copy: ~3.4 MB for
 ``L = 32``, ``d = 32``, ``t = 1.8`` (``m = 414``), but 12.6 MB per filter and
 ~0.8 GB per ``L = 32`` index at ``d = 768`` once ``m >= 2048``.  Later chunks,
 needed only when ``m > 2048``, are replayed from the generator state saved

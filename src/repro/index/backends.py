@@ -73,11 +73,9 @@ class QueryStats:
     truncated:
         Whether an early-termination candidate budget stopped the scan.
     degraded:
-        Whether the result was served in degraded mode — one or more
-        shards of a :class:`~repro.serving.sharded.ShardedIndex` failed
-        and only the surviving shards contributed (exactly).  Always
-        ``False`` for single-index queries and healthy sharded serving;
-        the failed-shard list rides in ``ShardedIndex.last_health``.
+        Always ``False``: no query surface serves a partial answer.  Kept
+        because the ``sharded-pool`` benchmark workload checks it and
+        digests it with every result.
     """
 
     retrieved: int = 0
@@ -170,16 +168,6 @@ class BatchHits:
             self.table_counts
             if self.full_table_counts is None
             else self.full_table_counts
-        )
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the block's arrays: its transport size, less the
-        pickle framing."""
-        arrays = (self.hits, self.offsets, self.table_counts, self.truncated)
-        extra = self.full_table_counts
-        return sum(a.nbytes for a in arrays) + (
-            0 if extra is None else extra.nbytes
         )
 
     def segment(self, i: int) -> np.ndarray:
@@ -278,7 +266,6 @@ def batch_results(
     n_tables: int,
     n_points: int,
     max_retrieved: int | None,
-    degraded: bool = False,
 ) -> list[CandidateResult]:
     """Turn a budget-clipped, table-major hit stream into one
     :class:`CandidateResult` per query — the single result builder behind
@@ -290,8 +277,7 @@ def batch_results(
     ``pre_clip_table_counts``; those counts give ``tables_probed`` and
     ``truncated`` through :func:`budget_truncation`.  Hit ids must lie in
     ``[0, n_points)``; candidates keep first-seen order
-    (:func:`first_seen_dedup`).  ``degraded`` stamps every result's
-    ``stats.degraded``.
+    (:func:`first_seen_dedup`).
     """
     tables_probed, truncated = budget_truncation(
         block.pre_clip_table_counts, n_tables, max_retrieved
@@ -321,7 +307,6 @@ def batch_results(
                     unique_candidates=len(ordered),
                     tables_probed=probed,
                     truncated=cut,
-                    degraded=degraded,
                 ),
             )
         )

@@ -16,8 +16,8 @@ stores members uncompressed (``ZIP_STORED``): each member is a verbatim
 zip's local headers ourselves and hand back :class:`numpy.memmap` views
 directly into the file (:func:`read_arrays`).  Cold start is then O(1) in
 the number of indexed points — file open + header parse — and the OS page
-cache shares the table arrays between every process serving the same index,
-which is what makes multi-worker sharded serving cheap.
+cache shares the table arrays between every process and every replica
+serving the same index.
 
 Compressed or otherwise non-mappable members fall back to an in-memory
 read, so the function degrades gracefully on foreign archives.
@@ -95,8 +95,8 @@ class IndexIntegrityError(ValueError):
     def __reduce__(
         self,
     ) -> tuple[type["IndexIntegrityError"], tuple[str], dict[str, str]]:
-        """Pickle support: integrity errors raised inside pool workers
-        must cross the executor pipe intact (message *and* ``kind``)."""
+        """Pickle support: the error survives a pickle round trip intact,
+        message *and* ``kind``."""
         return (type(self), (self.args[0],), {"kind": self.kind})
 
 

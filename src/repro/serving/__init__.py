@@ -2,9 +2,8 @@
 
 * :mod:`repro.serving.sharded` — :class:`~repro.serving.sharded.ShardedIndex`:
   contiguous data-partition sharding of the Theorem 6.1 index with exact
-  candidate-stream merging, persisted shard files, process-pool fan-out
-  for multi-core batched serving, and fault tolerance (pool crash
-  recovery, graceful shard degradation).
+  candidate-stream merging, persisted and integrity-checked shard files,
+  and a shard-file health probe.  Shards are always served in-process.
 * :mod:`repro.serving.server` — :class:`~repro.serving.server.AsyncIndexServer`:
   the asyncio front door that coalesces concurrent single-query traffic
   into micro-batches over replicated snapshots, with backpressure
@@ -15,16 +14,12 @@
   :class:`~repro.serving.options.ServingOptions` bag every serving
   entry point (`load_index`, `ShardedIndex.load`, `AsyncIndexServer`)
   accepts, with dict/JSON round-trip alongside ``IndexSpec``.
-* :mod:`repro.serving.faults` — opt-in fault-injection hooks (worker
-  kill/raise/hang, bundle corruption) for chaos tests and recovery
-  benchmarks.
 
 Persistence itself (save/load, zero-copy mmap cold starts, integrity
 checksums) lives one layer down: :func:`repro.api.save_index` /
 :func:`repro.api.load_index` and :mod:`repro.index.persistence`.
 """
 
-from repro.serving.faults import FaultInjected
 from repro.serving.options import ServingOptions
 from repro.serving.server import (
     AsyncIndexServer,
@@ -35,7 +30,6 @@ from repro.serving.server import (
     serve_in_thread,
 )
 from repro.serving.sharded import (
-    PoolRecoveryError,
     ShardedIndex,
     check_manifest_coherence,
     shard_bounds,
@@ -43,8 +37,6 @@ from repro.serving.sharded import (
 
 __all__ = [
     "ShardedIndex",
-    "PoolRecoveryError",
-    "FaultInjected",
     "ServingOptions",
     "AsyncIndexServer",
     "ServerHandle",

@@ -1,11 +1,10 @@
 """One frozen bag for every serving knob.
 
 Serving configuration used to travel as a sprawl of loose keywords —
-``mmap=`` / ``workers=`` / ``verify=`` / ``on_shard_failure=`` on the
-loaders, ``max_retries`` / ``retry_backoff_s`` as post-construction
-attributes, ``timeout=`` per call — and each new entry point had to
-re-plumb all of them.  :class:`ServingOptions` consolidates the set
-into a single frozen dataclass that :func:`repro.api.load_index`,
+``mmap=`` / ``workers=`` / ``verify=`` on the loaders — and each new
+entry point had to re-plumb all of them.  :class:`ServingOptions`
+consolidates the set into a single frozen dataclass that
+:func:`repro.api.load_index`,
 :meth:`repro.serving.sharded.ShardedIndex.load`, and
 :class:`repro.serving.server.AsyncIndexServer` all accept as
 ``options=``, with a dict/JSON round-trip mirroring
@@ -21,17 +20,7 @@ from typing import Any, Mapping
 
 from repro.index.persistence import VERIFY_MODES
 
-__all__ = [
-    "DEFAULT_MAX_RETRIES",
-    "DEFAULT_RETRY_BACKOFF_S",
-    "FAILURE_MODES",
-    "ServingOptions",
-]
-
-DEFAULT_MAX_RETRIES = 2
-DEFAULT_RETRY_BACKOFF_S = 0.05
-
-FAILURE_MODES = ("raise", "degrade")
+__all__ = ["ServingOptions"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,38 +28,24 @@ class ServingOptions:
     """Frozen serving configuration shared by every query surface.
 
     ``workers``
-        Process-pool size for sharded serving (``None`` = query shards
-        in-process on the caller's thread).  Must be ``None`` for
-        single-file indexes.
+        Selects nothing: sharded indexes are always served in-process.
+        It is still validated (``None`` or ``>= 1``, and ``None`` for
+        single-file indexes) only because the ``sharded-pool`` benchmark
+        workload passes ``workers=2``; the next change to that benchmark
+        removes it.
     ``mmap``
         Memory-map array payloads on load (O(1) cold start) instead of
         materialising them.
     ``verify``
-        Integrity mode for every bundle load — at load time and, for pool
-        serving, on every worker-side shard (re)load: ``"eager"``
-        (re-checksum every member), ``"lazy"`` (the O(1) structural
-        check: recorded file size, readable archive), or ``"off"``.
-    ``on_shard_failure``
-        ``"raise"`` surfaces a dead shard as :class:`PoolRecoveryError`;
-        ``"degrade"`` serves from the surviving shards and marks results
-        ``stats.degraded``.  Must be ``"raise"`` for single-file indexes.
-    ``timeout``
-        Per-request deadline in seconds for sharded pool serving
-        (``None`` = wait indefinitely).
-    ``max_retries`` / ``retry_backoff_s``
-        Crash-recovery budget per request: at most ``max_retries`` retry
-        rounds of the failed ``(shard, chunk)`` tasks, with an
-        exponential backoff of ``retry_backoff_s * 2**(round - 1)``
-        seconds before round ``round``.
+        Integrity mode for every bundle load, shard bundles included:
+        ``"eager"`` (re-checksum every member), ``"lazy"`` (the O(1)
+        structural check: recorded file size, readable archive), or
+        ``"off"``.
     """
 
     workers: int | None = None
     mmap: bool = True
     verify: str = "lazy"
-    on_shard_failure: str = "raise"
-    timeout: float | None = None
-    max_retries: int = DEFAULT_MAX_RETRIES
-    retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S
 
     def __post_init__(self) -> None:
         """Validate every field eagerly so bad configs fail at build time."""
@@ -79,19 +54,6 @@ class ServingOptions:
         if self.verify not in VERIFY_MODES:
             raise ValueError(
                 f"unknown verify mode {self.verify!r}; expected one of {VERIFY_MODES}"
-            )
-        if self.on_shard_failure not in FAILURE_MODES:
-            raise ValueError(
-                f"unknown on_shard_failure mode {self.on_shard_failure!r}; "
-                f"expected one of {FAILURE_MODES}"
-            )
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be None or > 0, got {self.timeout}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_backoff_s < 0:
-            raise ValueError(
-                f"retry_backoff_s must be >= 0, got {self.retry_backoff_s}"
             )
 
     def to_dict(self) -> dict[str, Any]:

@@ -7,9 +7,8 @@ real-traffic setting where "millions of users" each arrive with a
 gap: concurrent single-query requests are admitted into a bounded
 queue, coalesced into micro-batches under a ``max_batch`` /
 ``max_wait_us`` window, executed on replicated index snapshots in a
-thread pool (NumPy kernels release the GIL; sharded replicas fan out
-further to their own process pools), and fanned back out one result
-per request — so interactive traffic rides the ×10–15 batch-query
+thread pool (NumPy kernels release the GIL, so replicas overlap their
+array work), and fanned back out one result per request — so interactive traffic rides the ×10–15 batch-query
 amortization instead of paying the per-call overhead ``n`` times.
 
 Design points:
@@ -24,8 +23,8 @@ Design points:
   it is full the request is *shed* immediately with a typed
   :class:`ServerOverloadedError` rather than queued into collapse.
 * **Health routing.**  A replica whose execution fails with an
-  infrastructure error (:class:`PoolRecoveryError`,
-  :class:`IndexIntegrityError`, ``OSError``) is marked unhealthy and
+  infrastructure error (:class:`IndexIntegrityError`, ``OSError``,
+  e.g. a shard file that can no longer be read) is marked unhealthy and
   routed around; :meth:`AsyncIndexServer.check_health` re-probes via
   each replica's own ``health()`` and restores recovered replicas.
 * **Hot swap.**  :meth:`AsyncIndexServer.swap` loads a new snapshot
@@ -60,7 +59,6 @@ import numpy as np
 from repro.index.lsh_index import _check_budget, _check_single_query
 from repro.index.persistence import IndexIntegrityError
 from repro.serving.options import ServingOptions
-from repro.serving.sharded import PoolRecoveryError
 
 __all__ = [
     "AsyncIndexServer",
@@ -87,7 +85,7 @@ DEFAULT_MAX_PENDING = 1_024
 
 #: Infrastructure failures that mark a replica unhealthy and reroute the
 #: batch (vs. request errors, which propagate to the caller).
-_REPLICA_ERRORS = (PoolRecoveryError, IndexIntegrityError, OSError)
+_REPLICA_ERRORS = (IndexIntegrityError, OSError)
 
 
 class ServerOverloadedError(RuntimeError):
@@ -206,7 +204,7 @@ def _load_replicas(path: str, count: int, options: ServingOptions) -> list[Any]:
 
 def _close_replicas(replicas: list[Any]) -> None:
     """Executor-side snapshot teardown: close every replica that has a
-    ``close`` (pool-serving ShardedIndex); plain mmap indexes just drop."""
+    ``close``; plain mmap indexes just drop."""
     for replica in replicas:
         closer = getattr(replica, "close", None)
         if callable(closer):
@@ -226,7 +224,7 @@ def _replica_batch_query(
 
 def _probe_replica(replica: Any) -> dict[str, Any]:
     """Executor-side health probe: defer to the replica's own ``health()``
-    when it has one (ShardedIndex: shard files + pool round trip), else
+    when it has one (ShardedIndex: its shard files), else
     report a plain in-process replica as healthy."""
     health = getattr(replica, "health", None)
     if callable(health):
@@ -250,8 +248,7 @@ class AsyncIndexServer:
     ``max_pending`` the admission queue (see the module docstring), and
     ``options`` is the same frozen
     :class:`~repro.serving.options.ServingOptions` every other query
-    surface takes — ``options.timeout`` becomes the per-batch deadline
-    for sharded replicas.
+    surface takes; every replica is loaded with it.
 
     Lifecycle: ``await start()`` (or ``async with``) before
     :meth:`query`; ``await close()`` drains in-flight work and releases
@@ -411,10 +408,8 @@ class AsyncIndexServer:
 
         Sheds with :class:`ServerOverloadedError` when ``max_pending``
         admitted requests are still outstanding (queued or in flight).  Replica-side failures propagate:
-        :class:`PoolRecoveryError` when every replica's pool recovery is
-        exhausted, builtin :class:`TimeoutError` past an
-        ``options.timeout`` deadline, ``RuntimeError`` when every
-        replica has been routed out as unhealthy.
+        ``RuntimeError`` when every replica has been routed out as
+        unhealthy.
         """
         queue = self._require_running()
         snapshot = self._snapshot
@@ -675,8 +670,7 @@ class AsyncIndexServer:
 
     async def check_health(self) -> dict[str, Any]:
         """Probe every replica of the live generation via its own
-        ``health()`` (shard files + pool round trip for sharded
-        replicas); mark failing replicas unhealthy (routed around) and
+        ``health()`` (the shard files for sharded replicas); mark failing replicas unhealthy (routed around) and
         restore recovered ones into rotation.  Never raises for an
         unhealthy replica — the report carries the details.
         """
@@ -801,8 +795,8 @@ class ServerHandle:
     ) -> ServedResult:
         """Blocking single-query call; see
         :meth:`AsyncIndexServer.query` for semantics (including the
-        :class:`ServerOverloadedError` shed and propagated
-        :class:`PoolRecoveryError` / :class:`TimeoutError` failures)."""
+        :class:`ServerOverloadedError` shed and propagated replica
+        failures)."""
         return self._submit(  # type: ignore[no-any-return]
             self._server.query(query, max_retrieved)
         ).result()
@@ -813,8 +807,7 @@ class ServerHandle:
         """Submit every row as its own concurrent request (they coalesce
         server-side) and block for all results, in row order.  Failure
         semantics per row match :meth:`query` (shed requests raise
-        :class:`ServerOverloadedError`, replica failures propagate —
-        e.g. :class:`PoolRecoveryError`)."""
+        :class:`ServerOverloadedError`, replica failures propagate)."""
         block = np.atleast_2d(np.asarray(queries))
         futures = [
             self._submit(self._server.query(row, max_retrieved))

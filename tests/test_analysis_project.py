@@ -3,8 +3,8 @@
 Complements ``test_analysis_rules.py`` (which exercises the rules built on
 top): here we pin down the conservative resolver itself — aliased import
 chains, ``__init__`` re-exports, static/classmethod dispatch, executor
-submissions that must stay *unresolved* rather than guessed, partial
-unwrapping, raise-set filtering, and cycle/layer bookkeeping.
+submissions whose targets must stay *unresolved* rather than guessed,
+partial unwrapping, raise-set filtering, and cycle/layer bookkeeping.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def test_var_typed_local_dispatches_to_method():
 
 
 # ---------------------------------------------------------------------------
-# Executor submissions: resolved, partial, and conservatively unresolved
+# Executor submissions: the submitted callable is a callee, never guessed
 # ---------------------------------------------------------------------------
 
 
@@ -162,7 +162,7 @@ _POOL_PRELUDE = (
 )
 
 
-def test_submission_resolves_top_level_target():
+def test_submitted_top_level_target_is_a_callee():
     project = build(
         (
             "src/jobs.py",
@@ -173,14 +173,10 @@ def test_submission_resolves_top_level_target():
             "        return pool.submit(work, 1).result()\n",
         )
     )
-    (sub,) = project.submissions("jobs")
-    assert sub.pool_kind == "process"
-    assert sub.target_kind == "resolved"
-    assert sub.target == ("jobs", "work")
-    assert not sub.via_partial
+    assert project.callees("jobs", "run") == {("jobs", "work")}
 
 
-def test_submission_unwraps_functools_partial():
+def test_submitted_partial_is_unwrapped():
     project = build(
         (
             "src/jobs.py",
@@ -191,10 +187,7 @@ def test_submission_unwraps_functools_partial():
             "        return pool.submit(partial(work, y=2), 1).result()\n",
         )
     )
-    (sub,) = project.submissions("jobs")
-    assert sub.target_kind == "resolved"
-    assert sub.target == ("jobs", "work")
-    assert sub.via_partial
+    assert project.callees("jobs", "run") == {("jobs", "work")}
 
 
 def test_lambda_and_nested_function_submissions_stay_conservative():
@@ -213,18 +206,16 @@ def test_lambda_and_nested_function_submissions_stay_conservative():
             "        return a, b\n",
         )
     )
-    kinds = sorted(s.target_kind for s in project.submissions("jobs"))
-    # A lambda is identified as such; a nested function is *not* guessed
-    # to be the top-level symbol of the same name — it stays unresolved.
-    assert kinds == ["lambda", "unresolved"]
-    assert all(s.target is None for s in project.submissions("jobs"))
+    # A nested function is *not* guessed to be the top-level symbol of
+    # the same name, and a lambda is no callee at all.
+    assert project.callees("jobs", "run") == set()
 
 
 def test_pool_attribute_assigned_from_executor_is_typed():
     project = build(
         (
             "src/serve.py",
-            "from concurrent.futures import ProcessPoolExecutor\n"
+            "from concurrent.futures import ThreadPoolExecutor\n"
             "def work(x):\n"
             "    '''Doc.'''\n"
             "    return x\n"
@@ -232,16 +223,14 @@ def test_pool_attribute_assigned_from_executor_is_typed():
             "    '''Doc.'''\n"
             "    def __init__(self):\n"
             "        '''Doc.'''\n"
-            "        self._pool = ProcessPoolExecutor(2)\n"
+            "        self._pool = ThreadPoolExecutor(2)\n"
             "    def handle(self):\n"
             "        '''Doc.'''\n"
             "        pool = self._pool\n"
             "        return pool.submit(work, 1).result()\n",
         )
     )
-    (sub,) = project.submissions("serve")
-    assert sub.pool_kind == "process"
-    assert sub.target == ("serve", "work")
+    assert project.callees("serve", "Server.handle") == {("serve", "work")}
 
 
 # ---------------------------------------------------------------------------

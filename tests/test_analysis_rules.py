@@ -382,91 +382,6 @@ def test_rr009_flags_stale_raises_section():
 
 
 # ---------------------------------------------------------------------------
-# RR010 process-boundary
-# ---------------------------------------------------------------------------
-
-
-def test_rr010_flags_lambda_submitted_to_process_pool():
-    bad = (
-        "from concurrent.futures import ProcessPoolExecutor\n"
-        "def run():\n"
-        '    """Doc."""\n'
-        "    with ProcessPoolExecutor() as pool:\n"
-        "        return pool.submit(lambda: 1).result()\n"
-    )
-    found = lint(bad, select="RR010")
-    assert codes(found) == ["RR010"]
-    assert "lambda" in found[0].message
-
-
-def test_rr010_flags_nested_function_and_nested_exception():
-    nested_func = (
-        "from concurrent.futures import ProcessPoolExecutor\n"
-        "def run():\n"
-        '    """Doc."""\n'
-        "    def inner(x):\n"
-        '        """Doc."""\n'
-        "        return x\n"
-        "    with ProcessPoolExecutor() as pool:\n"
-        "        return pool.submit(inner, 1).result()\n"
-    )
-    assert codes(lint(nested_func, select="RR010")) == ["RR010"]
-    nested_exc = (
-        "from concurrent.futures import ProcessPoolExecutor\n"
-        "def work():\n"
-        '    """Doc."""\n'
-        "    class InnerError(ValueError):\n"
-        '        """Doc."""\n'
-        '    raise InnerError("x")\n'
-        "def run():\n"
-        '    """Doc."""\n'
-        "    with ProcessPoolExecutor() as pool:\n"
-        "        return pool.submit(work).result()\n"
-    )
-    found = lint(nested_exc, select="RR010")
-    assert codes(found) == ["RR010"]
-    assert "InnerError" in found[0].message
-
-
-def test_rr010_good_top_level_target_and_thread_pool():
-    good = (
-        "from concurrent.futures import ProcessPoolExecutor\n"
-        "def work(x):\n"
-        '    """Doc."""\n'
-        "    return x + 1\n"
-        "def run():\n"
-        '    """Doc."""\n'
-        "    with ProcessPoolExecutor() as pool:\n"
-        "        return pool.submit(work, 1).result()\n"
-    )
-    assert lint(good, select="RR010") == []
-    # Thread pools never cross a pickle boundary: lambdas are fine.
-    threads = (
-        "from concurrent.futures import ThreadPoolExecutor\n"
-        "def run():\n"
-        '    """Doc."""\n'
-        "    with ThreadPoolExecutor() as pool:\n"
-        "        return pool.submit(lambda: 1).result()\n"
-    )
-    assert lint(threads, select="RR010") == []
-
-
-def test_rr010_confines_fault_hooks_to_serving():
-    leak = "from repro.serving import faults\n"
-    assert codes(lint(leak, path="src/repro/api.py", select="RR010")) == [
-        "RR010"
-    ]
-    direct = "from repro.serving.faults import fault_point\n"
-    assert codes(lint(direct, path="src/repro/index/backends.py", select="RR010")) == [
-        "RR010"
-    ]
-    inside = "from repro.serving import faults\n"
-    assert (
-        lint(inside, path="src/repro/serving/sharded.py", select="RR010") == []
-    )
-
-
-# ---------------------------------------------------------------------------
 # RR011 layering
 # ---------------------------------------------------------------------------
 
@@ -586,37 +501,6 @@ def test_cli_select_rejects_empty_list_and_accepts_lowercase(tmp_path, capsys):
     assert main(["--select", "rr001", str(dirty)]) == 1
     assert main(["--select", "rr005, RR001", str(dirty)]) == 1
     assert main(["--select", "rr005", str(dirty)]) == 0
-
-
-def test_worker_reachable_exceptions_round_trip_pickle():
-    """RR010's premise, checked for real: every project exception type
-    reachable from a process-pool submission target must survive the
-    pickle round trip a crashed worker would put it through."""
-    import pickle
-
-    from tools.rrlint.project import Project
-
-    project, errors = Project.load([str(REPO_ROOT / "src")])
-    assert errors == []
-    checked = 0
-    for sub in project.submissions():
-        if sub.pool_kind != "process" or sub.target is None:
-            continue
-        for exc_module, exc_name in project.raise_set(*sub.target):
-            if exc_module not in project.modules:
-                continue
-            mod = __import__(exc_module, fromlist=[exc_name])
-            cls = getattr(mod, exc_name, None)
-            if cls is None or not isinstance(cls, type):
-                continue
-            try:
-                instance = cls("boom")
-            except TypeError:
-                instance = cls("boom", kind="self-check")
-            clone = pickle.loads(pickle.dumps(instance))
-            assert type(clone) is cls
-            checked += 1
-    assert checked > 0, "expected at least one worker-reachable exception"
 
 
 def test_cli_reports_parse_errors_as_failures(tmp_path, capsys):

@@ -2,10 +2,9 @@
 
 Covers coalescing edges (batch caps, zero windows, overflow), the
 result-exactness invariant (every coalesced response bit-identical to a
-direct ``batch_query`` of the same queries, including budget clipping
-and ``stats.degraded`` propagation), bounded-queue overload shedding,
-health-based replica routing under injected pool crashes, and
-zero-downtime hot swaps under concurrent load with zero dropped or
+direct ``batch_query`` of the same queries, including budget clipping),
+bounded-queue overload shedding, health-based replica routing under
+injected replica failures, and zero-downtime hot swaps under concurrent load with zero dropped or
 wrong-snapshot-mixed responses.
 
 No ``pytest-asyncio`` in the pinned environment: each test drives its
@@ -13,12 +12,14 @@ own event loop via ``asyncio.run``.
 """
 
 import asyncio
+import multiprocessing
 import os
 import shutil
 
 import numpy as np
 import pytest
 
+from _bundle_damage import delete_bundle, truncate_bundle
 from repro.api import IndexSpec, build_index, load_index, save_index
 from repro.index.persistence import IndexIntegrityError
 from repro.serving import (
@@ -27,9 +28,7 @@ from repro.serving import (
     ServingOptions,
     ShardedIndex,
     serve_in_thread,
-    shard_bounds,
 )
-from repro.serving import faults
 from repro.spaces import hamming, sphere
 
 D = 24
@@ -95,14 +94,6 @@ def served_dir(saved_sharded, tmp_path):
     for name in os.listdir(saved_sharded):
         shutil.copy2(saved_sharded / name, tmp_path / name)
     return tmp_path
-
-
-@pytest.fixture
-def fault_dir(tmp_path, monkeypatch):
-    directory = tmp_path / "fault-tokens"
-    monkeypatch.setenv(faults.ENV_FAULT_DIR, str(directory))
-    yield directory
-    faults.disarm_all(directory)
 
 
 # ---------------------------------------------------------------------------
@@ -473,63 +464,22 @@ class TestBackpressure:
 
 
 # ---------------------------------------------------------------------------
-# degraded results through the server
-# ---------------------------------------------------------------------------
-
-
-class TestDegradedPropagation:
-    def test_degraded_stats_propagate_through_server(
-        self, data, served_dir
-    ):
-        points, queries = data
-        split = int(shard_bounds(N_POINTS, 2)[1])
-        # The exact oracle: an unsharded index over shard 0's points.
-        survivor = _spec().build(points[:split])
-
-        async def scenario():
-            options = ServingOptions(
-                workers=1, on_shard_failure="degrade", verify="lazy"
-            )
-            async with AsyncIndexServer(
-                str(served_dir / "srv"),
-                max_batch=16,
-                max_wait_us=10_000,
-                options=options,
-            ) as server:
-                healthy = await server.query(queries[0])  # warm the pool
-                faults.delete_bundle(served_dir / "srv.shard1")
-                degraded = await asyncio.gather(
-                    *(server.query(q) for q in queries[:8])
-                )
-                return healthy, degraded
-
-        healthy, results = asyncio.run(scenario())
-        assert healthy.stats.degraded is False
-        reference = survivor.batch_query(queries[:8])
-        for served, ref in zip(results, reference):
-            assert served.indices == ref.indices
-            assert served.stats.degraded is True
-            assert served.stats.retrieved == ref.stats.retrieved
-            assert (
-                served.stats.unique_candidates == ref.stats.unique_candidates
-            )
-            assert served.stats.truncated == ref.stats.truncated
-
-
-# ---------------------------------------------------------------------------
 # health routing
 # ---------------------------------------------------------------------------
 
 
-class TestHealthRouting:
-    def test_pool_crash_marks_replica_unhealthy_and_reroutes(
-        self, data, served_dir, flat, fault_dir
+class TestShardedReplicas:
+    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "eager"])
+    def test_options_reach_every_replica_and_answers_stay_exact(
+        self, data, served_dir, flat, mmap
     ):
+        """Each replica of a sharded snapshot is loaded under the server's
+        options and serves in-process, exact for every budget."""
         _, queries = data
-        reference = flat.batch_query(queries[:6])
+        options = ServingOptions(mmap=mmap, verify="eager")
+        budgets = [None, 5, 40]
 
         async def scenario():
-            options = ServingOptions(workers=1, max_retries=0)
             async with AsyncIndexServer(
                 str(served_dir / "srv"),
                 replicas=2,
@@ -537,13 +487,60 @@ class TestHealthRouting:
                 max_wait_us=5_000,
                 options=options,
             ) as server:
-                # Warm both replicas' pools so the kill token lands in a
-                # live worker, then arm exactly one worker kill: the
-                # first batch after arming crashes its replica's pool,
-                # retries are exhausted (max_retries=0), the server
-                # marks that replica unhealthy and reroutes the batch.
+                replicas = list(server._snapshot.replicas)
+                results = {
+                    budget: await asyncio.gather(
+                        *(server.query(q, max_retrieved=budget)
+                          for q in queries[:8])
+                    )
+                    for budget in budgets
+                }
+                return replicas, results
+
+        replicas, results = asyncio.run(scenario())
+        assert len(replicas) == 2
+        for replica in replicas:
+            assert isinstance(replica, ShardedIndex)
+            assert replica.options == options
+        assert multiprocessing.active_children() == []
+        for budget in budgets:
+            reference = flat.batch_query(queries[:8], max_retrieved=budget)
+            for served, ref in zip(results[budget], reference):
+                _assert_exact(served, ref)
+                assert served.stats.degraded is False
+
+
+class TestHealthRouting:
+    @pytest.mark.parametrize(
+        "error",
+        [OSError("shard file unreadable"),
+         IndexIntegrityError("shard bundle damaged", kind="checksum")],
+        ids=["OSError", "IndexIntegrityError"],
+    )
+    def test_replica_failure_marks_it_unhealthy_and_reroutes(
+        self, data, served_dir, flat, error
+    ):
+        _, queries = data
+        reference = flat.batch_query(queries[:6])
+
+        async def scenario():
+            async with AsyncIndexServer(
+                str(served_dir / "srv"),
+                replicas=2,
+                max_batch=8,
+                max_wait_us=5_000,
+            ) as server:
                 await asyncio.gather(*(server.query(q) for q in queries[:2]))
-                faults.arm(fault_dir, "pool_worker", "kill", count=1)
+                # Replica 0's next batch fails once with an
+                # infrastructure error: the server marks it unhealthy and
+                # reroutes the batch to replica 1.
+                broken = server._snapshot.replicas[0]
+
+                def failing_once(*args, **kwargs):
+                    del broken.batch_query
+                    raise error
+
+                broken.batch_query = failing_once
                 results = await asyncio.gather(
                     *(server.query(q) for q in queries[:6])
                 )
@@ -556,21 +553,51 @@ class TestHealthRouting:
             _assert_exact(served, ref)
         assert metrics["failed"] == 0
         assert metrics["rerouted"] >= 1
-        # check_health re-probes: the crashed pool has respawned and the
-        # shard files are intact, so the replica returns to rotation.
+        # check_health re-probes: the shard files are intact, so the
+        # replica returns to rotation.
         assert health["ok"] is True
         assert health["unhealthy"] == []
+
+    def test_every_replica_failing_fails_the_batch_with_its_error(
+        self, data, served_dir, flat
+    ):
+        """With every replica failing, the batch fails with the last
+        replica's own error rather than hanging or a generic one; a
+        health probe on intact files restores both replicas."""
+        _, queries = data
+
+        async def scenario():
+            async with AsyncIndexServer(
+                str(served_dir / "srv"), replicas=2, max_wait_us=0
+            ) as server:
+                for replica in server._snapshot.replicas:
+
+                    def failing_once(*args, _replica=replica, **kwargs):
+                        del _replica.batch_query
+                        raise OSError("shard file unreadable")
+
+                    replica.batch_query = failing_once
+                with pytest.raises(OSError, match="unreadable"):
+                    await server.query(queries[0])
+                metrics = server.metrics()
+                health = await server.check_health()
+                recovered = await server.query(queries[1])
+                return metrics, health, recovered
+
+        metrics, health, recovered = asyncio.run(scenario())
+        assert metrics["failed"] == 1
+        assert metrics["rerouted"] == 2
+        assert health["ok"] is True
+        assert health["unhealthy"] == []
+        _assert_exact(recovered, flat.query(queries[1]))
 
     def test_check_health_reports_unhealthy_replicas(
         self, data, served_dir
     ):
         async def scenario():
-            options = ServingOptions(workers=1)
-            async with AsyncIndexServer(
-                str(served_dir / "srv"), options=options
-            ) as server:
+            async with AsyncIndexServer(str(served_dir / "srv")) as server:
                 before = await server.check_health()
-                faults.delete_bundle(served_dir / "srv.shard0")
+                delete_bundle(served_dir / "srv.shard0")
                 after = await server.check_health()
                 return before, after
 
@@ -695,7 +722,7 @@ class TestHotSwap:
             shutil.copy2(
                 str(root / "b") + suffix, str(broken) + suffix
             )
-        faults.truncate_bundle(broken)
+        truncate_bundle(broken)
         reference = index_a.batch_query(queries[:4])
 
         async def scenario():

@@ -7,8 +7,8 @@ Hypothesis draws the backend, ``L``, ``n`` (1-point shards included),
 query blocks with repeated rows and empty buckets, and Theorem 6.1
 budgets from 0 to unbounded.  The budgeted probe must equal the
 reference clip of the full stream (``clip_batch_hits``), and sharded
-serving — in-process and through a one-worker pool — must equal the
-unsharded index.
+serving — built, and loaded back from its saved shard files — must equal
+the unsharded index.
 """
 
 import dataclasses
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.api import IndexSpec, load_index
 from repro.index.backends import clip_batch_hits
-from repro.serving import ServingOptions, ShardedIndex
+from repro.serving import ShardedIndex
 from repro.spaces import hamming
 
 D = 16
@@ -104,7 +104,7 @@ def test_budgeted_hits_equals_reference_clip(case):
 
 @given(probe_cases())
 @settings(max_examples=25, deadline=None)
-def test_sharded_equals_unsharded_in_process_and_pool(case):
+def test_sharded_equals_unsharded_built_and_loaded(case):
     backend, n_tables, n_shards, points, queries, budget = case
     spec = _spec(backend, n_tables, n_shards)
     reference = dataclasses.replace(spec, shards=1).build(points)
@@ -115,8 +115,7 @@ def test_sharded_equals_unsharded_in_process_and_pool(case):
     )
     with tempfile.TemporaryDirectory() as root:
         sharded.save(f"{root}/srv")
-        options = ServingOptions(workers=1)
-        with load_index(f"{root}/srv", options=options) as served:
-            _assert_results_equal(
-                expected, served.batch_query(queries, max_retrieved=budget)
-            )
+        served = load_index(f"{root}/srv")
+        _assert_results_equal(
+            expected, served.batch_query(queries, max_retrieved=budget)
+        )

@@ -9,11 +9,11 @@ past the stopping point must never even be *hashed*.
 import numpy as np
 import pytest
 
-from repro.api import IndexSpec, load_index
+from repro.api import IndexSpec
 from repro.core.family import DSHFamily, HashPair
 from repro.families.bit_sampling import BitSampling
 from repro.index import DSHIndex, clip_batch_hits
-from repro.serving import ServingOptions, ShardedIndex
+from repro.serving import ShardedIndex
 from repro.spaces import hamming
 
 BACKENDS = ["dict", "packed"]
@@ -227,8 +227,8 @@ class TestFullTableCountsContract:
 
 
 class TestClipBatchHits:
-    """Unit tests for the worker-side table-granularity clip applied by
-    pool workers before shipping results to the parent."""
+    """Unit tests for ``clip_batch_hits``, the reference table-granularity
+    clip that every budgeted probe must equal."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_matches_direct_budget_scan(self, backend):
@@ -320,14 +320,15 @@ class TestHashLaziness:
         assert family.query_hashes == 6
 
 
-SURFACES = ["dict", "packed", "sharded-inprocess", "sharded-pool"]
+SURFACES = ["dict", "packed", "sharded-inprocess", "sharded-loaded"]
 
 
 @pytest.fixture(scope="module")
 def budget_surfaces(tmp_path_factory):
     """One clustered bit-sampling point set served by every surface that
-    takes a ``max_retrieved`` budget, plus the packed unsharded index as
-    the reference."""
+    takes a ``max_retrieved`` budget — a sharded index both as built and
+    as loaded back from its memory-mapped shard files — plus the packed
+    unsharded index as the reference."""
     rng = np.random.default_rng(3)
     prototypes = hamming.random_points(4, 16, rng=rng)
     points = prototypes[rng.integers(0, 4, size=60)]
@@ -349,23 +350,20 @@ def budget_surfaces(tmp_path_factory):
     surfaces["sharded-inprocess"] = ShardedIndex(points, sharded_spec)
     path = tmp_path_factory.mktemp("budget") / "srv"
     surfaces["sharded-inprocess"].save(path)
-    surfaces["sharded-pool"] = load_index(
-        path, options=ServingOptions(workers=1)
-    )
+    surfaces["sharded-loaded"] = ShardedIndex.load(path)
+    flat = spec.build(points)
     references = {
         "dict": surfaces["packed"],
         "packed": surfaces["dict"],
-        "sharded-inprocess": spec.build(points),
-        "sharded-pool": spec.build(points),
+        "sharded-inprocess": flat,
+        "sharded-loaded": flat,
     }
-    yield surfaces, references, points
-    surfaces["sharded-pool"].close()
+    return surfaces, references, points
 
 
 class TestBudgetValidation:
     """Every surface rejects a budget that is not ``None`` or a
-    non-negative integer, the same way, before any probing (or pool
-    submit): a float is not compared as a float, and a negative budget
+    non-negative integer, the same way, before any probing: a float is not compared as a float, and a negative budget
     is not answered as a one-table probe."""
 
     @pytest.mark.parametrize("surface", SURFACES)
@@ -380,13 +378,10 @@ class TestBudgetValidation:
     ):
         surfaces, _, points = budget_surfaces
         index = surfaces[surface]
-        transport = getattr(index, "last_transport", None)
         with pytest.raises(error, match="max_retrieved"):
             index.query(points[0], max_retrieved=budget)
         with pytest.raises(error, match="max_retrieved"):
             index.batch_query(points[:3], max_retrieved=budget)
-        # Rejected before anything reached the worker pool.
-        assert getattr(index, "last_transport", None) == transport
 
     @pytest.mark.parametrize("surface", SURFACES)
     def test_integer_like_budgets_answer_as_ints(

@@ -1,12 +1,12 @@
 """Generated differential test of the sharded merge.
 
-``_merge_blocks`` interleaves per-(shard, chunk) hit streams back into the
+``_merge_blocks`` interleaves per-shard hit streams back into the
 unsharded probe order in one vectorised gather.  Hypothesis draws the
-shapes that example-based suites only reach through the process pool:
-1–4 contiguous shards (1-point shards included), an independent query
-chunking per shard, worker-side clipping on or off, Theorem 6.1 budgets
-from 0 to unbounded, and query blocks whose buckets are often empty.  The
-merge must equal the unsharded packed backend and the dict reference.
+shapes that example-based suites do not pin down: 1–4 contiguous shards
+of uneven sizes (1-point shards included), shard-local clipping on or
+off per shard, Theorem 6.1 budgets from 0 to unbounded, and query blocks
+whose buckets are often empty.  The merge must equal the unsharded
+packed backend and the dict reference.
 """
 
 import numpy as np
@@ -69,36 +69,28 @@ def merge_cases(draw):
     queries = hamming.random_points(n_queries, D, rng=rng)
     picks = rng.integers(0, n_points, size=n_queries)
     queries[from_data] = points[picks[from_data]]
-    chunkings = [
-        _split(draw, n_queries, draw(st.integers(1, min(4, n_queries))))
-        for _ in range(n_shards)
-    ]
     clips = draw(
         st.lists(st.booleans(), min_size=n_shards, max_size=n_shards)
     )
     budget = draw(st.sampled_from(BUDGETS))
-    return points, queries, bounds, chunkings, clips, budget
+    return points, queries, bounds, clips, budget
 
 
 @given(merge_cases())
 @settings(max_examples=80, deadline=None)
 def test_merge_equals_unsharded_packed_and_dict(case):
-    points, queries, bounds, chunkings, clips, budget = case
+    points, queries, bounds, clips, budget = case
     packed = _spec().build(points)
     oracle = _spec("dict").build(points)
     comps = [pair.hash_query(queries) for pair in packed._pairs]
 
     blocks = []
-    for s, (chunking, clip) in enumerate(zip(chunkings, clips)):
+    for s, clip in enumerate(clips):
         shard = _spec().build(points[bounds[s] : bounds[s + 1]])
-        chunks = []
-        for lo, hi in zip(chunking[:-1], chunking[1:]):
-            # As a pool worker answers one (shard, chunk) task.
-            block = shard.batch_query_hits(queries[lo:hi])
-            chunks.append(
-                clip_batch_hits(block, N_TABLES, budget) if clip else block
-            )
-        blocks.append(chunks)
+        block = shard.batch_query_hits(queries)
+        blocks.append(
+            clip_batch_hits(block, N_TABLES, budget) if clip else block
+        )
 
     merged = _merge_blocks(
         blocks, bounds[:-1], N_TABLES, points.shape[0], budget

@@ -15,6 +15,7 @@ import pickle
 import numpy as np
 import pytest
 
+from _bundle_damage import corrupt_bundle, truncate_bundle
 from repro.api import (
     IndexSpec,
     build_index,
@@ -30,7 +31,7 @@ from repro.index.persistence import (
     read_arrays,
     write_arrays,
 )
-from repro.serving import ServingOptions, ShardedIndex, faults
+from repro.serving import ServingOptions, ShardedIndex
 from repro.families.bit_sampling import BitSampling
 from repro.spaces import euclidean, hamming, sphere
 from repro.utils.rng import rng_from_state, rng_state
@@ -376,7 +377,7 @@ class TestIntegrityVerification:
 
     def test_truncation_caught_at_every_level(self, tmp_path):
         _, base, _ = self._saved(tmp_path)
-        faults.truncate_bundle(base, 0.5)
+        truncate_bundle(base, 0.5)
         for verify in ("lazy", "eager"):
             with pytest.raises(IndexIntegrityError) as excinfo:
                 load_index(base, options=ServingOptions(verify=verify))
@@ -388,7 +389,7 @@ class TestIntegrityVerification:
         """In-place corruption keeps the size: lazy (O(1)) admits it —
         the documented trade-off — while eager re-checksums and rejects."""
         _, base, queries = self._saved(tmp_path)
-        faults.corrupt_bundle(base)
+        corrupt_bundle(base)
         with pytest.raises(IndexIntegrityError) as excinfo:
             load_index(base, options=ServingOptions(verify="eager"))
         assert excinfo.value.kind == "checksum"
@@ -406,7 +407,7 @@ class TestIntegrityVerification:
         through the error: every member's memory map is released while
         the traceback (kept alive here by ``excinfo``) still exists."""
         _, base, _ = self._saved(tmp_path)
-        faults.corrupt_bundle(base)
+        corrupt_bundle(base)
         before = len(os.listdir("/proc/self/fd"))
         with pytest.raises(IndexIntegrityError) as excinfo:
             load_index(base, options=ServingOptions(verify="eager"))
@@ -485,8 +486,20 @@ class TestIntegrityVerification:
         [
             lambda s: s.__setitem__("format", FORMAT_VERSION + 1),
             lambda s: s.__setitem__("layout", "single"),
+            lambda s: s.__setitem__("shards", []),
+            lambda s: s.__setitem__("shards", s["shards"] * 2),
+            lambda s: s.__setitem__("bounds", s["bounds"][:-1]),
+            lambda s: s.__setitem__(
+                "bounds", [b + 1 for b in s["bounds"]]
+            ),
+            lambda s: s.__setitem__(
+                "bounds", [0, s["bounds"][2], s["bounds"][1]]
+            ),
         ],
-        ids=["format", "layout"],
+        ids=[
+            "format", "layout", "no-shards", "shard-skew",
+            "bounds-length", "bounds-start", "bounds-order",
+        ],
     )
     def test_direct_sharded_load_reports_manifest_errors(
         self, tmp_path, edit
@@ -506,7 +519,7 @@ class TestIntegrityVerification:
 
     def test_integrity_error_contract(self):
         """It is a ValueError (callers catching the historic type keep
-        working) and survives the executor's pickle pipe intact."""
+        working) and survives a pickle round trip intact."""
         error = IndexIntegrityError("bundle went bad", kind="checksum")
         assert isinstance(error, ValueError)
         revived = pickle.loads(pickle.dumps(error))

@@ -1,7 +1,7 @@
 """Protocol conformance: every query surface is a drop-in Queryable.
 
 Local application indexes (raw, annulus, hyperplane, range reporting),
-sharded serving (in-process and process-pool), and the async serving
+a sharded index as built and as loaded, and the async serving
 tier's synchronous handle must all satisfy the
 :class:`repro.index.queryable.Queryable` protocol with the same
 semantics: ``query`` returns a ``.stats``-carrying result and
@@ -15,7 +15,7 @@ import pytest
 from repro.api import IndexSpec, build_index, save_index
 from repro.data.synthetic import planted_euclidean_range
 from repro.index.queryable import Queryable
-from repro.serving import ServingOptions, ShardedIndex, serve_in_thread
+from repro.serving import ShardedIndex, serve_in_thread
 from repro.spaces import hamming, sphere
 
 D = 16
@@ -107,20 +107,13 @@ def _surfaces(hamming_data, sphere_data, range_data, sharded_path):
             r_queries,
         ),
         (
-            "sharded_inprocess",
-            lambda: ((idx := ShardedIndex.load(sharded_path)), idx.close),
+            "sharded_built",
+            plain(_raw_spec(shards=2).build(h_points)),
             h_queries,
         ),
         (
-            "sharded_pool",
-            lambda: (
-                (
-                    idx := ShardedIndex.load(
-                        sharded_path, options=ServingOptions(workers=1)
-                    )
-                ),
-                idx.close,
-            ),
+            "sharded_inprocess",
+            lambda: ((idx := ShardedIndex.load(sharded_path)), idx.close),
             h_queries,
         ),
         (
@@ -145,8 +138,8 @@ def _surfaces(hamming_data, sphere_data, range_data, sharded_path):
         "annulus",
         "hyperplane",
         "range_reporting",
+        "sharded_built",
         "sharded_inprocess",
-        "sharded_pool",
         "served",
     ],
 )
@@ -186,7 +179,7 @@ class TestQueryableConformance:
         self, surface, hamming_data
     ):
         name, index, queries = surface
-        if name not in {"raw", "sharded_inprocess", "sharded_pool", "served"}:
+        if name not in {"raw", "sharded_built", "sharded_inprocess", "served"}:
             pytest.skip("candidate-retrieval surfaces only")
         points, _ = hamming_data
         reference = _raw_spec().build(points).batch_query(queries)

@@ -46,10 +46,20 @@ class TestValidation:
         assert opts.workers is None
         assert opts.mmap is True
         assert opts.verify == "lazy"
-        assert opts.on_shard_failure == "raise"
-        assert opts.timeout is None
-        assert opts.max_retries == 2
-        assert opts.retry_backoff_s == pytest.approx(0.05)
+        assert [f.name for f in dataclasses.fields(opts)] == [
+            "workers", "mmap", "verify",
+        ]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("on_shard_failure", "degrade"), ("timeout", 1.0),
+         ("max_retries", 1), ("retry_backoff_s", 0.1)],
+    )
+    def test_process_pool_fields_are_gone(self, field, value):
+        with pytest.raises(TypeError):
+            ServingOptions(**{field: value})
+        with pytest.raises(ValueError, match="unknown ServingOptions field"):
+            ServingOptions.from_dict({field: value})
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -61,11 +71,6 @@ class TestValidation:
             {"workers": 0},
             {"workers": -1},
             {"verify": "sometimes"},
-            {"on_shard_failure": "explode"},
-            {"timeout": 0.0},
-            {"timeout": -1.0},
-            {"max_retries": -1},
-            {"retry_backoff_s": -0.1},
         ],
     )
     def test_bad_values_rejected_eagerly(self, kwargs):
@@ -79,10 +84,6 @@ class TestRoundTrip:
             workers=3,
             mmap=False,
             verify="eager",
-            on_shard_failure="degrade",
-            timeout=2.5,
-            max_retries=4,
-            retry_backoff_s=0.1,
         )
         assert ServingOptions.from_dict(opts.to_dict()) == opts
         assert (
@@ -95,12 +96,12 @@ class TestRoundTrip:
         # one JSON document.
         config = {
             "spec": _spec(shards=2).to_dict(),
-            "serving": ServingOptions(workers=2, timeout=5.0).to_dict(),
+            "serving": ServingOptions(mmap=False, verify="eager").to_dict(),
         }
         revived = json.loads(json.dumps(config))
         assert IndexSpec.from_dict(revived["spec"]) == _spec(shards=2)
         assert ServingOptions.from_dict(revived["serving"]) == ServingOptions(
-            workers=2, timeout=5.0
+            mmap=False, verify="eager"
         )
 
     def test_from_dict_rejects_unknown_fields(self):
@@ -116,37 +117,15 @@ class TestRoundTrip:
 class TestPlumbThrough:
     def test_sharded_load_applies_options(self, saved):
         _, sharded_path, _ = saved
-        opts = ServingOptions(
-            verify="off", on_shard_failure="degrade",
-            timeout=9.0, max_retries=5, retry_backoff_s=0.2,
-        )
+        opts = ServingOptions(workers=2, mmap=False, verify="off")
         with load_index(sharded_path, options=opts) as index:
             assert isinstance(index, ShardedIndex)
             assert index.options == opts
-
-    def test_default_timeout_used_by_batch_query(self, saved):
-        _, sharded_path, points = saved
-        # A generous default deadline must not interfere with a healthy
-        # in-process query path (the deadline plumbing itself is
-        # exercised against a real pool in test_serving_faults.py).
-        opts = ServingOptions(timeout=60.0)
-        with load_index(sharded_path, options=opts) as index:
-            results = index.batch_query(points[:4])
-            assert len(results) == 4
-        # ... and it is the only deadline setting: no call takes its own.
-        with load_index(sharded_path, options=opts) as index:
-            with pytest.raises(TypeError):
-                index.batch_query(points[:4], timeout=1.0)
 
     def test_single_index_rejects_pool_only_options(self, saved):
         single_path, _, _ = saved
         with pytest.raises(ValueError, match="sharded indexes only"):
             load_index(single_path, options=ServingOptions(workers=2))
-        with pytest.raises(ValueError, match="sharded indexes only"):
-            load_index(
-                single_path,
-                options=ServingOptions(on_shard_failure="degrade"),
-            )
 
     def test_in_memory_sharded_index_has_default_options(self, saved):
         _, _, points = saved

@@ -6,10 +6,11 @@ candidate ids, first-seen dedup order, and summed :class:`QueryStats`,
 including the Theorem 6.1 ``max_retrieved`` budget applied to the merged
 per-table counts.  The unsharded index is the reference; the suite sweeps
 shard counts (with uneven splits), both storage backends, budget edges,
-save→load revivals, and process-pool serving.
+and save→load revivals.
 """
 
 import dataclasses
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -147,113 +148,120 @@ class TestShardedPersistence:
                 loaded.batch_query(queries, max_retrieved=budget),
             )
 
-    def test_pool_serving_parity(self, data, tmp_path):
-        points, queries = data
-        flat = _spec().build(points)
-        ShardedIndex(points, _spec(shards=2)).save(tmp_path / "srv")
-        with load_index(tmp_path / "srv", options=ServingOptions(workers=2)) as pool_index:
-            # Twice: the second call exercises the worker-side shard cache.
-            for _ in range(2):
-                _assert_results_equal(
-                    flat.batch_query(queries, max_retrieved=23),
-                    pool_index.batch_query(queries, max_retrieved=23),
-                )
-            assert flat.query(queries[0]) == pool_index.query(queries[0])
 
-    def test_pool_mode_cannot_resave(self, data, tmp_path):
-        points, _ = data
-        ShardedIndex(points, _spec(shards=2)).save(tmp_path / "srv")
-        with load_index(tmp_path / "srv", options=ServingOptions(workers=1)) as pool_index:
-            with pytest.raises(ValueError, match="already-saved"):
-                pool_index.save(tmp_path / "other")
+class TestLoadedServing:
+    """A loaded sharded index opens its shards in the calling process,
+    whatever ``workers`` says, and answers exactly like the unsharded
+    index."""
 
-    def test_closed_pool_index_raises_clearly(self, data, tmp_path):
+    @pytest.mark.parametrize("backend", ["dict", "packed"])
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_loaded_parity_across_budgets(
+        self, data, tmp_path, backend, shards
+    ):
         points, queries = data
-        ShardedIndex(points, _spec(shards=2)).save(tmp_path / "srv")
-        pool_index = load_index(tmp_path / "srv", options=ServingOptions(workers=1))
-        pool_index.close()
-        with pytest.raises(ValueError, match="closed"):
-            pool_index.batch_query(queries)
-
-    def test_pool_honours_eager_loading(self, data, tmp_path):
-        """mmap=False must reach the workers, so serving survives the shard
-        files being rewritten underneath it."""
-        points, queries = data
-        flat = _spec().build(points)
-        ShardedIndex(points, _spec(shards=2)).save(tmp_path / "srv")
-        with load_index(tmp_path / "srv", options=ServingOptions(workers=1, mmap=False)) as served:
+        flat = _spec(backend).build(points)
+        ShardedIndex(points, _spec(backend, shards)).save(tmp_path / "srv")
+        served = load_index(tmp_path / "srv")
+        assert served.n_shards == shards
+        assert served.backend == backend
+        np.testing.assert_array_equal(
+            served.bounds, shard_bounds(N_POINTS, shards)
+        )
+        for budget in BUDGETS:
             _assert_results_equal(
-                flat.batch_query(queries), served.batch_query(queries)
+                flat.batch_query(queries, max_retrieved=budget),
+                served.batch_query(queries, max_retrieved=budget),
+            )
+        for q in queries[:4]:
+            assert flat.query(q, max_retrieved=10) == served.query(
+                q, max_retrieved=10
             )
 
-
-class TestPoolTransport:
-    """Worker-side clipping and query chunking must be invisible to
-    correctness: pool results pickled back through the executor pipe
-    equal the unsharded index's, for every budget and pool shape."""
-
-    @pytest.mark.parametrize(
-        "shards, workers", [(2, 1), (3, 2)], ids=["2x1", "3x2"]
-    )
-    def test_pool_parity_across_budgets(self, data, tmp_path, shards, workers):
+    @pytest.mark.parametrize("verify", ["off", "lazy", "eager"])
+    def test_every_verify_level_serves_identically(
+        self, data, tmp_path, verify
+    ):
         points, queries = data
         flat = _spec().build(points)
-        ShardedIndex(points, _spec(shards=shards)).save(tmp_path / "srv")
-        with load_index(tmp_path / "srv", options=ServingOptions(workers=workers)) as served:
-            for budget in BUDGETS:
-                _assert_results_equal(
-                    flat.batch_query(queries, max_retrieved=budget),
-                    served.batch_query(queries, max_retrieved=budget),
-                )
-                assert served.last_transport["pipe_bytes"] > 0
+        ShardedIndex(points, _spec(shards=3)).save(tmp_path / "srv")
+        served = load_index(
+            tmp_path / "srv", options=ServingOptions(verify=verify)
+        )
+        assert served.options.verify == verify
+        assert served.health()["verify"] == verify
+        _assert_results_equal(
+            flat.batch_query(queries, max_retrieved=17),
+            served.batch_query(queries, max_retrieved=17),
+        )
 
-    def test_query_chunking_parity(self, data, tmp_path):
-        """A block large enough to chunk must split into multiple
-        (shard, chunk) tasks and still merge exactly."""
-        points, _ = data
-        rng = np.random.default_rng(5)
-        queries = _clustered_points(80, rng)
-        flat = _spec().build(points)
-        ShardedIndex(points, _spec(shards=2)).save(tmp_path / "srv")
-        with load_index(tmp_path / "srv", options=ServingOptions(workers=2)) as served:
-            _assert_results_equal(
-                flat.batch_query(queries, max_retrieved=40),
-                served.batch_query(queries, max_retrieved=40),
-            )
-            assert served.last_transport["chunks"] >= 2
-            assert served.last_transport["tasks"] == (
-                served.last_transport["chunks"] * served.n_shards
-            )
-
-    def test_worker_clip_shrinks_payload(self, data, tmp_path):
-        """A tight budget must reduce what workers ship, not just what the
-        merge keeps."""
+    def test_loaded_index_resaves(self, data, tmp_path):
+        """A loaded index holds its shards as ordinary indexes, so it can
+        be saved again; the copy loads back to the same answers."""
         points, queries = data
-        ShardedIndex(points, _spec(shards=2)).save(tmp_path / "srv")
-        with load_index(tmp_path / "srv", options=ServingOptions(workers=1)) as served:
-            served.batch_query(queries)
-            unclipped = served.last_transport["pipe_bytes"]
-            served.batch_query(queries, max_retrieved=1)
-            clipped = served.last_transport["pipe_bytes"]
-        assert clipped < unclipped
+        flat = _spec().build(points)
+        ShardedIndex(points, _spec(shards=3)).save(tmp_path / "srv")
+        served = load_index(tmp_path / "srv")
+        manifest = served.save(tmp_path / "copy")
+        assert manifest.name == "copy.json"
+        copy = load_index(tmp_path / "copy")
+        assert copy.spec == served.spec
+        np.testing.assert_array_equal(copy.bounds, served.bounds)
+        _assert_results_equal(
+            flat.batch_query(queries, max_retrieved=23),
+            copy.batch_query(queries, max_retrieved=23),
+        )
 
-    def test_stale_shard_cache_evicted_on_resave(self, data, tmp_path):
-        """Hot swap: re-saving shard files under a live pool must evict the
-        per-worker mmap cache, not keep answering from the old bytes."""
+    def test_eager_load_survives_files_rewritten_underneath(
+        self, data, tmp_path
+    ):
+        """``mmap=False`` reads every shard into memory at load time: the
+        index keeps answering from that snapshot after the files are
+        replaced, and a fresh load serves the replacement."""
         points, queries = data
         rng = np.random.default_rng(99)
         replacement = _clustered_points(N_POINTS, rng)
         ShardedIndex(points, _spec(shards=2)).save(tmp_path / "srv")
-        with load_index(tmp_path / "srv", options=ServingOptions(workers=1)) as served:
+        served = load_index(
+            tmp_path / "srv", options=ServingOptions(mmap=False)
+        )
+        ShardedIndex(replacement, _spec(shards=2)).save(tmp_path / "srv")
+        _assert_results_equal(
+            _spec().build(points).batch_query(queries),
+            served.batch_query(queries),
+        )
+        _assert_results_equal(
+            _spec().build(replacement).batch_query(queries),
+            load_index(tmp_path / "srv").batch_query(queries),
+        )
+
+    def test_workers_option_starts_no_process(self, data, tmp_path):
+        points, queries = data
+        flat = _spec().build(points)
+        ShardedIndex(points, _spec(shards=3)).save(tmp_path / "srv")
+        served = ShardedIndex.load(
+            tmp_path / "srv", options=ServingOptions(workers=2)
+        )
+        for budget in BUDGETS:
             _assert_results_equal(
-                _spec().build(points).batch_query(queries),
-                served.batch_query(queries),  # warms the worker cache
+                flat.batch_query(queries, max_retrieved=budget),
+                served.batch_query(queries, max_retrieved=budget),
             )
-            ShardedIndex(replacement, _spec(shards=2)).save(tmp_path / "srv")
-            _assert_results_equal(
-                _spec().build(replacement).batch_query(queries),
-                served.batch_query(queries),
-            )
+        assert flat.query(queries[0]) == served.query(queries[0])
+        assert multiprocessing.active_children() == []
+
+    def test_benchmark_records_are_fixed(self, data, tmp_path):
+        points, queries = data
+        ShardedIndex(points, _spec(shards=3)).save(tmp_path / "srv")
+        served = load_index(tmp_path / "srv")
+        served.batch_query(queries, max_retrieved=5)
+        assert served.last_transport == {
+            "pipe_bytes": 0, "shm_bytes": 0, "tasks": 3,
+        }
+        assert served.last_health == {"retries": 0, "respawns": 0}
+        assert not any(
+            r.stats.degraded for r in served.batch_query(queries)
+        )
 
 
 class TestShardLocalClip:
@@ -292,45 +300,36 @@ class TestShardLocalClip:
         _assert_results_equal(expected, observed)
 
 
-class TestPoolLifecycle:
-    def test_close_is_idempotent(self, data, tmp_path):
-        points, _ = data
+class TestLifecycle:
+    def test_close_is_a_noop(self, data, tmp_path):
+        points, queries = data
+        flat = _spec().build(points)
         ShardedIndex(points, _spec(shards=2)).save(tmp_path / "srv")
-        served = load_index(tmp_path / "srv", options=ServingOptions(workers=1))
-        pool = served._pool
-        served.close()
-        served.close()  # second close must be a clean no-op
-        assert pool._shutdown_thread
+        with load_index(tmp_path / "srv") as served:
+            served.close()
+            served.close()
+        _assert_results_equal(
+            flat.batch_query(queries), served.batch_query(queries)
+        )
 
-    def test_dropped_handle_shuts_pool_down(self, data, tmp_path):
-        """Forgetting close() must not leak worker processes: the finalize
-        hook shuts the pool down when the index is collected."""
-        import gc
-
+    def test_repr_names_the_shape(self, data):
         points, _ = data
-        ShardedIndex(points, _spec(shards=2)).save(tmp_path / "srv")
-        served = load_index(tmp_path / "srv", options=ServingOptions(workers=1))
-        pool = served._pool
-        del served
-        gc.collect()
-        assert pool._shutdown_thread
+        text = repr(ShardedIndex(points, _spec(shards=2)))
+        assert text.startswith("ShardedIndex(shards=2, L=8")
+        assert f"n_points={N_POINTS}" in text
 
-    def test_repr_tracks_serving_mode(self, data, tmp_path):
+    def test_loaded_repr_matches_built(self, data, tmp_path):
         points, _ = data
-        in_memory = ShardedIndex(points, _spec(shards=2))
-        assert "in-process" in repr(in_memory)
-        in_memory.save(tmp_path / "srv")
-        served = load_index(tmp_path / "srv", options=ServingOptions(workers=2))
-        assert "pool=2" in repr(served)
-        served.close()
-        assert "closed" in repr(served)
+        built = ShardedIndex(points, _spec(shards=2))
+        built.save(tmp_path / "srv")
+        assert repr(load_index(tmp_path / "srv")) == repr(built)
 
 
 class TestEmptyShardContribution:
     """A shard whose buckets never match the query (zero counts in every
     table) must vanish from the merge without perturbing order, stats, or
     budgets — checked differentially against the dict backend's reference
-    ``_scan`` in both sharded modes."""
+    ``_scan``, for a built and a loaded sharded index."""
 
     @pytest.fixture(scope="class")
     def split_data(self):
@@ -356,16 +355,16 @@ class TestEmptyShardContribution:
             sharded.batch_query(queries, max_retrieved=budget),
         )
 
-    def test_pool(self, split_data, tmp_path):
+    @pytest.mark.parametrize("budget", [None, 0, 1, 15, 40])
+    def test_loaded(self, split_data, tmp_path, budget):
         points, queries = split_data
         reference = _spec("dict").build(points)
         ShardedIndex(points, _spec(shards=2)).save(tmp_path / "srv")
-        with load_index(tmp_path / "srv", options=ServingOptions(workers=1)) as served:
-            for budget in (None, 0, 1, 15, 40):
-                _assert_results_equal(
-                    reference.batch_query(queries, max_retrieved=budget),
-                    served.batch_query(queries, max_retrieved=budget),
-                )
+        served = load_index(tmp_path / "srv")
+        _assert_results_equal(
+            reference.batch_query(queries, max_retrieved=budget),
+            served.batch_query(queries, max_retrieved=budget),
+        )
 
 
 class TestSpecValidation:

@@ -27,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Repo-specific invariant linter: whole-program rules "
             "RR001-RR011 enforcing the RNG, dtype, API-surface, hygiene, "
             "clip-discipline, broad-except, resource-lifecycle, "
-            "exception-flow, process-boundary, and layering contracts of "
+            "exception-flow, and layering contracts of "
             "this codebase."
         ),
     )

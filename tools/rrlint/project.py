@@ -7,15 +7,15 @@ import y as z`` aliasing and re-exports through ``__init__``, dispatches
 method calls on classes whose construction it can see (including
 ``staticmethod``/``classmethod`` access via the class name,
 ``self``/``cls``, and annotated parameters), and unwraps
-``functools.partial`` and executor ``submit``/``map`` targets.  Lambdas
-and calls through values it cannot type are *conservatively unresolved*
-— recorded as such, never guessed.
+``functools.partial`` and executor ``submit``/``map`` targets (a
+submitted callable is a callee of the submitting function: what it
+raises comes back through ``result()``).  Lambdas and calls through
+values it cannot type are *conservatively unresolved* — never guessed.
 
-On top of the model it offers the queries the RR008–RR011 rules need:
+On top of the model it offers the queries the flow-aware rules need:
 per-function raise-sets propagated to a fixpoint through the call graph
-(filtered by enclosing ``try/except`` handlers), executor submissions
-with their resolved targets, package-layer assignments for the layering
-contract, and import-cycle detection.
+(filtered by enclosing ``try/except`` handlers), package-layer
+assignments for the layering contract, and import-cycle detection.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "ImportEdge",
     "ProjectModule",
     "Project",
-    "Submission",
     "layer_of",
     "module_name_for_path",
     "project_context",
@@ -116,27 +115,6 @@ class ImportEdge:
     lazy: bool
 
 
-@dataclasses.dataclass(eq=False)
-class Submission:
-    """One callable handed to an executor via ``submit``/``map``.
-
-    ``pool_kind`` is ``"process"`` or ``"thread"`` from the inferred
-    executor type; ``target_kind`` is ``"resolved"``, ``"lambda"``, or
-    ``"unresolved"`` (the conservative bucket for callables the resolver
-    cannot type).  ``target`` is the resolved ``(module, qualname)``
-    when ``target_kind == "resolved"``.
-    """
-
-    module: str
-    function: str
-    node: ast.Call = dataclasses.field(repr=False)
-    pool_kind: str = "process"
-    target_kind: str = "unresolved"
-    target: tuple[str, str] | None = None
-    via_partial: bool = False
-    has_lambda_arg: bool = False
-
-
 @dataclasses.dataclass(frozen=True)
 class _Symbol:
     kind: str  # "function" | "class" | "import" | "assign"
@@ -156,7 +134,6 @@ class _ClassInfo:
 class _FuncFacts:
     callees: list[tuple[tuple[str, str], frozenset[str]]]
     raises: list[tuple[tuple[str, str], frozenset[str]]]
-    submissions: list[Submission]
 
 
 class ProjectModule:
@@ -333,10 +310,7 @@ def _builtin_exception_ancestors(name: str) -> tuple[str, ...] | None:
     return None
 
 
-_EXECUTOR_LEAVES = {
-    "ProcessPoolExecutor": "process",
-    "ThreadPoolExecutor": "thread",
-}
+_EXECUTORS = frozenset({"ProcessPoolExecutor", "ThreadPoolExecutor"})
 
 
 class Project:
@@ -357,8 +331,7 @@ class Project:
         self._facts: dict[tuple[str, str], _FuncFacts] | None = None
         self._raise_cache: dict[tuple[str, str], frozenset[tuple[str, str]]] | None = None
         self._cycles: tuple[tuple[str, ...], ...] | None = None
-        self._process_attrs: frozenset[str] | None = None
-        self._thread_attrs: frozenset[str] | None = None
+        self._executor_attrs: frozenset[str] | None = None
 
     # -- construction -------------------------------------------------
 
@@ -437,7 +410,7 @@ class Project:
 
         Handles plain names, import aliases (including chained
         re-exports through ``__init__``), module-attribute references
-        like ``np.memmap`` or ``faults.fault_point``, and
+        like ``np.memmap`` or ``persistence.read_arrays``, and
         ``ClassName.method`` access.  Returns ``None`` when the
         reference cannot be conservatively resolved.
         """
@@ -591,7 +564,7 @@ class Project:
 
     def _ensure_facts(self) -> dict[tuple[str, str], _FuncFacts]:
         if self._facts is None:
-            self._scan_pool_attrs()
+            self._scan_executor_attrs()
             facts: dict[tuple[str, str], _FuncFacts] = {}
             for name, mod in self.modules.items():
                 analyzer = _FunctionAnalyzer(self, mod)
@@ -600,9 +573,8 @@ class Project:
             self._facts = facts
         return self._facts
 
-    def _scan_pool_attrs(self) -> None:
-        process: set[str] = set()
-        thread: set[str] = set()
+    def _scan_executor_attrs(self) -> None:
+        attrs: set[str] = set()
         for mod in self.modules.values():
             for node in ast.walk(mod.tree):
                 if not isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -611,10 +583,7 @@ class Project:
                 if not isinstance(value, ast.Call):
                     continue
                 dotted = dotted_name(value.func)
-                if dotted is None:
-                    continue
-                kind = _EXECUTOR_LEAVES.get(dotted.split(".")[-1])
-                if kind is None:
+                if dotted is None or dotted.split(".")[-1] not in _EXECUTORS:
                     continue
                 targets = (
                     node.targets
@@ -623,11 +592,8 @@ class Project:
                 )
                 for target in targets:
                     if isinstance(target, ast.Attribute):
-                        (process if kind == "process" else thread).add(
-                            target.attr
-                        )
-        self._process_attrs = frozenset(process)
-        self._thread_attrs = frozenset(thread)
+                        attrs.add(target.attr)
+        self._executor_attrs = frozenset(attrs)
 
     def callees(self, module: str, qualname: str) -> frozenset[tuple[str, str]]:
         """Resolved direct callees of one function or method."""
@@ -685,16 +651,6 @@ class Project:
                 key: frozenset(bucket) for key, bucket in sets.items()
             }
         return self._raise_cache.get((module, qualname), frozenset())
-
-    def submissions(self, module: str | None = None) -> tuple[Submission, ...]:
-        """Executor submissions, project-wide or for one module."""
-        facts = self._ensure_facts()
-        out: list[Submission] = []
-        for (mod_name, _), fact in sorted(facts.items()):
-            if module is not None and mod_name != module:
-                continue
-            out.extend(fact.submissions)
-        return tuple(out)
 
     # -- exception taxonomy -------------------------------------------
 
@@ -757,19 +713,12 @@ class Project:
         names = {exc[1], *self.exception_ancestors(exc)}
         return bool(names & caught)
 
-    # -- pool typing helpers (used by the analyzer) -------------------
+    # -- executor typing helper (used by the analyzer) ---------------
 
-    def _pool_attr_kind(self, attr: str) -> str | None:
-        self._ensure_pool_attrs()
-        if self._process_attrs is not None and attr in self._process_attrs:
-            return "process"
-        if self._thread_attrs is not None and attr in self._thread_attrs:
-            return "thread"
-        return None
-
-    def _ensure_pool_attrs(self) -> None:
-        if self._process_attrs is None:
-            self._scan_pool_attrs()
+    def _is_executor_attr(self, attr: str) -> bool:
+        if self._executor_attrs is None:
+            self._scan_executor_attrs()
+        return self._executor_attrs is not None and attr in self._executor_attrs
 
 
 def _package_prefix(directory: pathlib.Path) -> list[str]:
@@ -860,16 +809,16 @@ def _sccs(graph: Mapping[str, frozenset[str]]) -> list[tuple[str, ...]]:
 
 
 class _FunctionAnalyzer:
-    """Per-scope fact extraction: callees, raises, submissions."""
+    """Per-scope fact extraction: callees and raises."""
 
     def __init__(self, project: Project, mod: ProjectModule) -> None:
         self.project = project
         self.mod = mod
 
     def analyze(self, qualname: str, scope: ast.AST) -> _FuncFacts:
-        """Extract callee edges, raise sites, and submissions for one scope."""
+        """Extract callee edges and raise sites for one scope."""
         local_names, var_types, pool_vars = self._scan_locals(qualname, scope)
-        facts = _FuncFacts(callees=[], raises=[], submissions=[])
+        facts = _FuncFacts(callees=[], raises=[])
         for node in _walk_scope(scope):
             if isinstance(node, ast.Call):
                 self._handle_call(
@@ -883,10 +832,10 @@ class _FunctionAnalyzer:
 
     def _scan_locals(
         self, qualname: str, scope: ast.AST
-    ) -> tuple[set[str], dict[str, tuple[str, str]], dict[str, str]]:
+    ) -> tuple[set[str], dict[str, tuple[str, str]], set[str]]:
         local_names: set[str] = set()
         var_types: dict[str, tuple[str, str]] = {}
-        pool_vars: dict[str, str] = {}
+        pool_vars: set[str] = set()
         if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = scope.args
             params = (
@@ -929,7 +878,7 @@ class _FunctionAnalyzer:
         node: ast.Assign | ast.AnnAssign,
         local_names: set[str],
         var_types: dict[str, tuple[str, str]],
-        pool_vars: dict[str, str],
+        pool_vars: set[str],
     ) -> None:
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         pairs: list[tuple[ast.expr, ast.expr | None]] = []
@@ -947,9 +896,8 @@ class _FunctionAnalyzer:
                 local_names.add(name)
                 if value is None or not isinstance(target, ast.Name):
                     continue
-                kind = self._value_pool_kind(value)
-                if kind is not None:
-                    pool_vars[name] = kind
+                if self._is_executor_value(value):
+                    pool_vars.add(name)
                     continue
                 if isinstance(value, ast.Call):
                     dotted = dotted_name(value.func)
@@ -963,7 +911,7 @@ class _FunctionAnalyzer:
         self,
         item: ast.withitem,
         local_names: set[str],
-        pool_vars: dict[str, str],
+        pool_vars: set[str],
     ) -> None:
         if item.optional_vars is None or not isinstance(
             item.optional_vars, ast.Name
@@ -971,22 +919,18 @@ class _FunctionAnalyzer:
             return
         name = item.optional_vars.id
         local_names.add(name)
-        kind = self._value_pool_kind(item.context_expr)
-        if kind is not None:
-            pool_vars[name] = kind
+        if self._is_executor_value(item.context_expr):
+            pool_vars.add(name)
 
-    def _value_pool_kind(self, value: ast.expr) -> str | None:
+    def _is_executor_value(self, value: ast.expr) -> bool:
         if isinstance(value, ast.Call):
             dotted = dotted_name(value.func)
-            if dotted is not None:
-                kind = _EXECUTOR_LEAVES.get(dotted.split(".")[-1])
-                if kind is not None:
-                    return kind
+            if dotted is not None and dotted.split(".")[-1] in _EXECUTORS:
+                return True
         dotted = dotted_name(value)
         if dotted is not None and dotted.startswith(("self.", "cls.")):
-            attr = dotted.split(".")[-1]
-            return self.project._pool_attr_kind(attr)
-        return None
+            return self.project._is_executor_attr(dotted.split(".")[-1])
+        return False
 
     def _is_class(self, ref: tuple[str, str]) -> bool:
         module, name = ref
@@ -1004,20 +948,21 @@ class _FunctionAnalyzer:
         node: ast.Call,
         local_names: set[str],
         var_types: dict[str, tuple[str, str]],
-        pool_vars: dict[str, str],
+        pool_vars: set[str],
         facts: _FuncFacts,
     ) -> None:
         func = node.func
-        # Executor submit/map?
-        if isinstance(func, ast.Attribute) and func.attr in ("submit", "map"):
-            kind = self._pool_base_kind(func.value, pool_vars)
-            if kind is not None:
-                submission = self._build_submission(qualname, node, kind)
-                facts.submissions.append(submission)
-                if submission.target is not None:
-                    caught = self._caught_around(node, scope)
-                    facts.callees.append((submission.target, caught))
-                return
+        # Executor submit/map: the submitted callable is the callee.
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in ("submit", "map")
+            and self._is_executor_base(func.value, pool_vars)
+        ):
+            target = self._submitted_target(qualname, node)
+            if target is not None:
+                caught = self._caught_around(node, scope)
+                facts.callees.append((target, caught))
+            return
         # functools.partial: treat the wrapped callable as a callee.
         dotted = dotted_name(func)
         if dotted is not None and dotted.split(".")[-1] == "partial" and node.args:
@@ -1097,29 +1042,24 @@ class _FunctionAnalyzer:
             return None
         return self.project.resolve(self.mod.name, dotted)
 
-    def _pool_base_kind(
-        self, base: ast.expr, pool_vars: dict[str, str]
-    ) -> str | None:
+    def _is_executor_base(self, base: ast.expr, pool_vars: set[str]) -> bool:
         dotted = dotted_name(base)
         if dotted is None:
-            return None
+            return False
         if dotted in pool_vars:
-            return pool_vars[dotted]
+            return True
         if dotted.startswith(("self.", "cls.")) and dotted.count(".") == 1:
-            return self.project._pool_attr_kind(dotted.split(".")[-1])
-        return None
+            return self.project._is_executor_attr(dotted.split(".")[-1])
+        return False
 
-    def _build_submission(
-        self, qualname: str, node: ast.Call, kind: str
-    ) -> Submission:
-        submission = Submission(
-            module=self.mod.name,
-            function=qualname,
-            node=node,
-            pool_kind=kind,
-        )
+    def _submitted_target(
+        self, qualname: str, node: ast.Call
+    ) -> tuple[str, str] | None:
+        """The module-level callable an executor ``submit``/``map`` runs,
+        unwrapping ``functools.partial``; ``None`` for lambdas and
+        anything the resolver cannot type (nested functions included)."""
         if not node.args:
-            return submission
+            return None
         target = node.args[0]
         if isinstance(target, ast.Call):
             inner_dotted = dotted_name(target.func)
@@ -1128,21 +1068,8 @@ class _FunctionAnalyzer:
                 and inner_dotted.split(".")[-1] == "partial"
                 and target.args
             ):
-                submission.via_partial = True
                 target = target.args[0]
-        if isinstance(target, ast.Lambda):
-            submission.target_kind = "lambda"
-        else:
-            resolved = self._resolve_callable(qualname, target, set(), {})
-            if resolved is not None:
-                submission.target_kind = "resolved"
-                submission.target = resolved
-            else:
-                submission.target_kind = "unresolved"
-        submission.has_lambda_arg = any(
-            isinstance(arg, ast.Lambda) for arg in node.args[1:]
-        )
-        return submission
+        return self._resolve_callable(qualname, target, set(), {})
 
     # -- raises -------------------------------------------------------
 
@@ -1184,13 +1111,6 @@ class _FunctionAnalyzer:
         leaf = dotted.split(".")[-1]
         if _builtin_exception_ancestors(leaf) is not None:
             return ("builtins", leaf)
-        if leaf[:1].isupper() and leaf.endswith(
-            ("Error", "Exception", "Warning")
-        ):
-            # Raised class the resolver cannot see (nested, dynamic, or
-            # external): recorded so the process-boundary rule can flag
-            # it when it is reachable from pool-worker code.
-            return ("<unresolved>", leaf)
         return None
 
     def _caught_around(self, node: ast.AST, scope: ast.AST) -> frozenset[str]:

@@ -3,7 +3,8 @@
 One module per rule; :data:`ALL_RULES` is the canonical ordered registry
 the CLI and tests consume.  Rule ids are stable — they appear in
 ``# noqa`` comments — so a retired rule's id is never reused (RR003,
-transport hygiene, was retired without ever firing).
+transport hygiene, was retired without ever firing; RR010, process
+boundary, was retired with the process pool it checked).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from tools.rrlint.rules.dtype_contract import DtypeContractRule
 from tools.rrlint.rules.exception_flow import ExceptionFlowRule
 from tools.rrlint.rules.hygiene import HygieneRule
 from tools.rrlint.rules.layering import LayeringRule
-from tools.rrlint.rules.process_boundary import ProcessBoundaryRule
 from tools.rrlint.rules.resource_lifecycle import ResourceLifecycleRule
 from tools.rrlint.rules.rng_discipline import RngDisciplineRule
 
@@ -30,7 +30,6 @@ __all__ = [
     "ExceptionFlowRule",
     "HygieneRule",
     "LayeringRule",
-    "ProcessBoundaryRule",
     "ResourceLifecycleRule",
     "RngDisciplineRule",
 ]
@@ -44,7 +43,6 @@ ALL_RULES: tuple[Rule, ...] = (
     BroadExceptRule(),
     ResourceLifecycleRule(),
     ExceptionFlowRule(),
-    ProcessBoundaryRule(),
     LayeringRule(),
 )
 

@@ -3,12 +3,9 @@
 The raise-set of every public function is inferred through the call
 graph (to a fixpoint, filtered by enclosing ``try/except`` handlers)
 and compared against its docstring.  Only exception classes *defined in
-this project* (``PoolRecoveryError``, ``IndexIntegrityError``, ...)
+this project* (``IndexIntegrityError``, ``ServerOverloadedError``, ...)
 are enforced — builtins like ``ValueError`` are conventional enough
-that requiring them everywhere would bury the signal — and classes
-defined in fault-injection modules (``repro.serving.faults``) are
-exempt: they only exist under injected faults, never in production
-flow.
+that requiring them everywhere would bury the signal.
 
 The inverse is checked too: a project exception listed in a formal
 ``Raises:`` docstring section that the call graph cannot reach is
@@ -66,7 +63,6 @@ class ExceptionFlowRule(Rule):
                 name
                 for exc_module, name in project.raise_set(mod.name, qualname)
                 if exc_module in project.modules
-                and not exc_module.endswith(".faults")
                 and project.is_exception_class((exc_module, name))
             }
             for name in sorted(inferred):
