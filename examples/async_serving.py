@@ -87,7 +87,7 @@ async def demo(base, swap_base, queries, reference, swap_reference):
             f"per-request stats: coalesce wait "
             f"{sample.coalesce_wait_s * 1e6:.0f} us, execute "
             f"{sample.execute_s * 1e3:.2f} ms, batch of {sample.batch_size} "
-            f"on snapshot gen {sample.snapshot} replica {sample.replica}"
+            f"on snapshot gen {sample.snapshot}"
         )
 
         # -- hot-swap under load ---------------------------------------

@@ -117,10 +117,11 @@ class DSHIndex:
     rng:
         Seed or generator for sampling the ``L`` pairs.
     backend:
-        Storage layout: ``"dict"`` (reference, exact byte keys) or
-        ``"packed"`` (vectorized CSR over uint64 fingerprints), a backend
-        class, or a ready :class:`~repro.index.backends.IndexBackend`
-        instance.
+        Storage layout: ``"packed"`` (the default: vectorized CSR over
+        uint64 fingerprints, as in :class:`~repro.api.IndexSpec`) or
+        ``"dict"`` (the exact byte-key reference the parity suites check
+        against), a backend class, or a ready
+        :class:`~repro.index.backends.IndexBackend` instance.
 
     Notes
     -----
@@ -134,7 +135,7 @@ class DSHIndex:
         family: DSHFamily,
         n_tables: int,
         rng: int | np.random.Generator | None = None,
-        backend: str | IndexBackend | type[IndexBackend] = "dict",
+        backend: str | IndexBackend | type[IndexBackend] = "packed",
     ) -> None:
         if n_tables < 1:
             raise ValueError(f"n_tables must be >= 1, got {n_tables}")

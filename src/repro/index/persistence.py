@@ -16,8 +16,8 @@ stores members uncompressed (``ZIP_STORED``): each member is a verbatim
 zip's local headers ourselves and hand back :class:`numpy.memmap` views
 directly into the file (:func:`read_arrays`).  Cold start is then O(1) in
 the number of indexed points — file open + header parse — and the OS page
-cache shares the table arrays between every process and every replica
-serving the same index.
+cache shares the table arrays between every process serving the same
+index and every snapshot generation loaded from it.
 
 Compressed or otherwise non-mappable members fall back to an in-memory
 read, so the function degrades gracefully on foreign archives.

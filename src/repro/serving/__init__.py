@@ -6,8 +6,8 @@
   and a shard-file health probe.  Shards are always served in-process.
 * :mod:`repro.serving.server` — :class:`~repro.serving.server.AsyncIndexServer`:
   the asyncio front door that coalesces concurrent single-query traffic
-  into micro-batches over replicated snapshots, with backpressure
-  shedding, health-based replica routing, and zero-downtime hot swaps
+  into micro-batches over one loaded handle per snapshot generation, with
+  backpressure shedding, fail-fast health, and zero-downtime hot swaps
   (:func:`~repro.serving.server.serve_in_thread` for a synchronous
   :class:`~repro.index.queryable.Queryable` handle).
 * :mod:`repro.serving.options` — the frozen

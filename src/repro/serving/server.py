@@ -6,10 +6,12 @@ real-traffic setting where "millions of users" each arrive with a
 *single* query over a socket.  :class:`AsyncIndexServer` closes that
 gap: concurrent single-query requests are admitted into a bounded
 queue, coalesced into micro-batches under a ``max_batch`` /
-``max_wait_us`` window, executed on replicated index snapshots in a
-thread pool (NumPy kernels release the GIL, so replicas overlap their
-array work), and fanned back out one result per request — so interactive traffic rides the ×10–15 batch-query
-amortization instead of paying the per-call overhead ``n`` times.
+``max_wait_us`` window, executed on the snapshot's one loaded index
+handle in a thread pool (up to ``replicas`` batches at once; NumPy
+kernels release the GIL, so concurrent batches overlap their array
+work), and fanned back out one result per request — so interactive
+traffic rides the ×10–15 batch-query amortization instead of paying the
+per-call overhead ``n`` times.
 
 Design points:
 
@@ -22,11 +24,14 @@ Design points:
 * **Backpressure.**  Admission is a bounded ``asyncio.Queue``; when
   it is full the request is *shed* immediately with a typed
   :class:`ServerOverloadedError` rather than queued into collapse.
-* **Health routing.**  A replica whose execution fails with an
-  infrastructure error (:class:`IndexIntegrityError`, ``OSError``,
-  e.g. a shard file that can no longer be read) is marked unhealthy and
-  routed around; :meth:`AsyncIndexServer.check_health` re-probes via
-  each replica's own ``health()`` and restores recovered replicas.
+* **Health.**  A batch that fails with an infrastructure error
+  (:class:`IndexIntegrityError`, ``OSError``, e.g. a shard file that can
+  no longer be read) fails with that error and marks its generation
+  unhealthy; later batches on it fail fast until
+  :meth:`AsyncIndexServer.check_health` finds the files intact (via the
+  handle's own ``health()``) or :meth:`AsyncIndexServer.swap` replaces
+  the generation.  There is nothing to reroute to: every batch of a
+  generation runs on the same handle over the same bundle pages.
 * **Hot swap.**  :meth:`AsyncIndexServer.swap` loads a new snapshot
   (O(1) mmap cold start), atomically redirects new batches to it,
   drains in-flight batches on the old generation, then closes it —
@@ -35,7 +40,7 @@ Design points:
 * **Observability.**  Every response is a :class:`ServedResult`
   carrying :class:`ServeStats` (queue wait, coalesce window, batch
   size, executor latency, snapshot generation); server-level
-  counters (admitted/served/shed/swaps/reroutes) come from
+  counters (admitted/served/shed/failed/swaps) come from
   :meth:`AsyncIndexServer.metrics`.
 
 :func:`serve_in_thread` wraps the event loop in a daemon thread and
@@ -83,9 +88,9 @@ DEFAULT_MAX_WAIT_US = 2_000
 #: Default bound on admitted-but-unserved requests before shedding.
 DEFAULT_MAX_PENDING = 1_024
 
-#: Infrastructure failures that mark a replica unhealthy and reroute the
-#: batch (vs. request errors, which propagate to the caller).
-_REPLICA_ERRORS = (IndexIntegrityError, OSError)
+#: Infrastructure failures that mark a generation unhealthy (vs. request
+#: errors, which fail only their own batch).
+_HANDLE_ERRORS = (IndexIntegrityError, OSError)
 
 
 class ServerOverloadedError(RuntimeError):
@@ -111,9 +116,8 @@ class ServeStats:
     executor-side ``batch_query`` latency of this request's budget
     group; ``batch_id`` / ``batch_size`` which coalesced batch the
     request rode and how many requests rode it (``group_size`` of them
-    sharing this request's budget); ``snapshot`` / ``replica`` which
-    index generation and replica slot answered.  Server-wide
-    shed/swap/reroute counters live on
+    sharing this request's budget); ``snapshot`` which index generation
+    answered.  Server-wide shed/swap/failure counters live on
     :meth:`AsyncIndexServer.metrics`.
     """
 
@@ -124,7 +128,6 @@ class ServeStats:
     batch_size: int
     group_size: int
     snapshot: int
-    replica: int
 
 
 @dataclass(frozen=True)
@@ -159,25 +162,24 @@ class _Request:
 
 
 class _Snapshot:
-    """One live index generation: replica handles plus slot bookkeeping.
+    """One live index generation: the single loaded handle every batch of
+    the generation runs on, its health flag, and drain bookkeeping.
 
-    ``available`` holds idle slot ids; ``unhealthy`` the routed-around
-    ones (a slot can be in both — acquisition skips it).  ``in_flight``
-    counts batches executing on this generation; after :meth:`retire`,
-    the last batch to finish sets ``drained``.
+    ``healthy`` drops when a batch fails with an infrastructure error and
+    rises again when :meth:`AsyncIndexServer.check_health` finds the files
+    intact.  ``in_flight`` counts batches dispatched to this generation;
+    after :meth:`retire`, the last batch to finish sets ``drained``.
     """
 
-    def __init__(self, generation: int, path: str, replicas: list[Any]) -> None:
+    def __init__(self, generation: int, path: str, index: Any) -> None:
         self.generation = generation
         self.path = path
-        self.replicas = replicas
-        self.available: set[int] = set(range(len(replicas)))
-        self.unhealthy: set[int] = set()
-        self.slots = asyncio.Condition()
+        self.index = index
+        self.healthy = True
         self.in_flight = 0
         self.retired = False
         self.drained = asyncio.Event()
-        self.dim: int | None = replicas[0].dim if replicas else None
+        self.dim: int | None = index.dim
 
     def retire(self) -> None:
         """Stop new dispatches (callers switch first) and arm ``drained``."""
@@ -186,47 +188,37 @@ class _Snapshot:
             self.drained.set()
 
 
-def _load_replicas(path: str, count: int, options: ServingOptions) -> list[Any]:
-    """Executor-side snapshot load: ``count`` independent replicas of the
-    index at ``path`` (mmap'd replicas share pages, so replication is
-    cheap).  Closes partial loads on failure before re-raising."""
+def _load_handle(path: str, options: ServingOptions) -> Any:
+    """Executor-side snapshot load: one handle on the bundle at ``path``."""
     from repro.api import load_index  # lazy: api imports serving lazily too
 
-    replicas: list[Any] = []
-    try:
-        for _ in range(count):
-            replicas.append(load_index(path, options=options))
-    except BaseException:
-        _close_replicas(replicas)
-        raise
-    return replicas
+    return load_index(path, options=options)
 
 
-def _close_replicas(replicas: list[Any]) -> None:
-    """Executor-side snapshot teardown: close every replica that has a
+def _close_handle(index: Any) -> None:
+    """Executor-side snapshot teardown: close the handle if it has a
     ``close``; plain mmap indexes just drop."""
-    for replica in replicas:
-        closer = getattr(replica, "close", None)
-        if callable(closer):
-            closer()
+    closer = getattr(index, "close", None)
+    if callable(closer):
+        closer()
 
 
-def _replica_batch_query(
-    replica: Any, block: np.ndarray, max_retrieved: int | None
+def _batch_query(
+    index: Any, block: np.ndarray, max_retrieved: int | None
 ) -> list[Any]:
     """Executor-side batch execution — one ``batch_query`` call for one
     budget group, results element-for-element identical to per-query
     calls (the repo-wide parity invariant)."""
     if max_retrieved is None:
-        return list(replica.batch_query(block))
-    return list(replica.batch_query(block, max_retrieved=max_retrieved))
+        return list(index.batch_query(block))
+    return list(index.batch_query(block, max_retrieved=max_retrieved))
 
 
-def _probe_replica(replica: Any) -> dict[str, Any]:
-    """Executor-side health probe: defer to the replica's own ``health()``
-    when it has one (ShardedIndex: its shard files), else
-    report a plain in-process replica as healthy."""
-    health = getattr(replica, "health", None)
+def _probe_handle(index: Any) -> dict[str, Any]:
+    """Executor-side health probe: defer to the handle's own ``health()``
+    when it has one (ShardedIndex: its shard files), else report a plain
+    in-process handle as healthy."""
+    health = getattr(index, "health", None)
     if callable(health):
         report = health()
         return {"ok": bool(report.get("ok", False)), "detail": report}
@@ -239,20 +231,20 @@ def _shutdown_executor(executor: ThreadPoolExecutor) -> None:
 
 
 class AsyncIndexServer:
-    """Asyncio serving tier over replicated index snapshots.
+    """Asyncio serving tier over one loaded handle per index snapshot.
 
     ``path`` names a :func:`repro.api.save_index` bundle (single or
-    sharded layout); ``replicas`` independent handles are opened so
-    concurrent batches overlap (mmap makes replicas share pages).
-    ``max_batch`` / ``max_wait_us`` bound the coalescing window,
-    ``max_pending`` the admission queue (see the module docstring), and
-    ``options`` is the same frozen
+    sharded layout), loaded once per generation; ``replicas`` is how many
+    batches run on that handle at once (their NumPy work overlaps in the
+    executor threads).  ``max_batch`` / ``max_wait_us`` bound the
+    coalescing window, ``max_pending`` the admission queue (see the
+    module docstring), and ``options`` is the same frozen
     :class:`~repro.serving.options.ServingOptions` every other query
-    surface takes; every replica is loaded with it.
+    surface takes; each snapshot is loaded with it.
 
     Lifecycle: ``await start()`` (or ``async with``) before
     :meth:`query`; ``await close()`` drains in-flight work and releases
-    the executor and replicas (also hooked to garbage collection via
+    the executor and the snapshot (also hooked to garbage collection via
     ``weakref.finalize`` so an abandoned server cannot leak threads).
     """
 
@@ -275,7 +267,7 @@ class AsyncIndexServer:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         self._path = str(path)
-        self._replicas = replicas
+        self._concurrency = replicas
         self._max_batch = max_batch
         self._max_wait_s = max_wait_us / 1e6
         self._max_pending = max_pending
@@ -289,6 +281,7 @@ class AsyncIndexServer:
         self._finalizer: weakref.finalize | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._swap_lock: asyncio.Lock | None = None
+        self._slots: asyncio.Semaphore | None = None
         self._pending = 0
         self._started = False
         self._closed = False
@@ -301,13 +294,12 @@ class AsyncIndexServer:
             "coalesced": 0,
             "max_batch_size": 0,
             "swaps": 0,
-            "rerouted": 0,
         }
 
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> "AsyncIndexServer":
-        """Open the snapshot replicas and start the coalescing loop.
+        """Load the snapshot and start the coalescing loop.
 
         Raises :class:`IndexIntegrityError` when the snapshot fails its
         ``options.verify`` integrity checks, ``FileNotFoundError`` for a
@@ -320,8 +312,9 @@ class AsyncIndexServer:
         self._loop = loop
         self._queue = asyncio.Queue(maxsize=self._max_pending)
         self._swap_lock = asyncio.Lock()
+        self._slots = asyncio.Semaphore(self._concurrency)
         self._executor = ThreadPoolExecutor(
-            max_workers=max(2, self._replicas),
+            max_workers=max(2, self._concurrency),
             thread_name_prefix="repro-serve",
         )
         self._finalizer = weakref.finalize(
@@ -340,7 +333,7 @@ class AsyncIndexServer:
 
     async def close(self) -> None:
         """Graceful shutdown: stop admission, drain every in-flight
-        request, then release replicas and the executor.  Idempotent."""
+        request, then release the snapshot and the executor.  Idempotent."""
         if self._closed:
             return
         self._closed = True
@@ -368,9 +361,7 @@ class AsyncIndexServer:
         executor = self._executor
         if snapshot is not None and executor is not None:
             loop = asyncio.get_running_loop()
-            await loop.run_in_executor(
-                executor, _close_replicas, snapshot.replicas
-            )
+            await loop.run_in_executor(executor, _close_handle, snapshot.index)
         if self._finalizer is not None:
             self._finalizer.detach()
             self._finalizer = None
@@ -407,9 +398,11 @@ class AsyncIndexServer:
         never joins a batch.
 
         Sheds with :class:`ServerOverloadedError` when ``max_pending``
-        admitted requests are still outstanding (queued or in flight).  Replica-side failures propagate:
-        ``RuntimeError`` when every replica has been routed out as
-        unhealthy.
+        admitted requests are still outstanding (queued or in flight).
+        Execution failures propagate: the :class:`IndexIntegrityError` or
+        ``OSError`` that marked the generation unhealthy, then a
+        ``RuntimeError`` naming that generation for every later batch on
+        it until :meth:`check_health` or :meth:`swap` restores service.
         """
         queue = self._require_running()
         snapshot = self._snapshot
@@ -422,9 +415,9 @@ class AsyncIndexServer:
         budget = _check_budget(max_retrieved)
         loop = asyncio.get_running_loop()
         # ``_pending`` counts every admitted-but-unresolved request —
-        # queued *and* in flight on a replica — so backpressure bounds
-        # total outstanding work, not just the coalescing queue (batches
-        # waiting for a replica slot would otherwise absorb overload
+        # queued *and* in flight — so backpressure bounds total
+        # outstanding work, not just the coalescing queue (batches
+        # waiting for an execution slot would otherwise absorb overload
         # into unbounded memory instead of shedding it).
         if self._pending >= self._max_pending:
             self._metrics["shed"] += 1
@@ -557,19 +550,18 @@ class AsyncIndexServer:
                     snapshot, budget, members, batch_id, len(batch),
                     coalesce_wait_s,
                 )
-        except BaseException as exc:
+        except asyncio.CancelledError:
             for request in batch:
                 if not request.future.done():
-                    if isinstance(exc, asyncio.CancelledError):
-                        request.future.cancel()
-                    else:
-                        request.future.set_exception(
-                            RuntimeError(
-                                f"internal serving failure: {exc!r}"
-                            )
-                        )
+                    request.future.cancel()
                     self._metrics["failed"] += 1
             raise
+        except Exception as exc:
+            # The batch task is the boundary: an unexpected error goes to
+            # the requests it failed, not to an unretrieved task error.
+            error = RuntimeError(f"internal serving failure: {exc!r}")
+            error.__cause__ = exc
+            self._fail_group(batch, error)
         finally:
             snapshot.in_flight -= 1
             if snapshot.retired and snapshot.in_flight == 0:
@@ -584,54 +576,46 @@ class AsyncIndexServer:
         batch_size: int,
         coalesce_wait_s: float,
     ) -> None:
-        if self._loop is None or self._executor is None:
+        if self._loop is None or self._executor is None or self._slots is None:
             raise RuntimeError("server not started")
         loop, executor = self._loop, self._executor
         dispatched_at = loop.time()
         block = np.stack([request.query for request in members])
-        last_error: BaseException | None = None
-        while True:
-            slot = await self._acquire_slot(snapshot)
-            if slot is None:
-                error = last_error or RuntimeError(
-                    "no healthy replica available "
-                    f"(generation {snapshot.generation})"
-                )
-                self._fail_group(members, error)
+        async with self._slots:
+            if not snapshot.healthy:
+                self._fail_group(members, RuntimeError(
+                    f"snapshot generation {snapshot.generation} is "
+                    "unhealthy until check_health() finds its files "
+                    "intact or swap() replaces it"
+                ))
                 return
-            replica = snapshot.replicas[slot]
             started = loop.time()
             try:
                 results = await loop.run_in_executor(
-                    executor, _replica_batch_query, replica, block, budget
+                    executor, _batch_query, snapshot.index, block, budget
                 )
-            except _REPLICA_ERRORS as exc:
-                last_error = exc
-                await self._mark_unhealthy(snapshot, slot)
-                self._metrics["rerouted"] += 1
-                continue
-            except (TimeoutError, ValueError, TypeError, RuntimeError) as exc:
-                await self._release_slot(snapshot, slot)
+            except _HANDLE_ERRORS as exc:
+                snapshot.healthy = False
                 self._fail_group(members, exc)
                 return
-            await self._release_slot(snapshot, slot)
-            execute_s = loop.time() - started
-            for request, result in zip(members, results):
-                if request.future.done():
-                    continue
-                stats = ServeStats(
-                    queue_wait_s=dispatched_at - request.admitted_at,
-                    coalesce_wait_s=coalesce_wait_s,
-                    execute_s=execute_s,
-                    batch_id=batch_id,
-                    batch_size=batch_size,
-                    group_size=len(members),
-                    snapshot=snapshot.generation,
-                    replica=slot,
-                )
-                request.future.set_result(ServedResult(result, stats))
-                self._metrics["served"] += 1
-            return
+            except (TimeoutError, ValueError, TypeError, RuntimeError) as exc:
+                self._fail_group(members, exc)
+                return
+        execute_s = loop.time() - started
+        for request, result in zip(members, results):
+            if request.future.done():
+                continue
+            stats = ServeStats(
+                queue_wait_s=dispatched_at - request.admitted_at,
+                coalesce_wait_s=coalesce_wait_s,
+                execute_s=execute_s,
+                batch_id=batch_id,
+                batch_size=batch_size,
+                group_size=len(members),
+                snapshot=snapshot.generation,
+            )
+            request.future.set_result(ServedResult(result, stats))
+            self._metrics["served"] += 1
 
     def _fail_group(
         self, members: list[_Request], error: BaseException
@@ -641,61 +625,27 @@ class AsyncIndexServer:
                 request.future.set_exception(error)
                 self._metrics["failed"] += 1
 
-    # -- replica slot management -----------------------------------------
-
-    async def _acquire_slot(self, snapshot: _Snapshot) -> int | None:
-        async with snapshot.slots:
-            while True:
-                healthy = snapshot.available - snapshot.unhealthy
-                if healthy:
-                    slot = min(healthy)
-                    snapshot.available.discard(slot)
-                    return slot
-                if len(snapshot.unhealthy) >= len(snapshot.replicas):
-                    return None
-                await snapshot.slots.wait()
-
-    async def _release_slot(self, snapshot: _Snapshot, slot: int) -> None:
-        async with snapshot.slots:
-            snapshot.available.add(slot)
-            snapshot.slots.notify_all()
-
-    async def _mark_unhealthy(self, snapshot: _Snapshot, slot: int) -> None:
-        async with snapshot.slots:
-            snapshot.unhealthy.add(slot)
-            snapshot.available.add(slot)
-            snapshot.slots.notify_all()
-
     # -- health / swap / metrics -----------------------------------------
 
     async def check_health(self) -> dict[str, Any]:
-        """Probe every replica of the live generation via its own
-        ``health()`` (the shard files for sharded replicas); mark failing replicas unhealthy (routed around) and
-        restore recovered ones into rotation.  Never raises for an
-        unhealthy replica — the report carries the details.
+        """Probe the live generation via its handle's own ``health()``
+        (the shard files for a sharded index) and set its health from the
+        result: a generation that failed a batch serves again once its
+        files check out, and one whose files fail stops serving.  Never
+        raises for an unhealthy snapshot — the report
+        (``generation`` / ``path`` / ``ok`` / ``detail``) carries the
+        details.
         """
         self._require_running()
         snapshot = self._snapshot
         if snapshot is None or self._loop is None or self._executor is None:
             raise RuntimeError("server has no live snapshot")
-        reports = []
-        for slot, replica in enumerate(snapshot.replicas):
-            report = await self._loop.run_in_executor(
-                self._executor, _probe_replica, replica
-            )
-            async with snapshot.slots:
-                if report["ok"]:
-                    snapshot.unhealthy.discard(slot)
-                else:
-                    snapshot.unhealthy.add(slot)
-                snapshot.slots.notify_all()
-            reports.append({"replica": slot, **report})
+        report = await self._loop.run_in_executor(
+            self._executor, _probe_handle, snapshot.index
+        )
+        snapshot.healthy = report["ok"]
         return {
-            "generation": snapshot.generation,
-            "path": snapshot.path,
-            "ok": len(snapshot.unhealthy) < len(snapshot.replicas),
-            "unhealthy": sorted(snapshot.unhealthy),
-            "replicas": reports,
+            "generation": snapshot.generation, "path": snapshot.path, **report
         }
 
     async def swap(self, path: str) -> dict[str, Any]:
@@ -724,25 +674,21 @@ class AsyncIndexServer:
             await old.drained.wait()
             if self._executor is not None:
                 await self._loop.run_in_executor(
-                    self._executor, _close_replicas, old.replicas
+                    self._executor, _close_handle, old.index
                 )
-            return {
-                "generation": new.generation,
-                "path": new.path,
-                "replicas": len(new.replicas),
-            }
+            return {"generation": new.generation, "path": new.path}
 
     async def _load_snapshot(self, path: str, generation: int) -> _Snapshot:
         if self._loop is None or self._executor is None:
             raise RuntimeError("server not started")
-        replicas = await self._loop.run_in_executor(
-            self._executor, _load_replicas, path, self._replicas, self._options
+        index = await self._loop.run_in_executor(
+            self._executor, _load_handle, path, self._options
         )
-        return _Snapshot(generation, path, replicas)
+        return _Snapshot(generation, path, index)
 
     def metrics(self) -> dict[str, Any]:
         """Server-wide counters: ``admitted`` / ``served`` / ``shed`` /
-        ``failed`` / ``batches`` / ``swaps`` / ``rerouted``, the running
+        ``failed`` / ``batches`` / ``swaps``, the running
         ``max_batch_size``, the derived ``mean_batch``, plus the live
         ``pending`` depth and current ``generation``."""
         out: dict[str, Any] = dict(self._metrics)
@@ -756,7 +702,7 @@ class AsyncIndexServer:
 
     @property
     def options(self) -> ServingOptions:
-        """The frozen :class:`ServingOptions` replicas are loaded with."""
+        """The frozen :class:`ServingOptions` snapshots are loaded with."""
         return self._options
 
 
@@ -795,7 +741,7 @@ class ServerHandle:
     ) -> ServedResult:
         """Blocking single-query call; see
         :meth:`AsyncIndexServer.query` for semantics (including the
-        :class:`ServerOverloadedError` shed and propagated replica
+        :class:`ServerOverloadedError` shed and propagated execution
         failures)."""
         return self._submit(  # type: ignore[no-any-return]
             self._server.query(query, max_retrieved)
@@ -807,7 +753,7 @@ class ServerHandle:
         """Submit every row as its own concurrent request (they coalesce
         server-side) and block for all results, in row order.  Failure
         semantics per row match :meth:`query` (shed requests raise
-        :class:`ServerOverloadedError`, replica failures propagate)."""
+        :class:`ServerOverloadedError`, execution failures propagate)."""
         block = np.atleast_2d(np.asarray(queries))
         futures = [
             self._submit(self._server.query(row, max_retrieved))

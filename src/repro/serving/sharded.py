@@ -32,8 +32,8 @@ processes: on the 4-shard, 64-query-block benchmark shape a 2-process
 pool was slower than this path in every measured run on 2-core hosts.
 Load-time integrity checks (``ServingOptions.verify``) and
 :meth:`ShardedIndex.health` guard the shard files;
-:class:`~repro.serving.server.AsyncIndexServer` adds replicas and
-rerouting on top.
+:class:`~repro.serving.server.AsyncIndexServer` serves a loaded sharded
+index like any other snapshot.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 In-place bit flips inside a member's data region, missing tails and
 missing files, for driving the ``verify=`` integrity modes, the shard
-health probe and the async server's failed swaps and rerouting.
+health probe and the async server's failed swaps and health checks.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 Covers coalescing edges (batch caps, zero windows, overflow), the
 result-exactness invariant (every coalesced response bit-identical to a
 direct ``batch_query`` of the same queries, including budget clipping),
-bounded-queue overload shedding, health-based replica routing under
-injected replica failures, and zero-downtime hot swaps under concurrent load with zero dropped or
-wrong-snapshot-mixed responses.
+bounded-queue overload shedding, fail-fast health under injected
+failures of the generation's one loaded handle, and zero-downtime hot
+swaps under concurrent load with zero dropped or wrong-snapshot-mixed
+responses.
 
 No ``pytest-asyncio`` in the pinned environment: each test drives its
 own event loop via ``asyncio.run``.
@@ -20,7 +21,8 @@ import numpy as np
 import pytest
 
 from _bundle_damage import delete_bundle, truncate_bundle
-from repro.api import IndexSpec, build_index, load_index, save_index
+from _load_spy import fail_once, spy_on_loads
+from repro.api import IndexSpec, build_index, save_index
 from repro.index.persistence import IndexIntegrityError
 from repro.serving import (
     AsyncIndexServer,
@@ -230,7 +232,6 @@ class TestCoalescing:
             assert stats.execute_s >= 0.0
             assert 1 <= stats.group_size <= stats.batch_size <= 8
             assert stats.snapshot == 0
-            assert stats.replica == 0
 
 
 # ---------------------------------------------------------------------------
@@ -464,17 +465,22 @@ class TestBackpressure:
 
 
 # ---------------------------------------------------------------------------
-# health routing
+# one handle per generation: sharded snapshots and health
 # ---------------------------------------------------------------------------
 
+#: Bound on any single await in the failure tests, so a regression that
+#: wedges the server fails the test instead of hanging the suite.
+TIMEOUT_S = 10.0
 
-class TestShardedReplicas:
+
+class TestShardedSnapshot:
     @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "eager"])
-    def test_options_reach_every_replica_and_answers_stay_exact(
+    def test_options_reach_the_one_handle_and_answers_stay_exact(
         self, data, served_dir, flat, mmap
     ):
-        """Each replica of a sharded snapshot is loaded under the server's
-        options and serves in-process, exact for every budget."""
+        """A sharded snapshot is loaded once, under the server's options,
+        serves in-process, and stays exact for every budget while two
+        batches run on the handle at once."""
         _, queries = data
         options = ServingOptions(mmap=mmap, verify="eager")
         budgets = [None, 5, 40]
@@ -483,129 +489,154 @@ class TestShardedReplicas:
             async with AsyncIndexServer(
                 str(served_dir / "srv"),
                 replicas=2,
-                max_batch=8,
+                max_batch=4,
                 max_wait_us=5_000,
                 options=options,
             ) as server:
-                replicas = list(server._snapshot.replicas)
-                results = {
-                    budget: await asyncio.gather(
-                        *(server.query(q, max_retrieved=budget)
-                          for q in queries[:8])
-                    )
-                    for budget in budgets
-                }
-                return replicas, results
+                handle = server._snapshot.index
+                answers = await asyncio.gather(
+                    *(server.query(q, max_retrieved=budget)
+                      for budget in budgets for q in queries[:16])
+                )
+                return handle, answers, server.metrics()
 
-        replicas, results = asyncio.run(scenario())
-        assert len(replicas) == 2
-        for replica in replicas:
-            assert isinstance(replica, ShardedIndex)
-            assert replica.options == options
+        handle, answers, metrics = asyncio.run(scenario())
+        assert isinstance(handle, ShardedIndex)
+        assert handle.options == options
         assert multiprocessing.active_children() == []
-        for budget in budgets:
-            reference = flat.batch_query(queries[:8], max_retrieved=budget)
-            for served, ref in zip(results[budget], reference):
-                _assert_exact(served, ref)
-                assert served.stats.degraded is False
+        assert metrics["batches"] > 2
+        for b, budget in enumerate(budgets):
+            reference = flat.batch_query(queries[:16], max_retrieved=budget)
+            served = answers[16 * b:16 * (b + 1)]
+            for one, ref in zip(served, reference):
+                _assert_exact(one, ref)
+                assert one.stats.degraded is False
 
 
-class TestHealthRouting:
+class TestHealth:
     @pytest.mark.parametrize(
         "error",
         [OSError("shard file unreadable"),
          IndexIntegrityError("shard bundle damaged", kind="checksum")],
         ids=["OSError", "IndexIntegrityError"],
     )
-    def test_replica_failure_marks_it_unhealthy_and_reroutes(
-        self, data, served_dir, flat, error
+    def test_handle_failure_fails_fast_until_health_restores(
+        self, data, served_dir, flat, monkeypatch, error
     ):
+        """An infrastructure error fails its batch with that error and
+        marks the generation unhealthy; later batches fail fast with a
+        RuntimeError naming the generation, without touching the handle,
+        until check_health finds the shard files intact."""
         _, queries = data
-        reference = flat.batch_query(queries[:6])
-
-        async def scenario():
-            async with AsyncIndexServer(
-                str(served_dir / "srv"),
-                replicas=2,
-                max_batch=8,
-                max_wait_us=5_000,
-            ) as server:
-                await asyncio.gather(*(server.query(q) for q in queries[:2]))
-                # Replica 0's next batch fails once with an
-                # infrastructure error: the server marks it unhealthy and
-                # reroutes the batch to replica 1.
-                broken = server._snapshot.replicas[0]
-
-                def failing_once(*args, **kwargs):
-                    del broken.batch_query
-                    raise error
-
-                broken.batch_query = failing_once
-                results = await asyncio.gather(
-                    *(server.query(q) for q in queries[:6])
-                )
-                metrics = server.metrics()
-                health = await server.check_health()
-                return results, metrics, health
-
-        results, metrics, health = asyncio.run(scenario())
-        for served, ref in zip(results, reference):
-            _assert_exact(served, ref)
-        assert metrics["failed"] == 0
-        assert metrics["rerouted"] >= 1
-        # check_health re-probes: the shard files are intact, so the
-        # replica returns to rotation.
-        assert health["ok"] is True
-        assert health["unhealthy"] == []
-
-    def test_every_replica_failing_fails_the_batch_with_its_error(
-        self, data, served_dir, flat
-    ):
-        """With every replica failing, the batch fails with the last
-        replica's own error rather than hanging or a generic one; a
-        health probe on intact files restores both replicas."""
-        _, queries = data
+        loads = spy_on_loads(monkeypatch)
 
         async def scenario():
             async with AsyncIndexServer(
                 str(served_dir / "srv"), replicas=2, max_wait_us=0
             ) as server:
-                for replica in server._snapshot.replicas:
+                handle = loads[0][1]
+                fail_once(handle, error)
+                with pytest.raises(type(error), match=str(error)):
+                    await server.query(queries[0])
+                # Booby-trap the handle: a fast failure must not call it.
+                handle.batch_query = None
+                with pytest.raises(RuntimeError, match="generation 0"):
+                    await server.query(queries[1])
+                failed = server.metrics()["failed"]
+                del handle.batch_query
+                health = await server.check_health()
+                recovered = await server.query(queries[2])
+                return failed, health, recovered
 
-                    def failing_once(*args, _replica=replica, **kwargs):
-                        del _replica.batch_query
-                        raise OSError("shard file unreadable")
+        failed, health, recovered = asyncio.run(scenario())
+        assert failed == 2
+        assert len(loads) == 1
+        assert health["ok"] is True
+        assert set(health) == {"generation", "path", "ok", "detail"}
+        assert health["generation"] == 0
+        assert health["detail"]["shards"][0]["ok"] is True
+        _assert_exact(recovered, flat.query(queries[2]))
 
-                    replica.batch_query = failing_once
+    def test_swap_replaces_an_unhealthy_generation(
+        self, data, served_dir, flat, monkeypatch
+    ):
+        _, queries = data
+        loads = spy_on_loads(monkeypatch)
+
+        async def scenario():
+            async with AsyncIndexServer(
+                str(served_dir / "srv"), max_wait_us=0
+            ) as server:
+                fail_once(loads[0][1], OSError("shard file unreadable"))
                 with pytest.raises(OSError, match="unreadable"):
                     await server.query(queries[0])
-                metrics = server.metrics()
-                health = await server.check_health()
-                recovered = await server.query(queries[1])
-                return metrics, health, recovered
+                info = await server.swap(str(served_dir / "srv"))
+                return info, await server.query(queries[0])
 
-        metrics, health, recovered = asyncio.run(scenario())
-        assert metrics["failed"] == 1
-        assert metrics["rerouted"] == 2
-        assert health["ok"] is True
-        assert health["unhealthy"] == []
-        _assert_exact(recovered, flat.query(queries[1]))
+        info, served = asyncio.run(scenario())
+        assert info["generation"] == 1
+        assert served.serve.snapshot == 1
+        _assert_exact(served, flat.query(queries[0]))
 
-    def test_check_health_reports_unhealthy_replicas(
+    def test_check_health_reports_damaged_files_and_stops_serving(
         self, data, served_dir
     ):
+        _, queries = data
+
         async def scenario():
             async with AsyncIndexServer(str(served_dir / "srv")) as server:
                 before = await server.check_health()
                 delete_bundle(served_dir / "srv.shard0")
                 after = await server.check_health()
+                with pytest.raises(RuntimeError, match="generation 0"):
+                    await server.query(queries[0])
                 return before, after
 
         before, after = asyncio.run(scenario())
         assert before["ok"] is True
         assert after["ok"] is False
-        assert after["unhealthy"] == [0]
-        assert after["replicas"][0]["ok"] is False
+        assert after["detail"]["shards"][0]["ok"] is False
+        assert after["detail"]["shards"][1]["ok"] is True
+
+    def test_unexpected_executor_error_frees_the_slot(
+        self, data, saved_single, flat, monkeypatch
+    ):
+        """An error outside the handled families fails only its batch,
+        as an internal serving failure: the execution slot is freed, so
+        the next query is answered and close() returns, and the batch
+        task leaves no unretrieved exception behind."""
+        _, queries = data
+        loads = spy_on_loads(monkeypatch)
+        loop_errors = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            server = await AsyncIndexServer(
+                str(saved_single), replicas=1, max_wait_us=0
+            ).start()
+            fail_once(loads[0][1], KeyError("lost bucket"))
+            try:
+                with pytest.raises(
+                    RuntimeError, match="internal serving failure"
+                ):
+                    await asyncio.wait_for(
+                        server.query(queries[0]), TIMEOUT_S
+                    )
+                served = await asyncio.wait_for(
+                    server.query(queries[1]), TIMEOUT_S
+                )
+            finally:
+                await asyncio.wait_for(server.close(), TIMEOUT_S)
+            await asyncio.sleep(0)
+            return served, server.metrics()
+
+        served, metrics = asyncio.run(scenario())
+        _assert_exact(served, flat.query(queries[1]))
+        assert metrics["failed"] == 1
+        assert metrics["served"] == 1
+        assert loop_errors == []
 
 
 # ---------------------------------------------------------------------------

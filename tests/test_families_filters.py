@@ -219,7 +219,7 @@ class TestProjectionChunks:
         np.testing.assert_array_equal(pair.hash_query(x)[:, 0], ref_g)
 
     def test_concurrent_first_use(self):
-        """Index builds and server replicas hash on threads: concurrent first
+        """Index builds and concurrent server batches hash on threads: first
         calls on one fresh pair (both sides) must all see the same chunks."""
         fam = GaussianFilterFamily(4, t=3.0, m=5000, negated=True)
         x = sphere.random_points(500, 4, rng=15)
