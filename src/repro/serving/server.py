@@ -28,8 +28,9 @@ Design points:
   (:class:`IndexIntegrityError`, ``OSError``, e.g. a shard file that can
   no longer be read) fails with that error and marks its generation
   unhealthy; later batches on it fail fast until
-  :meth:`AsyncIndexServer.check_health` finds the files intact (via the
-  handle's own ``health()``) or :meth:`AsyncIndexServer.swap` replaces
+  :meth:`AsyncIndexServer.check_health` finds the files intact (the
+  bundle, or every shard file of a sharded index) or
+  :meth:`AsyncIndexServer.swap` replaces
   the generation.  There is nothing to reroute to: every batch of a
   generation runs on the same handle over the same bundle pages.
 * **Hot swap.**  :meth:`AsyncIndexServer.swap` loads a new snapshot
@@ -64,6 +65,7 @@ import numpy as np
 from repro.index.lsh_index import _check_budget, _check_single_query
 from repro.index.persistence import IndexIntegrityError
 from repro.serving.options import ServingOptions
+from repro.serving.sharded import _probe_bundle
 
 __all__ = [
     "AsyncIndexServer",
@@ -214,15 +216,19 @@ def _batch_query(
     return list(index.batch_query(block, max_retrieved=max_retrieved))
 
 
-def _probe_handle(index: Any) -> dict[str, Any]:
+def _probe_handle(index: Any, path: str, verify: str) -> dict[str, Any]:
     """Executor-side health probe: defer to the handle's own ``health()``
-    when it has one (ShardedIndex: its shard files), else report a plain
-    in-process handle as healthy."""
+    when it has one (ShardedIndex: its shard files), else check the single
+    bundle at ``path`` the same way, at the server's ``verify`` level."""
     health = getattr(index, "health", None)
     if callable(health):
         report = health()
         return {"ok": bool(report.get("ok", False)), "detail": report}
-    return {"ok": True, "detail": {"mode": "in-process"}}
+    detail: dict[str, Any] = {"mode": "in-process", "verify": verify}
+    error = _probe_bundle(path, verify)
+    if error is not None:
+        detail["error"] = error
+    return {"ok": error is None, "detail": detail}
 
 
 def _shutdown_executor(executor: ThreadPoolExecutor) -> None:
@@ -628,8 +634,8 @@ class AsyncIndexServer:
     # -- health / swap / metrics -----------------------------------------
 
     async def check_health(self) -> dict[str, Any]:
-        """Probe the live generation via its handle's own ``health()``
-        (the shard files for a sharded index) and set its health from the
+        """Probe the live generation's files on disk (its bundle, or every
+        shard file of a sharded index) and set its health from the
         result: a generation that failed a batch serves again once its
         files check out, and one whose files fail stops serving.  Never
         raises for an unhealthy snapshot — the report
@@ -641,7 +647,11 @@ class AsyncIndexServer:
         if snapshot is None or self._loop is None or self._executor is None:
             raise RuntimeError("server has no live snapshot")
         report = await self._loop.run_in_executor(
-            self._executor, _probe_handle, snapshot.index
+            self._executor,
+            _probe_handle,
+            snapshot.index,
+            snapshot.path,
+            self._options.verify,
         )
         snapshot.healthy = report["ok"]
         return {

@@ -143,6 +143,24 @@ def check_manifest_coherence(
     return [str(name) for name in shards]
 
 
+def _probe_bundle(path: str, verify: str) -> str | None:
+    """Check one saved bundle on disk without reviving it: its array file
+    must exist, and :func:`repro.api.verify_saved_index` runs at
+    ``verify``.  Returns ``None`` when healthy, else the error as
+    ``"Type: message"``; a missing or damaged bundle never raises."""
+    from repro.api import index_paths, verify_saved_index
+
+    try:
+        # Stat first: a deleted bundle fails even at verify="off".
+        os.stat(index_paths(path)[0])
+        verify_saved_index(path, verify=verify)
+    except (OSError, ValueError) as exc:
+        # IndexIntegrityError is a ValueError;
+        # FileNotFoundError is an OSError.
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
 def _merge_blocks(
     blocks: list[BatchHits],
     offsets: list[int],
@@ -382,7 +400,6 @@ class ShardedIndex:
         healthy.  The top-level ``"ok"`` is the conjunction of every
         shard check.
         """
-        from repro.api import index_paths, verify_saved_index
         from repro.index.persistence import _check_verify_mode
 
         level = self._options.verify if verify is None else verify
@@ -400,15 +417,10 @@ class ShardedIndex:
             return report
         for s, path in enumerate(self._paths):
             entry: dict[str, Any] = {"shard": s, "path": path, "ok": True}
-            try:
-                # Stat first: a deleted bundle fails even at verify="off".
-                os.stat(index_paths(path)[0])
-                verify_saved_index(path, verify=level)
-            except (OSError, ValueError) as exc:
-                # IndexIntegrityError is a ValueError;
-                # FileNotFoundError is an OSError.
+            error = _probe_bundle(path, level)
+            if error is not None:
                 entry["ok"] = False
-                entry["error"] = f"{type(exc).__name__}: {exc}"
+                entry["error"] = error
                 report["ok"] = False
             report["shards"].append(entry)
         return report

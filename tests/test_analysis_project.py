@@ -2,9 +2,8 @@
 
 Complements ``test_analysis_rules.py`` (which exercises the rules built on
 top): here we pin down the conservative resolver itself — aliased import
-chains, ``__init__`` re-exports, static/classmethod dispatch, executor
-submissions whose targets must stay *unresolved* rather than guessed,
-partial unwrapping, raise-set filtering, and cycle/layer bookkeeping.
+chains, ``__init__`` re-exports, static/classmethod dispatch, raise-set
+filtering, and cycle/layer bookkeeping.
 """
 
 from __future__ import annotations
@@ -143,94 +142,8 @@ def test_var_typed_local_dispatches_to_method():
     )
     callees = project.callees("use", "drive")
     assert ("lib", "Builder.go") in callees
-    # Constructing the class also reaches __init__ territory via self
-    # dispatch inside go().
-    assert ("lib", "Builder.util") in project.reachable("use", "drive")
-
-
-# ---------------------------------------------------------------------------
-# Executor submissions: the submitted callable is a callee, never guessed
-# ---------------------------------------------------------------------------
-
-
-_POOL_PRELUDE = (
-    "from concurrent.futures import ProcessPoolExecutor\n"
-    "from functools import partial\n"
-    "def work(x, y=0):\n"
-    "    '''Doc.'''\n"
-    "    return x + y\n"
-)
-
-
-def test_submitted_top_level_target_is_a_callee():
-    project = build(
-        (
-            "src/jobs.py",
-            _POOL_PRELUDE
-            + "def run():\n"
-            "    '''Doc.'''\n"
-            "    with ProcessPoolExecutor() as pool:\n"
-            "        return pool.submit(work, 1).result()\n",
-        )
-    )
-    assert project.callees("jobs", "run") == {("jobs", "work")}
-
-
-def test_submitted_partial_is_unwrapped():
-    project = build(
-        (
-            "src/jobs.py",
-            _POOL_PRELUDE
-            + "def run():\n"
-            "    '''Doc.'''\n"
-            "    with ProcessPoolExecutor() as pool:\n"
-            "        return pool.submit(partial(work, y=2), 1).result()\n",
-        )
-    )
-    assert project.callees("jobs", "run") == {("jobs", "work")}
-
-
-def test_lambda_and_nested_function_submissions_stay_conservative():
-    project = build(
-        (
-            "src/jobs.py",
-            _POOL_PRELUDE
-            + "def run():\n"
-            "    '''Doc.'''\n"
-            "    def inner(x):\n"
-            "        '''Doc.'''\n"
-            "        return x\n"
-            "    with ProcessPoolExecutor() as pool:\n"
-            "        a = pool.submit(lambda: 1)\n"
-            "        b = pool.submit(inner, 1)\n"
-            "        return a, b\n",
-        )
-    )
-    # A nested function is *not* guessed to be the top-level symbol of
-    # the same name, and a lambda is no callee at all.
-    assert project.callees("jobs", "run") == set()
-
-
-def test_pool_attribute_assigned_from_executor_is_typed():
-    project = build(
-        (
-            "src/serve.py",
-            "from concurrent.futures import ThreadPoolExecutor\n"
-            "def work(x):\n"
-            "    '''Doc.'''\n"
-            "    return x\n"
-            "class Server:\n"
-            "    '''Doc.'''\n"
-            "    def __init__(self):\n"
-            "        '''Doc.'''\n"
-            "        self._pool = ThreadPoolExecutor(2)\n"
-            "    def handle(self):\n"
-            "        '''Doc.'''\n"
-            "        pool = self._pool\n"
-            "        return pool.submit(work, 1).result()\n",
-        )
-    )
-    assert project.callees("serve", "Server.handle") == {("serve", "work")}
+    # self dispatch inside go() resolves to the static method.
+    assert project.callees("lib", "Builder.go") == {("lib", "Builder.util")}
 
 
 # ---------------------------------------------------------------------------

@@ -598,6 +598,68 @@ class TestHealth:
         assert after["detail"]["shards"][0]["ok"] is False
         assert after["detail"]["shards"][1]["ok"] is True
 
+    def test_check_health_probes_a_single_bundle_on_disk(
+        self, data, saved_single, tmp_path, monkeypatch
+    ):
+        """A single-bundle handle has no ``health()`` of its own, so
+        check_health checks its bundle: a generation that failed with an
+        OSError and whose bundle is then deleted stays unhealthy and keeps
+        failing fast."""
+        _, queries = data
+        for name in os.listdir(saved_single.parent):
+            shutil.copy2(saved_single.parent / name, tmp_path / name)
+        loads = spy_on_loads(monkeypatch)
+
+        async def scenario():
+            async with AsyncIndexServer(
+                str(tmp_path / "idx"), max_wait_us=0
+            ) as server:
+                before = await server.check_health()
+                fail_once(loads[0][1], OSError("bundle unreadable"))
+                with pytest.raises(OSError, match="unreadable"):
+                    await server.query(queries[0])
+                delete_bundle(tmp_path / "idx")
+                after = await server.check_health()
+                with pytest.raises(RuntimeError, match="generation 0"):
+                    await server.query(queries[1])
+                return before, after
+
+        before, after = asyncio.run(scenario())
+        assert before["ok"] is True
+        assert after["ok"] is False
+        assert set(after) == {"generation", "path", "ok", "detail"}
+        assert after["detail"]["error"].startswith("FileNotFoundError")
+
+    @pytest.mark.parametrize(
+        "verify, flagged",
+        [("off", False), ("lazy", True), ("eager", True)],
+    )
+    def test_single_bundle_probe_runs_at_the_servers_verify_level(
+        self, saved_single, tmp_path, verify, flagged
+    ):
+        """A single bundle that loses its tail after the load still
+        exists, so a server at ``verify="off"`` (a stat only) stays
+        healthy; the size check of every other level names the bundle."""
+        for name in os.listdir(saved_single.parent):
+            shutil.copy2(saved_single.parent / name, tmp_path / name)
+        # Eager load: the served arrays never touch the truncated file.
+        options = ServingOptions(mmap=False, verify=verify)
+
+        async def scenario():
+            async with AsyncIndexServer(
+                str(tmp_path / "idx"), options=options
+            ) as server:
+                truncate_bundle(tmp_path / "idx", 0.5)
+                return await server.check_health()
+
+        report = asyncio.run(scenario())
+        assert report["ok"] is not flagged
+        assert report["detail"]["verify"] == verify
+        if flagged:
+            assert report["detail"]["error"].startswith("IndexIntegrityError")
+        else:
+            assert "error" not in report["detail"]
+
     def test_unexpected_executor_error_frees_the_slot(
         self, data, saved_single, flat, monkeypatch
     ):

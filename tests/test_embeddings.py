@@ -14,6 +14,14 @@ from repro.spaces.embeddings import (
 )
 
 
+@pytest.fixture
+def global_numpy_state():
+    """Restore numpy's global random state after a test that reseeds it."""
+    state = np.random.get_state()
+    yield
+    np.random.set_state(state)
+
+
 class TestHammingToSphere:
     def test_unit_norm(self):
         x = hamming.random_points(20, 10, rng=0)
@@ -121,6 +129,34 @@ class TestTensorSketchEmbedding:
         # preserves inner products in expectation, not exactly.
         ip = np.einsum("ij,ij->i", sketch.embed_data(x), sketch.embed_query(y))
         assert np.mean(ip) == pytest.approx(0.3, abs=0.15)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[0.0, 1.0], [0.0, 0.25, -0.25, 0.5]],
+        ids=["degree1", "degree3"],
+    )
+    def test_seed_alone_fixes_the_sketch(self, coeffs, global_numpy_state):
+        """The CountSketch buckets and signs come from ``rng`` only, so a
+        saved or spec-rebuilt sketch is the same whatever numpy's global
+        state was when it was built."""
+        x = sphere.random_points(12, 16, rng=3)
+        embedded = []
+        for global_seed in (0, 1):
+            np.random.seed(global_seed)
+            sketch = TensorSketchEmbedding(coeffs, d=16, sketch_dim=32, rng=11)
+            embedded.append((sketch.embed_data(x), sketch.embed_query(x)))
+        np.testing.assert_array_equal(embedded[0][0], embedded[1][0])
+        np.testing.assert_array_equal(embedded[0][1], embedded[1][1])
+
+    def test_construction_leaves_global_numpy_state_alone(
+        self, global_numpy_state
+    ):
+        np.random.seed(5)
+        before = np.random.get_state()[1].copy(), np.random.get_state()[2]
+        TensorSketchEmbedding([0.0, 0.5, 0.5], d=16, sketch_dim=32, rng=11)
+        after = np.random.get_state()
+        np.testing.assert_array_equal(after[1], before[0])
+        assert after[2] == before[1]
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

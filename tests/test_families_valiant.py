@@ -87,6 +87,25 @@ class TestPolynomialSphereFamily:
         )
         assert sketch_est.p_hat == pytest.approx(exact_est.p_hat, abs=0.04)
 
+    def test_sketched_family_is_fixed_by_its_seed(self):
+        """Two sketched families built from one seed hash alike even when
+        numpy's global state differs between the builds."""
+        x = sphere.random_points(40, D, rng=8)
+        hashes = []
+        state = np.random.get_state()
+        try:
+            for global_seed in (0, 1):
+                np.random.seed(global_seed)
+                fam = PolynomialSphereFamily(
+                    CUBIC_MIX, D, sketch_dim=64, rng=5
+                )
+                pair = fam.sample(rng=9)
+                hashes.append((pair.hash_data(x), pair.hash_query(x)))
+        finally:
+            np.random.set_state(state)
+        np.testing.assert_array_equal(hashes[0][0], hashes[1][0])
+        np.testing.assert_array_equal(hashes[0][1], hashes[1][1])
+
     def test_rejects_unnormalized_polynomial(self):
         with pytest.raises(ValueError, match="sum"):
             PolynomialSphereFamily([0.9, 0.9], D)

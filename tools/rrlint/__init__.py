@@ -3,15 +3,13 @@
 
 A development tool, not part of the installed ``repro`` package: it is
 pure stdlib and lints files by path, so it runs from the repo root
-without ``repro`` importable.  It turns the correctness invariants the
-codebase learned the hard way into lint-time checks (rules ``RR001``,
-``RR002``, ``RR004``–``RR009`` and ``RR011``): RNG discipline for exact
-captured-state rebuilds, the int64-id / uint64-fingerprint dtype
-contract, a declared and documented API surface, ``assert``- and
-mutable-default-free library code, exactness-preserving budget clipping
-via ``clip_batch_hits``, and the whole-program resource, exception
-and layering contracts.  See
-:mod:`tools.rrlint.engine` for the rule framework and
+without ``repro`` importable.  It keeps only the invariants the test
+suite does not already catch (rules ``RR001``, ``RR004``, ``RR005``,
+``RR007``–``RR009`` and ``RR011``): RNG discipline for exact
+captured-state rebuilds, a declared and documented API surface,
+``assert``-free library code, no silent broad
+``except``, and the whole-program resource, exception and layering
+contracts.  See :mod:`tools.rrlint.engine` for the rule framework and
 :mod:`tools.rrlint.rules` for the registry.
 """
 

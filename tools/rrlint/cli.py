@@ -25,10 +25,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m tools.rrlint",
         description=(
             "Repo-specific invariant linter: whole-program rules "
-            "RR001-RR011 enforcing the RNG, dtype, API-surface, hygiene, "
-            "clip-discipline, broad-except, resource-lifecycle, "
-            "exception-flow, and layering contracts of "
-            "this codebase."
+            "enforcing the RNG, API-surface, hygiene, broad-except, "
+            "resource-lifecycle, exception-flow, and layering contracts "
+            "of this codebase."
         ),
     )
     parser.add_argument(

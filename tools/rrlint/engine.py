@@ -1,18 +1,19 @@
 """Core machinery of the repo-specific invariant linter.
 
-The :mod:`tools.rrlint` linter enforces, at lint time, the correctness
-invariants this codebase accumulated the hard way: captured RNG state
-must be able to revive identical hash pairs, int64 id / uint64
-fingerprint dtype contracts must hold across the backend boundary, and
-budget clipping must go through the exactness-preserving
-:func:`repro.index.backends.clip_batch_hits`.  Each invariant is an AST
-:class:`Rule` with a stable ``RR0xx`` id; the engine parses every file
-once, hands a :class:`SourceFile` to each rule, and filters
-``# noqa: RR0xx`` suppressions.
+The :mod:`tools.rrlint` linter enforces, at lint time, the invariants of
+this codebase that the test suite cannot see: every random draw must come
+from a generator whose state a saved index captures, and the public
+surface, ``python -O``-proof guards, exception handling, resource cleanup,
+documented raises and package layering must hold on paths no test takes.
+Each invariant is an AST :class:`Rule` with a stable ``RR0xx`` id; the
+engine parses every file once, hands a :class:`SourceFile` to each rule,
+and filters ``# noqa: RR0xx`` suppressions.
 
-Suppression syntax follows flake8: a ``# noqa`` comment on the violation's
-reported line suppresses everything on that line, ``# noqa: RR001`` (or a
-comma-separated list) suppresses only the named rules.
+Suppression syntax follows flake8: a bare ``# noqa`` comment on the
+violation's reported line suppresses everything on that line, and
+``# noqa: RR001`` (or a comma-separated list) suppresses only the named
+rules.  A list naming only other tools' codes (``# noqa: E731``)
+suppresses no RR rule.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ __all__ = [
 ]
 
 _NOQA_RE = re.compile(
-    r"#\s*noqa(?::\s*(?P<codes>[A-Z]{2}\d{3}(?:\s*,\s*[A-Z]{2}\d{3})*))?",
+    r"#\s*noqa(?::\s*(?P<codes>[A-Z]+\d+(?:\s*,\s*[A-Z]+\d+)*))?",
     re.IGNORECASE,
 )
 
@@ -67,10 +68,7 @@ class SourceFile:
     """One parsed module plus the lookups every rule needs.
 
     Parsing happens once here; rules receive the shared tree.  Parent
-    pointers (``node.parent``) are attached to every AST node, and
-    function spans are pre-indexed so rules can ask for the innermost
-    enclosing function of any line (used for per-site exemptions such as
-    the sanctioned dtype-narrowing site in ``PackedBackend.build``).
+    pointers (``node.parent``) are attached to every AST node.
     """
 
     def __init__(self, path: str, text: str) -> None:
@@ -79,8 +77,6 @@ class SourceFile:
         self.lines = text.splitlines()
         self.tree = ast.parse(text, filename=path)
         self._attach_parents()
-        self._func_spans: list[tuple[int, int, str]] = []
-        self._index_functions()
         self._noqa: dict[int, frozenset[str] | None] = {}
         self._scan_noqa()
 
@@ -88,14 +84,6 @@ class SourceFile:
         for node in ast.walk(self.tree):
             for child in ast.iter_child_nodes(node):
                 child.parent = node  # type: ignore[attr-defined]
-
-    def _index_functions(self) -> None:
-        for node in ast.walk(self.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                end = node.end_lineno if node.end_lineno else node.lineno
-                self._func_spans.append((node.lineno, end, node.name))
-        # Innermost-first lookup: sort by span length ascending.
-        self._func_spans.sort(key=lambda span: span[1] - span[0])
 
     def _scan_noqa(self) -> None:
         for lineno, comment in self._iter_comments():
@@ -131,13 +119,6 @@ class SourceFile:
         for tok in tokens:
             if tok.type == tokenize.COMMENT:
                 yield tok.start[0], tok.string
-
-    def enclosing_function(self, line: int) -> str | None:
-        """Name of the innermost function containing ``line``, if any."""
-        for start, end, name in self._func_spans:
-            if start <= line <= end:
-                return name
-        return None
 
     def is_suppressed(self, violation: Violation) -> bool:
         """Whether a ``# noqa`` comment on the violation line covers it."""

@@ -6,11 +6,10 @@ through a conservative name-resolution call graph: it follows ``from x
 import y as z`` aliasing and re-exports through ``__init__``, dispatches
 method calls on classes whose construction it can see (including
 ``staticmethod``/``classmethod`` access via the class name,
-``self``/``cls``, and annotated parameters), and unwraps
-``functools.partial`` and executor ``submit``/``map`` targets (a
-submitted callable is a callee of the submitting function: what it
-raises comes back through ``result()``).  Lambdas and calls through
-values it cannot type are *conservatively unresolved* — never guessed.
+``self``/``cls``, and annotated parameters).  Lambdas, callables
+passed as values (``functools.partial``, executor submissions) and calls
+through values it cannot type are *conservatively unresolved* — never
+guessed.
 
 On top of the model it offers the queries the flow-aware rules need:
 per-function raise-sets propagated to a fixpoint through the call graph
@@ -310,9 +309,6 @@ def _builtin_exception_ancestors(name: str) -> tuple[str, ...] | None:
     return None
 
 
-_EXECUTORS = frozenset({"ProcessPoolExecutor", "ThreadPoolExecutor"})
-
-
 class Project:
     """Whole-program model: modules, import graph, call graph, raise-sets.
 
@@ -331,7 +327,6 @@ class Project:
         self._facts: dict[tuple[str, str], _FuncFacts] | None = None
         self._raise_cache: dict[tuple[str, str], frozenset[tuple[str, str]]] | None = None
         self._cycles: tuple[tuple[str, ...], ...] | None = None
-        self._executor_attrs: frozenset[str] | None = None
 
     # -- construction -------------------------------------------------
 
@@ -564,7 +559,6 @@ class Project:
 
     def _ensure_facts(self) -> dict[tuple[str, str], _FuncFacts]:
         if self._facts is None:
-            self._scan_executor_attrs()
             facts: dict[tuple[str, str], _FuncFacts] = {}
             for name, mod in self.modules.items():
                 analyzer = _FunctionAnalyzer(self, mod)
@@ -573,48 +567,12 @@ class Project:
             self._facts = facts
         return self._facts
 
-    def _scan_executor_attrs(self) -> None:
-        attrs: set[str] = set()
-        for mod in self.modules.values():
-            for node in ast.walk(mod.tree):
-                if not isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    continue
-                value = node.value
-                if not isinstance(value, ast.Call):
-                    continue
-                dotted = dotted_name(value.func)
-                if dotted is None or dotted.split(".")[-1] not in _EXECUTORS:
-                    continue
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Attribute):
-                        attrs.add(target.attr)
-        self._executor_attrs = frozenset(attrs)
-
     def callees(self, module: str, qualname: str) -> frozenset[tuple[str, str]]:
         """Resolved direct callees of one function or method."""
         facts = self._ensure_facts().get((module, qualname))
         if facts is None:
             return frozenset()
         return frozenset(callee for callee, _ in facts.callees)
-
-    def reachable(self, module: str, qualname: str) -> frozenset[tuple[str, str]]:
-        """Functions transitively reachable from one entry point."""
-        facts = self._ensure_facts()
-        seen: set[tuple[str, str]] = set()
-        queue = [(module, qualname)]
-        while queue:
-            current = queue.pop()
-            if current in seen or current not in facts:
-                continue
-            seen.add(current)
-            for callee, _ in facts[current].callees:
-                queue.append(callee)
-        return frozenset(seen)
 
     def raise_set(
         self, module: str, qualname: str
@@ -713,13 +671,6 @@ class Project:
         names = {exc[1], *self.exception_ancestors(exc)}
         return bool(names & caught)
 
-    # -- executor typing helper (used by the analyzer) ---------------
-
-    def _is_executor_attr(self, attr: str) -> bool:
-        if self._executor_attrs is None:
-            self._scan_executor_attrs()
-        return self._executor_attrs is not None and attr in self._executor_attrs
-
 
 def _package_prefix(directory: pathlib.Path) -> list[str]:
     parts: list[str] = []
@@ -817,12 +768,12 @@ class _FunctionAnalyzer:
 
     def analyze(self, qualname: str, scope: ast.AST) -> _FuncFacts:
         """Extract callee edges and raise sites for one scope."""
-        local_names, var_types, pool_vars = self._scan_locals(qualname, scope)
+        local_names, var_types = self._scan_locals(qualname, scope)
         facts = _FuncFacts(callees=[], raises=[])
         for node in _walk_scope(scope):
             if isinstance(node, ast.Call):
                 self._handle_call(
-                    qualname, scope, node, local_names, var_types, pool_vars, facts
+                    qualname, scope, node, local_names, var_types, facts
                 )
             elif isinstance(node, ast.Raise):
                 self._handle_raise(qualname, scope, node, facts)
@@ -832,10 +783,9 @@ class _FunctionAnalyzer:
 
     def _scan_locals(
         self, qualname: str, scope: ast.AST
-    ) -> tuple[set[str], dict[str, tuple[str, str]], set[str]]:
+    ) -> tuple[set[str], dict[str, tuple[str, str]]]:
         local_names: set[str] = set()
         var_types: dict[str, tuple[str, str]] = {}
-        pool_vars: set[str] = set()
         if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = scope.args
             params = (
@@ -851,14 +801,15 @@ class _FunctionAnalyzer:
                     self._note_annotation(param.arg, param.annotation, var_types)
         for node in _walk_scope(scope):
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                self._note_assignment(node, local_names, var_types, pool_vars)
+                self._note_assignment(node, local_names, var_types)
             elif isinstance(node, (ast.With, ast.AsyncWith)):
                 for item in node.items:
-                    self._note_with_item(item, local_names, pool_vars)
+                    if isinstance(item.optional_vars, ast.Name):
+                        local_names.add(item.optional_vars.id)
             elif isinstance(node, (ast.For, ast.AsyncFor)):
                 for name in _target_names(node.target):
                     local_names.add(name)
-        return local_names, var_types, pool_vars
+        return local_names, var_types
 
     def _note_annotation(
         self,
@@ -878,7 +829,6 @@ class _FunctionAnalyzer:
         node: ast.Assign | ast.AnnAssign,
         local_names: set[str],
         var_types: dict[str, tuple[str, str]],
-        pool_vars: set[str],
     ) -> None:
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         pairs: list[tuple[ast.expr, ast.expr | None]] = []
@@ -896,9 +846,6 @@ class _FunctionAnalyzer:
                 local_names.add(name)
                 if value is None or not isinstance(target, ast.Name):
                     continue
-                if self._is_executor_value(value):
-                    pool_vars.add(name)
-                    continue
                 if isinstance(value, ast.Call):
                     dotted = dotted_name(value.func)
                     if dotted is None:
@@ -906,31 +853,6 @@ class _FunctionAnalyzer:
                     resolved = self.project.resolve(self.mod.name, dotted)
                     if resolved is not None and self._is_class(resolved):
                         var_types[name] = resolved
-
-    def _note_with_item(
-        self,
-        item: ast.withitem,
-        local_names: set[str],
-        pool_vars: set[str],
-    ) -> None:
-        if item.optional_vars is None or not isinstance(
-            item.optional_vars, ast.Name
-        ):
-            return
-        name = item.optional_vars.id
-        local_names.add(name)
-        if self._is_executor_value(item.context_expr):
-            pool_vars.add(name)
-
-    def _is_executor_value(self, value: ast.expr) -> bool:
-        if isinstance(value, ast.Call):
-            dotted = dotted_name(value.func)
-            if dotted is not None and dotted.split(".")[-1] in _EXECUTORS:
-                return True
-        dotted = dotted_name(value)
-        if dotted is not None and dotted.startswith(("self.", "cls.")):
-            return self.project._is_executor_attr(dotted.split(".")[-1])
-        return False
 
     def _is_class(self, ref: tuple[str, str]) -> bool:
         module, name = ref
@@ -948,34 +870,10 @@ class _FunctionAnalyzer:
         node: ast.Call,
         local_names: set[str],
         var_types: dict[str, tuple[str, str]],
-        pool_vars: set[str],
         facts: _FuncFacts,
     ) -> None:
-        func = node.func
-        # Executor submit/map: the submitted callable is the callee.
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in ("submit", "map")
-            and self._is_executor_base(func.value, pool_vars)
-        ):
-            target = self._submitted_target(qualname, node)
-            if target is not None:
-                caught = self._caught_around(node, scope)
-                facts.callees.append((target, caught))
-            return
-        # functools.partial: treat the wrapped callable as a callee.
-        dotted = dotted_name(func)
-        if dotted is not None and dotted.split(".")[-1] == "partial" and node.args:
-            inner = self._resolve_callable(
-                qualname, node.args[0], local_names, var_types
-            )
-            if inner is not None:
-                facts.callees.append(
-                    (inner, self._caught_around(node, scope))
-                )
-            return
         resolved = self._resolve_callable(
-            qualname, func, local_names, var_types
+            qualname, node.func, local_names, var_types
         )
         if resolved is None:
             return
@@ -1009,8 +907,6 @@ class _FunctionAnalyzer:
         local_names: set[str],
         var_types: dict[str, tuple[str, str]],
     ) -> tuple[str, str] | None:
-        if isinstance(expr, ast.Lambda):
-            return None
         dotted = dotted_name(expr)
         if dotted is None:
             return None
@@ -1041,35 +937,6 @@ class _FunctionAnalyzer:
         if head in local_names:
             return None
         return self.project.resolve(self.mod.name, dotted)
-
-    def _is_executor_base(self, base: ast.expr, pool_vars: set[str]) -> bool:
-        dotted = dotted_name(base)
-        if dotted is None:
-            return False
-        if dotted in pool_vars:
-            return True
-        if dotted.startswith(("self.", "cls.")) and dotted.count(".") == 1:
-            return self.project._is_executor_attr(dotted.split(".")[-1])
-        return False
-
-    def _submitted_target(
-        self, qualname: str, node: ast.Call
-    ) -> tuple[str, str] | None:
-        """The module-level callable an executor ``submit``/``map`` runs,
-        unwrapping ``functools.partial``; ``None`` for lambdas and
-        anything the resolver cannot type (nested functions included)."""
-        if not node.args:
-            return None
-        target = node.args[0]
-        if isinstance(target, ast.Call):
-            inner_dotted = dotted_name(target.func)
-            if (
-                inner_dotted is not None
-                and inner_dotted.split(".")[-1] == "partial"
-                and target.args
-            ):
-                target = target.args[0]
-        return self._resolve_callable(qualname, target, set(), {})
 
     # -- raises -------------------------------------------------------
 

@@ -2,9 +2,12 @@
 
 One module per rule; :data:`ALL_RULES` is the canonical ordered registry
 the CLI and tests consume.  Rule ids are stable — they appear in
-``# noqa`` comments — so a retired rule's id is never reused (RR003,
-transport hygiene, was retired without ever firing; RR010, process
-boundary, was retired with the process pool it checked).
+``# noqa`` comments — so a retired rule's id is never reused.  Retired:
+RR003 (transport hygiene), which never fired; RR010 (process boundary),
+with the process pool it checked; RR002 (dtype contract) and RR006 (clip
+discipline), whose planted bugs the tier-1 suite already catches: the
+backend dtype test and the batch, coalesced and sharded exactness
+suites.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from __future__ import annotations
 from tools.rrlint.engine import Rule
 from tools.rrlint.rules.api_surface import ApiSurfaceRule
 from tools.rrlint.rules.broad_except import BroadExceptRule
-from tools.rrlint.rules.clip_discipline import ClipDisciplineRule
-from tools.rrlint.rules.dtype_contract import DtypeContractRule
 from tools.rrlint.rules.exception_flow import ExceptionFlowRule
 from tools.rrlint.rules.hygiene import HygieneRule
 from tools.rrlint.rules.layering import LayeringRule
@@ -25,8 +26,6 @@ __all__ = [
     "RULES_BY_ID",
     "ApiSurfaceRule",
     "BroadExceptRule",
-    "ClipDisciplineRule",
-    "DtypeContractRule",
     "ExceptionFlowRule",
     "HygieneRule",
     "LayeringRule",
@@ -36,10 +35,8 @@ __all__ = [
 
 ALL_RULES: tuple[Rule, ...] = (
     RngDisciplineRule(),
-    DtypeContractRule(),
     ApiSurfaceRule(),
     HygieneRule(),
-    ClipDisciplineRule(),
     BroadExceptRule(),
     ResourceLifecycleRule(),
     ExceptionFlowRule(),

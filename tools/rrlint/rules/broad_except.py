@@ -1,13 +1,12 @@
 """RR007 — broad-exception discipline.
 
 ``except Exception: pass`` (and bare ``except: pass``) silently swallows
-*every* failure, including the ones it was never written for — the
-canonical offender was the resource-tracker unregister in
-``serving/sharded.py``, which would have eaten a real segment-handoff
-bug along with the benign double-unregister it meant to ignore.  A
-swallow must either name the specific exceptions it expects or do
-*something* with the surprise (log, warn, count, re-raise); a silent
-broad handler does neither.
+*every* failure, including the ones it was never written for: wrapped
+around a snapshot handle's ``close()`` in ``serving/server.py``, it
+would hide a handle that failed to release its files along with any
+benign double close it meant to ignore.  A swallow must either name the
+specific exceptions it expects or do *something* with the surprise (log,
+warn, count, re-raise); a silent broad handler does neither.
 
 The rule flags ``except Exception`` / bare ``except`` handlers whose
 body is only ``pass`` (or ``...``).  Broad handlers that act on the

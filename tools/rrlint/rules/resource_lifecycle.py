@@ -1,9 +1,9 @@
 """RR008: OS-backed resources must provably reach their cleanup call.
 
-``SharedMemory`` segments, process/thread pools, ``np.memmap`` views,
-zip archives, and open file handles all pin OS state (fds, ``/dev/shm``
-segments, worker processes) that outlives an exception unless cleanup
-is structural.  The rule accepts a resource acquisition when it is:
+Thread pools, ``np.memmap`` views, zip archives, and open file handles
+all pin OS state (threads, mappings, fds) that outlives an exception
+unless cleanup is structural.  The rule accepts a resource acquisition
+when it is:
 
 - used as a context manager (``with``) or wrapped in
   ``contextlib.closing``/``ExitStack.enter_context``,
@@ -29,17 +29,13 @@ from tools.rrlint.project import ProjectModule, _iter_scopes, project_context
 __all__ = ["ResourceLifecycleRule"]
 
 _RESOURCE_LEAVES = {
-    "SharedMemory": "shared-memory segment",
-    "ProcessPoolExecutor": "process pool",
     "ThreadPoolExecutor": "thread pool",
     "memmap": "memory-mapped view",
     "ZipFile": "zip archive",
 }
 _CLEANUP_METHODS = {
     "close",
-    "unlink",
     "shutdown",
-    "terminate",
     "release",
     "cleanup",
     "stop",
@@ -55,8 +51,9 @@ class ResourceLifecycleRule(Rule):
     rule_id = "RR008"
     name = "resource-lifecycle"
     rationale = (
-        "SharedMemory/pools/memmap/file handles must reach close/unlink/"
-        "shutdown on all paths: with, try-finally, or weakref.finalize"
+        "thread pools, memmaps, zip archives and file handles must reach "
+        "close/shutdown on all paths: with, try-finally, or "
+        "weakref.finalize"
     )
 
     def check(self, src: SourceFile) -> Iterator[Violation]:
@@ -105,7 +102,7 @@ class ResourceLifecycleRule(Rule):
         node: ast.Call,
     ) -> bool:
         parent = getattr(node, "parent", None)
-        # with SharedMemory(...) as x / with open(...) ...
+        # with ZipFile(...) as x / with open(...) ...
         current: ast.AST | None = node
         while current is not None and current is not scope:
             if isinstance(current, ast.withitem):
