@@ -78,6 +78,7 @@ from repro.index.persistence import (
     write_arrays,
 )
 from repro.index.queryable import Queryable
+from repro.utils.validation import check_real_dtype
 
 if TYPE_CHECKING:  # serving imports api lazily; keep the cycle type-only
     from repro.serving.options import ServingOptions
@@ -387,7 +388,8 @@ def _assemble(
         return inner(spec._make_family(), points)
     if points is None:
         raise ValueError(f"kind {spec.kind!r} needs its points array")
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    points = np.asarray(check_real_dtype(points, "points"), np.float64)
+    points = np.atleast_2d(points)
     if spec.kind == "range_reporting":
         return RangeReportingIndex._restore(
             points=points,

@@ -109,9 +109,9 @@ def rows_to_fingerprints(a: np.ndarray) -> np.ndarray:
     so a table of ``n`` points sees an expected ``<= n*(n-1)/2 * 2**-64``
     spuriously merged pairs (~6.8e-11 even at ``n = 50_000_000``).  The
     guarantee is statistical, not adversarial: splitmix64 is invertible, so
-    a malicious input designer could construct collisions.  The differential
-    parity suite (``tests/test_index_backends_parity.py``) cross-checks the
-    fingerprint-bucketed backend against the exact-bytes dict backend, and
+    a malicious input designer could construct collisions.  The generated
+    oracle (``tests/test_oracle.py``) cross-checks the fingerprint-bucketed
+    backend against the exact-bytes dict backend's walk, and
     ``tests/test_core_family.py`` probes the structured near-miss patterns
     (high-bit flips, negative components, column swaps) that a weak mixer
     (e.g. a sum of per-column products) would merge.

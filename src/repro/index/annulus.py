@@ -19,7 +19,7 @@ backend's batched hits-with-multiplicity path, evaluates proximity in one
 call per query over its budget-clipped hits, and finds each query's
 reported point, distinct-candidate count and stopping table with segment
 reductions over the block — element-for-element identical results, held
-together by the differential batch-vs-loop parity suite.
+by ``tests/test_oracle.py`` to a scan of the dict backend's walk.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.family import DSHFamily
 from repro.families.annulus_sphere import AnnulusFamily
 from repro.index.backends import IndexBackend, QueryStats
-from repro.index.lsh_index import DSHIndex, _check_single_query
+from repro.index.lsh_index import DSHIndex, _check_count, _check_single_query
 from repro.index.queryable import QueryResult
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_real_dtype
@@ -167,7 +167,8 @@ class AnnulusIndex:
             raise ValueError(f"interval must satisfy lo < hi, got {interval}")
         if budget_factor <= 0:
             raise ValueError(f"budget_factor must be positive, got {budget_factor}")
-        self.points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        points = np.asarray(check_real_dtype(points, "points"), np.float64)
+        self.points = np.atleast_2d(points)
         self.interval = (float(lo), float(hi))
         self.proximity = proximity
         self.budget = int(np.ceil(budget_factor * n_tables))
@@ -281,9 +282,9 @@ class AnnulusIndex:
         ``searchsorted``, distinct-prefix counts are differences of one
         ``cumsum`` and the stopping table is read off the cumulative
         per-table hit counts.  Results — indices, stats, truncation — are
-        element-for-element identical to a :meth:`query` loop (the
-        batch-vs-loop parity suite enforces this on both backends);
-        reported ``proximity`` values may differ from the single-query path
+        element-for-element identical to a :meth:`query` loop (checked by
+        ``tests/test_oracle.py``); reported ``proximity`` values may differ
+        from the single-query path
         in the last floating-point bit, because BLAS may order the
         reduction of a many-row proximity evaluation differently than a
         one-row one.
@@ -358,10 +359,10 @@ class AnnulusIndex:
         retrieval budget), deduplicating indices — the natural extension for
         consumers like recommenders that want several diverse answers.
         Returns the hits found, possibly fewer than ``k``; each result's
-        stats snapshot the work done up to that hit.
+        stats snapshot the work done up to that hit.  ``k`` is an integer
+        of at least 1.
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        k = _check_count(k, "k", 1)
         query_point = self._single(query_point)
         lo, hi = self.interval
         examined = 0

@@ -21,13 +21,12 @@ in table order at query time.  Two interchangeable layouts implement it:
   ``rows_to_fingerprints``).
 
 Both backends produce identical candidate lists, candidate order, and
-:class:`QueryStats`; ``tests/test_index_backends_parity.py`` enforces this
-differentially across families and seeds.
+:class:`QueryStats`; ``tests/test_oracle.py`` checks both against the
+:class:`DictBackend` single-query walk on generated cases.
 """
 
 from __future__ import annotations
 
-import pathlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
@@ -108,10 +107,9 @@ class CandidateResult(NamedTuple):
 class BatchHits:
     """All (point, table) hits for a batch of queries, with multiplicity.
 
-    The bulk counterpart of :meth:`IndexBackend.query_hits`: the raw
-    retrieval stream the Section 6 application layers consume — annulus
-    search examines it in probe order until a proximity check passes,
-    range reporting drains it and counts multiplicities.
+    The raw retrieval stream the Section 6 application layers consume —
+    annulus search examines it in probe order until a proximity check
+    passes, range reporting drains it and counts multiplicities.
 
     Attributes
     ----------
@@ -193,8 +191,8 @@ def budget_truncation(
     ``max_retrieved``.  Returns ``(tables_probed, truncated)``, both
     ``(n_queries,)``.  Shared by :meth:`PackedBackend.batch_query` and the
     sharded merge (:mod:`repro.serving.sharded`) so the truncation
-    semantics — which the parity suites hold bit-identical to the
-    reference ``_scan`` — are defined exactly once."""
+    semantics — which ``tests/test_oracle.py`` holds bit-identical to the
+    reference single-query scan — are defined exactly once."""
     n_queries = counts.shape[0]
     if max_retrieved is None:
         return (
@@ -459,8 +457,8 @@ class IndexBackend(ABC):
         early-termination budget) over a lazily-consumed iterable of
         buckets, one per table in table order.  Every non-vectorized query
         path funnels through here so the semantics cannot drift; the
-        packed ``batch_query`` override is held to it differentially by
-        the backend-parity suite."""
+        packed ``batch_query`` override is held to the same semantics by
+        the generated oracle (``tests/test_oracle.py``)."""
         stats = QueryStats()
         seen: set[int] = set()
         ordered: list[int] = []
@@ -491,23 +489,11 @@ class IndexBackend(ABC):
             (self.bucket(t, c) for t, c in enumerate(comps)), max_retrieved
         )
 
-    def query_hits(self, comps: list[np.ndarray]) -> np.ndarray:
-        """All (point, table) hits for one query as a flat int64 array in
-        probe order, duplicates preserved."""
-        parts = [
-            np.asarray(self.bucket(t, c), dtype=np.int64)
-            for t, c in enumerate(comps)
-        ]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
-
     def batch_query_hits(
         self, comps: list[np.ndarray], max_hits: int | None = None
     ) -> BatchHits:
-        """Bulk hit streams for every query row: the batched counterpart of
-        :meth:`query_hits`, feeding the application-layer ``batch_query``
-        paths.
+        """Bulk hit streams for every query row (duplicates preserved, probe
+        order), feeding the application-layer ``batch_query`` paths.
 
         Unlike :meth:`batch_query`'s ``max_retrieved`` (the Theorem 6.1
         device, which truncates at *table* granularity), ``max_hits`` cuts

@@ -74,7 +74,7 @@ class HyperplaneIndex(AnnulusIndex):
         backend: str | IndexBackend = "packed",
         workers: int | None = None,
     ) -> None:
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        points = np.atleast_2d(np.asarray(points))
         family, interval = self._band(points.shape[1], alpha, t)
         super().__init__(
             points, family, interval, _inner_product_proximity, n_tables,

@@ -44,6 +44,16 @@ from repro.utils.validation import check_finite, check_real_dtype
 __all__ = ["QueryStats", "CandidateResult", "DSHIndex"]
 
 
+def _check_real_finite(array: np.ndarray, name: str) -> np.ndarray:
+    """Data points or a query block, at least 2-D: bool, integer or real
+    floating (else ``TypeError``) and, if floating, finite (``ValueError``:
+    a NaN/inf row would hash to a family's "not captured" sentinel)."""
+    array = np.atleast_2d(check_real_dtype(array, name))
+    if np.issubdtype(array.dtype, np.floating):
+        check_finite(array, name)
+    return array
+
+
 def _check_query_block(queries: np.ndarray, dim: int | None) -> np.ndarray:
     """Normalize a query block to ``(n, d)`` and validate it at the index
     boundary (shared by :class:`DSHIndex` and the sharded index).
@@ -51,12 +61,9 @@ def _check_query_block(queries: np.ndarray, dim: int | None) -> np.ndarray:
     ``d`` must match the indexed point set (``dim``; ``None`` before a
     build) — a mismatched query would otherwise fail deep inside a family's
     hash closure or, for families that slice coordinates, silently mis-hash.
-    Floating blocks must be finite: a NaN/inf row would hash to a "not
-    captured" sentinel and be answered as "not found" instead of failing.
-    Integer and bool blocks skip that scan.  Any other dtype (object,
-    string, complex, ...) raises ``TypeError``.
+    Dtype and finiteness are checked by :func:`_check_real_finite`.
     """
-    queries = np.atleast_2d(check_real_dtype(queries, "queries"))
+    queries = _check_real_finite(queries, "queries")
     if queries.ndim != 2:
         raise ValueError(
             f"queries must be one point (d,) or a block (n, d), "
@@ -67,30 +74,31 @@ def _check_query_block(queries: np.ndarray, dim: int | None) -> np.ndarray:
             f"query dimensionality {queries.shape[1]} does not match "
             f"the indexed point set (d={dim})"
         )
-    if np.issubdtype(queries.dtype, np.floating):
-        check_finite(queries, "queries")
     return queries
+
+
+def _check_count(value: object, name: str, minimum: int) -> int:
+    """``value`` as an ``int >= minimum``: a non-integer (``2.5``, ``"8"``)
+    raises ``TypeError`` instead of being compared as a float."""
+    try:
+        count = operator.index(value)  # type: ignore[arg-type]
+    except TypeError:
+        raise TypeError(
+            f"{name} must be an integer, got {type(value).__name__} {value!r}"
+        ) from None
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {count}")
+    return count
 
 
 def _check_budget(max_retrieved: object) -> int | None:
     """Validate a ``max_retrieved`` budget at the index boundary (shared by
     :class:`DSHIndex`, the sharded index and the async server's
-    admission): ``None`` (no budget) or a non-negative integer, returned
-    as a Python ``int``.  A non-integer (``2.5``, ``"8"``) raises
-    ``TypeError`` and a negative value ``ValueError``, instead of being
-    compared as a float or answered as a one-table probe."""
+    admission): ``None`` (no budget) or a non-negative integer, so a
+    negative budget is not answered as a one-table probe."""
     if max_retrieved is None:
         return None
-    try:
-        budget = operator.index(max_retrieved)  # type: ignore[arg-type]
-    except TypeError:
-        raise TypeError(
-            "max_retrieved must be None or an integer, got "
-            f"{type(max_retrieved).__name__} {max_retrieved!r}"
-        ) from None
-    if budget < 0:
-        raise ValueError(f"max_retrieved must be >= 0, got {budget}")
-    return budget
+    return _check_count(max_retrieved, "max_retrieved", 0)
 
 
 def _check_single_query(query: np.ndarray, dim: int | None) -> np.ndarray:
@@ -119,8 +127,8 @@ class DSHIndex:
     backend:
         Storage layout: ``"packed"`` (the default: vectorized CSR over
         uint64 fingerprints, as in :class:`~repro.api.IndexSpec`) or
-        ``"dict"`` (the exact byte-key reference the parity suites check
-        against), a backend class, or a ready
+        ``"dict"`` (the exact byte-key reference ``tests/test_oracle.py``
+        checks against), a backend class, or a ready
         :class:`~repro.index.backends.IndexBackend` instance.
 
     Notes
@@ -214,7 +222,8 @@ class DSHIndex:
         Parameters
         ----------
         points:
-            Data set, shape ``(n, d)``.
+            Data set, shape ``(n, d)``; a non-real dtype or a NaN/inf
+            point raises, as in a query block (:func:`_check_real_finite`).
         workers:
             Hash the ``L`` tables' ``h`` evaluations concurrently on this
             many threads (the kernels are NumPy-bound, so threads scale on
@@ -222,7 +231,7 @@ class DSHIndex:
             ``1`` keeps the serial loop.  Table order — and therefore the
             built index — is identical either way.
         """
-        points = np.atleast_2d(np.asarray(points))
+        points = _check_real_finite(points, "points")
         self._n_points = points.shape[0]
         self._dim = points.shape[1]
         if workers is not None and workers < 1:
@@ -308,15 +317,6 @@ class DSHIndex:
             for idx in bucket:
                 yield int(idx), table_number
 
-    def query_hits(self, query: np.ndarray) -> np.ndarray:
-        """All hits for one query as a flat int64 index array in probe
-        order, duplicates preserved — the bulk counterpart of
-        :meth:`iter_candidates` for consumers that always drain every table
-        (range reporting)."""
-        self._require_built()
-        query = _check_single_query(query, self._dim)
-        return self._backend.query_hits(self._query_components(query))
-
     def batch_query(
         self, queries: np.ndarray, max_retrieved: int | None = None
     ) -> list[CandidateResult]:
@@ -341,8 +341,8 @@ class DSHIndex:
         self, queries: np.ndarray, max_hits: int | None = None
     ) -> BatchHits:
         """Bulk hit streams (duplicates preserved, probe order) for a block
-        of queries — the batched counterpart of :meth:`query_hits` that the
-        application layers' ``batch_query`` paths are built on.  ``max_hits``
+        of queries — the bulk counterpart of :meth:`iter_candidates` that
+        the application layers' ``batch_query`` paths are built on.  ``max_hits``
         cuts each stream at exactly that many hits (hit granularity, unlike
         ``max_retrieved``'s table granularity)."""
         self._require_built()

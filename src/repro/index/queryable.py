@@ -6,8 +6,8 @@ hyperplane queries, range reporting) expose the same two entry points:
 * ``query(point) -> Result`` — one query point, one result;
 * ``batch_query(points) -> list[Result]`` — a ``(n, d)`` block of query
   points, vectorized end to end where the backend supports it, with results
-  **identical** to running ``query`` in a loop (enforced differentially by
-  ``tests/test_app_batch_parity.py``).
+  **identical** to running ``query`` in a loop (``tests/test_oracle.py``
+  checks every surface against the dict backend's single-query walk).
 
 Every result carries a :class:`~repro.index.backends.QueryStats` describing
 the retrieval work the query performed — ``retrieved`` (hits with

@@ -11,10 +11,10 @@ number of duplicate retrievals per reported point is ``O(f_max / f_min)``
 :class:`RangeReportingIndex` runs the ``L = ceil(c / f_min)`` repetitions
 and reports duplicate statistics so the benchmark can compare step CPFs
 against classical LSH head-to-head.  It is
-:class:`~repro.index.queryable.Queryable`: :meth:`RangeReportingIndex.query`
-drains the hit stream for one query, :meth:`RangeReportingIndex.batch_query`
-drains a whole block through the backend's batched hits-with-multiplicity
-path with identical per-query results.
+:class:`~repro.index.queryable.Queryable`:
+:meth:`RangeReportingIndex.batch_query` drains a whole block through the
+backend's batched hits-with-multiplicity path, and
+:meth:`RangeReportingIndex.query` is its one-row block.
 """
 
 from __future__ import annotations
@@ -149,7 +149,8 @@ class RangeReportingIndex:
         """Validate and set everything but the inner index."""
         if r_report <= 0:
             raise ValueError(f"r_report must be positive, got {r_report}")
-        self.points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        points = np.asarray(check_real_dtype(points, "points"), np.float64)
+        self.points = np.atleast_2d(points)
         self.r_report = float(r_report)
         self.distance = distance
 
@@ -211,22 +212,20 @@ class RangeReportingIndex:
     def query(self, query_point: np.ndarray) -> RangeReport:
         """Retrieve candidates from all tables, report those within range.
 
-        Range reporting always drains every table, so the candidate stream
-        comes from :meth:`DSHIndex.query_hits` in bulk.
+        Range reporting always drains every table, so there is no early
+        stop to save: a single query is a one-row :meth:`batch_query`.
         """
-        query_point = _check_single_query(query_point, self._index.dim)
-        query_point = query_point[0].astype(np.float64)
-        hits = self._index.query_hits(query_point)
-        return self._report_from_hits(query_point, hits)
+        query = _check_single_query(query_point, self._index.dim)
+        return self.batch_query(query)[0]
 
     def batch_query(self, query_points: np.ndarray) -> list[RangeReport]:
-        """Run :meth:`query` for every row of ``query_points``, vectorized.
+        """One :class:`RangeReport` per row of ``query_points``, vectorized.
 
         All queries are hashed per table in one call and every
         (query, table) bucket is resolved through the backend's batched
         hits-with-multiplicity path (one ``searchsorted`` + flat gather on
-        the packed backend); per-query reports are then identical to the
-        single-query loop (enforced by the batch-vs-loop parity suite)."""
+        the packed backend); :meth:`query` is the one-row case, and
+        ``tests/test_oracle.py`` checks both against the dict backend."""
         queries = np.atleast_2d(check_real_dtype(query_points, "queries"))
         queries = queries.astype(np.float64, copy=False)
         block = self._index.batch_query_hits(queries)

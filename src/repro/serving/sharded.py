@@ -12,7 +12,7 @@ increasing across the shard concatenation.  :class:`ShardedIndex` performs
 that merge exactly, including the Theorem 6.1 early-termination budget
 (applied to the *merged* per-table counts) and first-seen dedup order, so
 sharded and unsharded indexes are observably identical
-(``tests/test_sharded_parity.py`` enforces this differentially).
+(``tests/test_oracle.py`` checks built and loaded ones differentially).
 
 Shards are served in-process on the caller's thread: a built index holds
 its shards as live ``DSHIndex`` objects, and :meth:`ShardedIndex.load`

@@ -1,4 +1,7 @@
-"""Tests for spec-driven construction: IndexSpec / build_index round-trips."""
+"""Tests for spec-driven construction: IndexSpec / build_index kinds,
+serialization and spec errors.  That a JSON round trip rebuilds an index
+answering identically is checked by the generated oracle
+(``tests/test_oracle.py``)."""
 
 import json
 
@@ -16,11 +19,10 @@ from repro.index import (
     AnnulusIndex,
     DSHIndex,
     HyperplaneIndex,
-    Queryable,
     RangeReportingIndex,
 )
 from repro.index.annulus import sphere_peak_placement
-from repro.spaces import hamming, sphere
+from repro.spaces import sphere
 
 
 @pytest.fixture(scope="module")
@@ -94,32 +96,6 @@ class TestBuildIndexKinds:
         )
         assert index.spec.family_params["d"] == 12
 
-    def test_all_kinds_are_queryable(self, sphere_points):
-        inst = planted_euclidean_range(100, 8, 4.0, n_near=5, rng=7)
-        indexes = [
-            build_index(sphere_points, kind="raw", family="simhash",
-                        n_tables=2, rng=0),
-            build_index(sphere_points, kind="annulus", family="annulus_sphere",
-                        t=1.5, interval=(0.2, 0.6), n_tables=4, rng=0),
-            build_index(sphere_points, kind="hyperplane", alpha=0.3, t=1.4,
-                        n_tables=4, rng=0),
-            build_index(inst.points, kind="range_reporting",
-                        family="step_euclidean", r_flat=4.0, level=0.12,
-                        n_components=3, r_report=4.0,
-                        distance="euclidean_distance", n_tables=4, rng=0),
-        ]
-        for index in indexes:
-            assert isinstance(index, Queryable)
-            assert index.spec.kind in ("raw", "annulus", "hyperplane",
-                                       "range_reporting")
-            batch = index.batch_query(
-                index.points[:2] if hasattr(index, "points") else sphere_points[:2]
-            )
-            assert len(batch) == 2
-            for result in batch:
-                assert result.stats.retrieved >= 0
-
-
 class TestSpecRoundTrip:
     def _spec(self):
         return IndexSpec(
@@ -136,38 +112,6 @@ class TestSpecRoundTrip:
         spec = self._spec()
         clone = IndexSpec.from_dict(spec.to_dict())
         assert clone == spec
-
-    def test_json_round_trip_rebuilds_identical_index(self, sphere_points):
-        spec = self._spec()
-        wire = json.dumps(spec.to_dict())          # the serving config
-        clone_spec = IndexSpec.from_dict(json.loads(wire))
-        original = spec.build(sphere_points)
-        clone = clone_spec.build(sphere_points)
-        queries = sphere_points[:6]
-        for a, b in zip(original.batch_query(queries), clone.batch_query(queries)):
-            assert a.index == b.index
-            assert a.stats == b.stats
-
-    def test_build_index_attaches_complete_spec(self, sphere_points):
-        index = build_index(
-            sphere_points, kind="annulus", family="annulus_sphere",
-            t=1.5, interval=(0.2, 0.6), n_tables=10, rng=2,
-        )
-        rebuilt = IndexSpec.from_dict(index.spec.to_dict()).build(sphere_points)
-        q = sphere_points[:5]
-        for a, b in zip(index.batch_query(q), rebuilt.batch_query(q)):
-            assert a.index == b.index and a.stats == b.stats
-
-    def test_raw_round_trip(self, sphere_points):
-        index = build_index(
-            sphere_points, kind="raw", family="simhash", power=3,
-            n_tables=5, rng=11, backend="dict",
-        )
-        clone = IndexSpec.from_dict(index.spec.to_dict()).build(sphere_points)
-        assert clone.backend == "dict"
-        assert index.batch_query(sphere_points[:4]) == clone.batch_query(
-            sphere_points[:4]
-        )
 
     def test_version_and_unknown_fields_rejected(self):
         spec = self._spec()

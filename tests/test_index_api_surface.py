@@ -5,7 +5,7 @@ tuple-compatible ``CandidateResult``, deprecation shims, and the
 import numpy as np
 import pytest
 
-from repro.api import IndexSpec
+from repro.api import IndexSpec, build_index
 from repro.data.synthetic import planted_euclidean_range
 from repro.families.bit_sampling import BitSampling
 from repro.families.simhash import SimHash
@@ -89,8 +89,6 @@ class TestDimensionValidation:
     def test_iter_and_hits_rejected(self, index):
         with pytest.raises(ValueError, match="dimensionality"):
             next(index.iter_candidates(np.zeros(8, dtype=np.int8)))
-        with pytest.raises(ValueError, match="dimensionality"):
-            index.query_hits(np.zeros(8, dtype=np.int8))
         with pytest.raises(ValueError, match="dimensionality"):
             index.batch_query_hits(np.zeros((2, 8), dtype=np.int8))
 
@@ -202,11 +200,43 @@ class TestNonFiniteQueries:
         pts = sphere.random_points(30, 6, rng=5)
         index = DSHIndex(SimHash(6), n_tables=3, rng=0).build(pts)
         assert len(index.batch_query(pts[:3])) == 3
-        bits = DSHIndex(BitSampling(8), n_tables=2, rng=0).build(
-            hamming.random_points(10, 8, rng=1)
-        )
+        points = hamming.random_points(10, 8, rng=1)
         for dtype in (np.int8, np.uint8, bool):
+            bits = DSHIndex(BitSampling(8), n_tables=2, rng=0).build(
+                points.astype(dtype)
+            )
             assert len(bits.batch_query(np.zeros((2, 8), dtype=dtype))) == 2
+
+
+class TestNonFiniteDataPoints:
+    """A NaN/inf data point is rejected at build, on every kind: built, it
+    would hash to a "not captured" sentinel and come back as a candidate
+    for unrelated queries."""
+
+    BUILDS = {
+        "raw": dict(kind="raw", family="simhash"),
+        "annulus": dict(kind="annulus", family="annulus_sphere", t=1.5,
+                        interval=(0.3, 0.6)),
+        "hyperplane": dict(kind="hyperplane", alpha=0.3, t=1.5),
+        "range_reporting": dict(kind="range_reporting", family="simhash",
+                                r_report=0.5, distance="euclidean_distance"),
+        "sharded": dict(kind="raw", family="simhash", shards=2),
+    }
+
+    @pytest.mark.parametrize("bad", TestNonFiniteQueries.BAD)
+    @pytest.mark.parametrize("name", sorted(BUILDS))
+    def test_build_rejects(self, name, bad):
+        points = sphere.random_points(20, 8, rng=1)
+        points[7, 2] = bad
+        with pytest.raises(ValueError, match="points .* finite"):
+            build_index(points, n_tables=3, rng=0, **self.BUILDS[name])
+
+    @pytest.mark.parametrize("kind", ["object", "str", "complex"])
+    @pytest.mark.parametrize("name", sorted(BUILDS))
+    def test_build_rejects_non_real_points(self, name, kind):
+        points = _non_numeric(sphere.random_points(20, 8, rng=1), kind)
+        with pytest.raises(TypeError, match="points must have"):
+            build_index(points, n_tables=3, rng=0, **self.BUILDS[name])
 
 
 def _non_numeric(row, kind):
@@ -235,8 +265,6 @@ class TestNonNumericQueries:
             index.batch_query(bad)
         with pytest.raises(TypeError, match="dtype"):
             index.batch_query_hits(bad)
-        with pytest.raises(TypeError, match="dtype"):
-            index.query_hits(bad[0])
         with pytest.raises(TypeError, match="dtype"):
             next(index.iter_candidates(bad[0]))
 
@@ -279,6 +307,11 @@ class TestNonNumericQueries:
                 index.query(bad[0])
             with pytest.raises(TypeError, match="dtype"):
                 index.batch_query(bad)
+        # Built directly over non-real points, not through build_index.
+        with pytest.raises(TypeError, match="points must have"):
+            HyperplaneIndex(bad, alpha=0.3, t=1.5, n_tables=3, rng=5)
+        with pytest.raises(TypeError, match="points must have"):
+            RangeReportingIndex(bad, design.family, 4.0, _euclid, 4, rng=5)
 
 
 class TestCandidateResultCompat:

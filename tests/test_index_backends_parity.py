@@ -1,218 +1,16 @@
-"""Differential parity suite: dict vs packed index backends.
+"""Backend selection: names, classes and instances resolve to a storage
+layout, and one instance serves one index.
 
-The ``"dict"`` backend buckets exact serialized component rows — it is the
-injective reference.  The ``"packed"`` backend buckets 64-bit fingerprints
-in CSR arrays with fully vectorized probing.  These tests assert the two
-are *observably identical* — same candidate sets, same candidate order,
-same ``QueryStats`` fields — for every family with an index application
-(bit-sampling, simhash, Euclidean LSH, the sphere annulus family, and
-cross-polytope), across seeds and across the ``max_retrieved`` truncation
-paths, and that ``batch_query`` matches per-query ``query`` on
-both backends.
+Whether the ``"dict"`` and ``"packed"`` layouts answer identically is
+checked by the generated oracle (``tests/test_oracle.py``), which holds
+both to the dict backend's single-query walk.
 """
 
-import numpy as np
 import pytest
 
-from repro.core.combinators import PoweredFamily
-from repro.families.annulus_sphere import AnnulusFamily
 from repro.families.bit_sampling import BitSampling
-from repro.families.cross_polytope import CrossPolytope, negated_cross_polytope
-from repro.families.euclidean_lsh import ShiftedGaussianProjection
-from repro.families.simhash import SimHash
-from repro.index import DSHIndex
-from repro.spaces import euclidean, hamming, sphere
-
-N_POINTS = 250
-N_QUERIES = 12
-N_TABLES = 8
-
-# (case id, family factory, point sampler (n, rng) -> (n, d)).  Every family
-# that backs an index example in the repo appears here; several produce
-# multi-component rows (powered / annulus families), several are genuinely
-# asymmetric (shifted Euclidean, annulus, negated cross-polytope).
-FAMILY_CASES = [
-    (
-        "bit-sampling",
-        lambda: PoweredFamily(BitSampling(24), 4),
-        lambda n, rng: hamming.random_points(n, 24, rng=rng),
-    ),
-    (
-        "simhash",
-        lambda: PoweredFamily(SimHash(10), 5),
-        lambda n, rng: sphere.random_points(n, 10, rng=rng),
-    ),
-    (
-        "euclidean-lsh",
-        lambda: ShiftedGaussianProjection(8, w=2.0, k=2),
-        lambda n, rng: euclidean.random_points(n, 8, rng=rng),
-    ),
-    (
-        "annulus",
-        lambda: AnnulusFamily(12, alpha_max=0.3, t=1.5),
-        lambda n, rng: sphere.random_points(n, 12, rng=rng),
-    ),
-    (
-        "cross-polytope",
-        lambda: PoweredFamily(CrossPolytope(6), 2),
-        lambda n, rng: sphere.random_points(n, 6, rng=rng),
-    ),
-    (
-        "negated-cross-polytope",
-        lambda: negated_cross_polytope(6),
-        lambda n, rng: sphere.random_points(n, 6, rng=rng),
-    ),
-]
-CASE_IDS = [case[0] for case in FAMILY_CASES]
-SEEDS = [0, 1, 2]
-
-
-def _build_both(family_factory, sampler, seed):
-    """Build dict and packed indexes over identical points with identical
-    hash pairs (same rng seed), plus a query batch mixing data points
-    (guaranteed hits for symmetric families) and fresh points."""
-    points = sampler(N_POINTS, 100 + seed)
-    fresh = sampler(N_QUERIES // 2, 200 + seed)
-    queries = np.concatenate([points[: N_QUERIES - fresh.shape[0]], fresh])
-    dict_index = DSHIndex(
-        family_factory(), N_TABLES, rng=seed, backend="dict"
-    ).build(points)
-    packed_index = DSHIndex(
-        family_factory(), N_TABLES, rng=seed, backend="packed"
-    ).build(points)
-    return dict_index, packed_index, queries
-
-
-@pytest.fixture(
-    scope="module",
-    params=[(case, seed) for case in FAMILY_CASES for seed in SEEDS],
-    ids=[f"{case_id}-seed{seed}" for case_id in CASE_IDS for seed in SEEDS],
-)
-def backend_pair(request):
-    (_, family_factory, sampler), seed = request.param
-    return _build_both(family_factory, sampler, seed)
-
-
-class TestBackendParity:
-    def test_backend_names(self, backend_pair):
-        dict_index, packed_index, _ = backend_pair
-        assert dict_index.backend == "dict"
-        assert packed_index.backend == "packed"
-
-    def test_single_query_identical(self, backend_pair):
-        dict_index, packed_index, queries = backend_pair
-        for q in queries:
-            d_cands, d_stats = dict_index.query(q)
-            p_cands, p_stats = packed_index.query(q)
-            assert d_cands == p_cands  # set AND first-seen order
-            assert d_stats == p_stats  # every QueryStats field
-            assert d_stats.duplicates == p_stats.duplicates
-
-    def test_batch_query_identical(self, backend_pair):
-        dict_index, packed_index, queries = backend_pair
-        dict_results = dict_index.batch_query(queries)
-        packed_results = packed_index.batch_query(queries)
-        assert len(dict_results) == len(packed_results) == queries.shape[0]
-        for (d_cands, d_stats), (p_cands, p_stats) in zip(
-            dict_results, packed_results
-        ):
-            assert d_cands == p_cands
-            assert d_stats == p_stats
-
-    def test_truncation_paths_identical(self, backend_pair):
-        """max_retrieved budgets (including degenerate ones) stop both
-        backends at the same table with the same partial results."""
-        dict_index, packed_index, queries = backend_pair
-        for budget in [0, 1, 3, 10, 10_000]:
-            dict_results = dict_index.batch_query(queries, max_retrieved=budget)
-            packed_results = packed_index.batch_query(queries, max_retrieved=budget)
-            for q, (d_res, p_res) in enumerate(zip(dict_results, packed_results)):
-                assert d_res == p_res
-                single_d = dict_index.query(
-                    queries[q], max_retrieved=budget
-                )
-                assert single_d == d_res
-            # Tight budgets must actually truncate on both sides whenever
-            # anything was retrieved at all.
-            if budget == 0:
-                for (_, d_stats), (_, p_stats) in zip(dict_results, packed_results):
-                    assert d_stats.truncated and p_stats.truncated
-                    assert d_stats.tables_probed == p_stats.tables_probed == 1
-
-    def test_iter_candidates_identical(self, backend_pair):
-        dict_index, packed_index, queries = backend_pair
-        for q in queries[:4]:
-            assert list(dict_index.iter_candidates(q)) == list(
-                packed_index.iter_candidates(q)
-            )
-
-    def test_query_hits_identical(self, backend_pair):
-        dict_index, packed_index, queries = backend_pair
-        for q in queries[:4]:
-            np.testing.assert_array_equal(
-                dict_index.query_hits(q), packed_index.query_hits(q)
-            )
-
-    def test_bucket_size_distribution_identical(self, backend_pair):
-        dict_index, packed_index, _ = backend_pair
-        d_sizes = sorted(dict_index.bucket_sizes())
-        p_sizes = sorted(packed_index.bucket_sizes())
-        assert d_sizes == p_sizes
-        assert sum(d_sizes) == N_POINTS * N_TABLES
-
-    def test_bucket_dtype_is_int64_on_both_backends(self, backend_pair):
-        """The ``bucket()`` contract promises int64 regardless of backend:
-        the packed backend narrows stored ids to int32 when they fit, and
-        must widen at this surface instead of leaking dtype drift to
-        callers that mix backends.  Covers both populated and empty
-        buckets plus the batched hits surface."""
-        dict_index, packed_index, queries = backend_pair
-        for index in (dict_index, packed_index):
-            saw_hit = False
-            for q in queries:
-                for t, pair in enumerate(index._pairs):
-                    bucket = index._backend.bucket(
-                        t, pair.hash_query(np.atleast_2d(q))
-                    )
-                    assert bucket.dtype == np.int64, index.backend
-                    saw_hit |= bucket.size > 0
-            assert index.batch_query_hits(queries).hits.dtype == np.int64
-            assert saw_hit  # data points guarantee at least one hit
-
-
-class TestBatchMatchesSingle:
-    """Property/regression: ``batch_query`` must agree with per-query
-    ``query`` on *each* backend (historically two separate code
-    paths that could drift)."""
-
-    @pytest.mark.parametrize("backend", ["dict", "packed"])
-    @pytest.mark.parametrize("max_retrieved", [None, 0, 2, 25])
-    def test_batch_equals_singles(self, backend, max_retrieved):
-        rng = np.random.default_rng(7)
-        points = hamming.random_points(300, 16, rng=rng)
-        queries = hamming.random_points(15, 16, rng=rng)
-        index = DSHIndex(
-            PoweredFamily(BitSampling(16), 3), n_tables=10, rng=3, backend=backend
-        ).build(points)
-        batched = index.batch_query(queries, max_retrieved=max_retrieved)
-        for i in range(queries.shape[0]):
-            single = index.query(queries[i], max_retrieved=max_retrieved)
-            assert single == batched[i]
-
-    @pytest.mark.parametrize("backend", ["dict", "packed"])
-    def test_duplicate_heavy_batch(self, backend):
-        """Identical points force maximal duplicates; dedup and stats must
-        still agree between the two entry points."""
-        points = np.zeros((30, 8), dtype=np.int8)
-        index = DSHIndex(
-            BitSampling(8), n_tables=6, rng=5, backend=backend
-        ).build(points)
-        queries = np.zeros((4, 8), dtype=np.int8)
-        for (cands, stats), i in zip(index.batch_query(queries), range(4)):
-            single_cands, single_stats = index.query(queries[i])
-            assert cands == single_cands == list(range(30))
-            assert stats == single_stats
-            assert stats.retrieved == 30 * 6
+from repro.index import DSHIndex, DictBackend, PackedBackend
+from repro.spaces import hamming
 
 
 class TestBackendSelection:
@@ -223,45 +21,12 @@ class TestBackendSelection:
     def test_backend_instance_cannot_be_shared(self):
         """A storage instance holds one index's tables; re-attaching it to
         a second DSHIndex would let the second build clobber the first."""
-        from repro.index import PackedBackend
-
         shared = PackedBackend()
         DSHIndex(BitSampling(8), n_tables=2, rng=0, backend=shared)
         with pytest.raises(ValueError, match="already attached"):
             DSHIndex(BitSampling(8), n_tables=2, rng=1, backend=shared)
 
-    @pytest.mark.parametrize("backend", ["dict", "packed"])
-    def test_truncated_single_query_hashes_lazily(self, backend):
-        """A truncating budget must stop per-table hash evaluation, not
-        just bucket walks: only the probed tables' g's may run."""
-        from repro.core.family import DSHFamily, HashPair
-
-        class CountingFamily(DSHFamily):
-            def __init__(self, base):
-                self.base = base
-                self.query_hashes = 0
-
-            def sample(self, rng=None):
-                inner = self.base.sample(rng)
-                outer = self
-
-                def g(points):
-                    outer.query_hashes += 1
-                    return inner.g(points)
-
-                return HashPair(h=inner.h, g=g, meta=inner.meta)
-
-        family = CountingFamily(BitSampling(8))
-        points = np.zeros((20, 8), dtype=np.int8)  # every bucket is full
-        index = DSHIndex(family, n_tables=8, rng=0, backend=backend).build(points)
-        family.query_hashes = 0
-        _, stats = index.query(points[0], max_retrieved=1)
-        assert stats.truncated and stats.tables_probed == 1
-        assert family.query_hashes == 1  # tables 2..8 never hashed
-
     def test_instance_and_class_specs(self):
-        from repro.index import DictBackend, PackedBackend
-
         points = hamming.random_points(50, 8, rng=0)
         by_class = DSHIndex(
             BitSampling(8), n_tables=2, rng=1, backend=PackedBackend
@@ -274,24 +39,3 @@ class TestBackendSelection:
         q = points[0]
         assert by_class.query(q) == by_instance.query(q)
 
-    def test_applications_accept_backend(self):
-        """The Section 6 applications route the backend choice through."""
-        from repro.data.synthetic import planted_sphere_annulus
-        from repro.index import sphere_annulus_index
-
-        inst = planted_sphere_annulus(120, 16, (0.4, 0.5), rng=11)
-        results = {}
-        for backend in ["dict", "packed"]:
-            index = sphere_annulus_index(
-                inst.points, (0.3, 0.6), t=1.5, n_tables=40, rng=12, backend=backend
-            )
-            result = index.query(inst.query)
-            results[backend] = result
-        assert results["dict"].index == results["packed"].index
-        assert (
-            results["dict"].candidates_examined
-            == results["packed"].candidates_examined
-        )
-        np.testing.assert_equal(
-            results["dict"].proximity, results["packed"].proximity
-        )

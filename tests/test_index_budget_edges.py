@@ -1,9 +1,10 @@
-"""Budget edge cases for the Theorem 6.1 early-termination device.
+"""The Theorem 6.1 budget at the index boundary.
 
-Covers, on both storage backends: a zero budget (degenerate truncation at
-the first table), a budget landing exactly on a table boundary, exact-hit
-truncation in the batched hits path, and the laziness contract — tables
-past the stopping point must never even be *hashed*.
+Covers, on both storage backends: the laziness contract (tables past the
+stopping point must never even be *hashed*), budget validation on every
+surface that takes one, and the clip's rejection of an already-clipped
+stream.  Which tables a budget probes, and what it returns, is checked by
+the generated oracle (``tests/test_oracle.py``).
 """
 
 import numpy as np
@@ -47,231 +48,9 @@ def _full_bucket_index(n_points, n_tables, backend, d=8, rng=0):
     return index, points
 
 
-class TestZeroBudget:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_single_query(self, backend):
-        index, points = _full_bucket_index(10, 5, backend)
-        candidates, stats = index.query(points[0], max_retrieved=0)
-        # The reference scan consumes the first table, then notices the
-        # budget is already spent: one table probed, marked truncated.
-        assert stats.truncated
-        assert stats.tables_probed == 1
-        assert stats.retrieved == 10
-        assert candidates == list(range(10))
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_query(self, backend):
-        index, points = _full_bucket_index(10, 5, backend)
-        for candidates, stats in index.batch_query(points[:3], max_retrieved=0):
-            assert stats.truncated and stats.tables_probed == 1
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_hits_zero_budget(self, backend):
-        index, points = _full_bucket_index(10, 5, backend)
-        block = index.batch_query_hits(points[:3], max_hits=0)
-        assert block.hits.size == 0
-        assert block.truncated.all()
-        np.testing.assert_array_equal(block.offsets, [0, 0, 0, 0])
-
-
-class TestTableBoundaryBudget:
-    """Budgets that land exactly on a table boundary: the scan must stop
-    *at* the boundary table (it is the truncating table), not after one
-    more."""
-
-    N, L = 12, 6
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("k_tables", [1, 2, 5, 6])
-    def test_exact_boundary(self, backend, k_tables):
-        index, points = _full_bucket_index(self.N, self.L, backend)
-        budget = self.N * k_tables  # exactly k full tables
-        _, stats = index.query(points[0], max_retrieved=budget)
-        assert stats.retrieved == budget
-        assert stats.tables_probed == k_tables
-        # Reaching the budget exactly counts as truncation even at the
-        # last table (the scan cannot know no more hits would follow).
-        assert stats.truncated
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_one_past_boundary(self, backend):
-        index, points = _full_bucket_index(self.N, self.L, backend)
-        _, stats = index.query(points[0], max_retrieved=self.N + 1)
-        # One hit beyond a full table forces the whole next table in.
-        assert stats.tables_probed == 2
-        assert stats.retrieved == 2 * self.N
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_matches_single_at_boundaries(self, backend):
-        index, points = _full_bucket_index(self.N, self.L, backend)
-        queries = points[:4]
-        for budget in [self.N - 1, self.N, self.N + 1, self.N * self.L,
-                       self.N * self.L + 1]:
-            batched = index.batch_query(queries, max_retrieved=budget)
-            for i in range(queries.shape[0]):
-                assert index.query(queries[i], max_retrieved=budget) == batched[i]
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_hits_exact_clip(self, backend):
-        """batch_query_hits truncates at *hit* granularity: a budget of
-        one-and-a-half tables yields exactly that many hits."""
-        index, points = _full_bucket_index(self.N, self.L, backend)
-        max_hits = self.N + self.N // 2
-        block = index.batch_query_hits(points[:2], max_hits=max_hits)
-        for i in range(2):
-            assert block.segment(i).size == max_hits
-            assert block.truncated[i]
-            np.testing.assert_array_equal(
-                block.table_counts[i], [self.N, self.N // 2, 0, 0, 0, 0]
-            )
-            assert block.table_of(i, max_hits - 1) == 1
-
-
-class TestOneBudget:
-    """``max_retrieved=1``: the smallest budget that still demands a hit.
-    Any non-empty first table overshoots it, so the scan must stop at
-    whichever table first yields anything."""
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_single_query(self, backend):
-        index, points = _full_bucket_index(10, 5, backend)
-        candidates, stats = index.query(points[0], max_retrieved=1)
-        assert stats.truncated
-        assert stats.tables_probed == 1
-        assert stats.retrieved == 10  # the whole truncating table counts
-        assert candidates == list(range(10))
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_matches_single(self, backend):
-        index, points = _full_bucket_index(10, 5, backend)
-        batched = index.batch_query(points[:4], max_retrieved=1)
-        for i in range(4):
-            assert index.query(points[i], max_retrieved=1) == batched[i]
-
-    def test_backends_agree_on_mixed_buckets(self):
-        points = hamming.random_points(60, 10, rng=4)
-        queries = hamming.random_points(8, 10, rng=5)
-        results = {}
-        for backend in BACKENDS:
-            index = DSHIndex(
-                BitSampling(10), n_tables=6, rng=2, backend=backend
-            ).build(points)
-            results[backend] = index.batch_query(queries, max_retrieved=1)
-        assert results["dict"] == results["packed"]
-
-
-class TestFullTableCountsContract:
-    """``BatchHits.full_table_counts`` carries the *pre-clip* per-table
-    counts whenever ``max_hits`` clipped the stream — the sharded merge
-    relies on it to reconstruct exact merged truncation."""
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_none_without_max_hits(self, backend):
-        index, points = _full_bucket_index(10, 4, backend)
-        block = index.batch_query_hits(points[:3])
-        assert block.full_table_counts is None
-        # The property falls back to the (identical) clipped counts.
-        np.testing.assert_array_equal(
-            block.pre_clip_table_counts, block.table_counts
-        )
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_full_counts_are_the_unclipped_counts(self, backend):
-        index, points = _full_bucket_index(10, 4, backend)
-        unclipped = index.batch_query_hits(points[:3])
-        clipped = index.batch_query_hits(points[:3], max_hits=15)
-        assert clipped.full_table_counts is not None
-        np.testing.assert_array_equal(
-            clipped.full_table_counts, unclipped.table_counts
-        )
-        np.testing.assert_array_equal(
-            clipped.pre_clip_table_counts, unclipped.table_counts
-        )
-        # The clipped counts sum to exactly the cap for every query.
-        np.testing.assert_array_equal(
-            clipped.table_counts.sum(axis=1), [15, 15, 15]
-        )
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_max_hits_on_exact_table_boundary(self, backend):
-        index, points = _full_bucket_index(10, 4, backend)
-        block = index.batch_query_hits(points[:2], max_hits=20)  # = 2 tables
-        for i in range(2):
-            assert block.segment(i).size == 20
-            np.testing.assert_array_equal(
-                block.table_counts[i], [10, 10, 0, 0]
-            )
-            np.testing.assert_array_equal(
-                block.full_table_counts[i], [10, 10, 10, 10]
-            )
-
-    def test_backends_agree_on_both_fields(self):
-        points = hamming.random_points(80, 10, rng=7)
-        queries = hamming.random_points(6, 10, rng=8)
-        blocks = {}
-        for backend in BACKENDS:
-            index = DSHIndex(
-                BitSampling(10), n_tables=5, rng=3, backend=backend
-            ).build(points)
-            blocks[backend] = index.batch_query_hits(queries, max_hits=7)
-        np.testing.assert_array_equal(
-            blocks["dict"].table_counts, blocks["packed"].table_counts
-        )
-        np.testing.assert_array_equal(
-            blocks["dict"].full_table_counts,
-            blocks["packed"].full_table_counts,
-        )
-        np.testing.assert_array_equal(
-            blocks["dict"].hits, blocks["packed"].hits
-        )
-
-
 class TestClipBatchHits:
     """Unit tests for ``clip_batch_hits``, the reference table-granularity
     clip that every budgeted probe must equal."""
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_direct_budget_scan(self, backend):
-        points = hamming.random_points(70, 10, rng=9)
-        queries = hamming.random_points(6, 10, rng=10)
-        index = DSHIndex(
-            BitSampling(10), n_tables=6, rng=1, backend=backend
-        ).build(points)
-        full = index.batch_query_hits(queries)
-        for budget in [0, 1, 5, 30, 10_000]:
-            clipped = clip_batch_hits(full, index.n_tables, budget)
-            np.testing.assert_array_equal(
-                clipped.pre_clip_table_counts, full.table_counts
-            )
-            # Every kept hit sits in a table at or before the stopping
-            # table the un-sharded budget scan would have probed.
-            for i in range(queries.shape[0]):
-                _, stats = index.query(queries[i], max_retrieved=budget)
-                kept = clipped.table_counts[i]
-                assert (kept[stats.tables_probed:] == 0).all()
-                assert kept.sum() == stats.retrieved
-
-    def test_budget_zero_keeps_first_table(self):
-        index, points = _full_bucket_index(10, 4, "packed")
-        clipped = clip_batch_hits(
-            index.batch_query_hits(points[:2]), index.n_tables, 0
-        )
-        np.testing.assert_array_equal(clipped.table_counts[0], [10, 0, 0, 0])
-        assert clipped.truncated.all()
-        np.testing.assert_array_equal(clipped.segment(0), np.arange(10))
-
-    def test_budget_on_table_boundary(self):
-        index, points = _full_bucket_index(10, 4, "packed")
-        clipped = clip_batch_hits(
-            index.batch_query_hits(points[:1]), index.n_tables, 20
-        )
-        np.testing.assert_array_equal(clipped.table_counts[0], [10, 10, 0, 0])
-        assert clipped.truncated[0]  # exactly-met budget counts as truncation
-
-    def test_none_budget_is_identity(self):
-        index, points = _full_bucket_index(10, 4, "packed")
-        block = index.batch_query_hits(points[:2])
-        assert clip_batch_hits(block, index.n_tables, None) is block
 
     def test_double_clip_rejected(self):
         index, points = _full_bucket_index(10, 4, "packed")

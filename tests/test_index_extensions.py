@@ -71,6 +71,13 @@ class TestQueryMany:
         )
         with pytest.raises(ValueError):
             index.query_many(inst.query, k=0)
+        # k is an integer count, not a float cap or a string.
+        for bad in (2.5, np.float64(2.0), "3"):
+            with pytest.raises(TypeError, match="k must be an integer"):
+                index.query_many(inst.query, k=bad)
+        assert index.query_many(inst.query, k=np.int64(2)) == (
+            index.query_many(inst.query, k=2)
+        )
 
     def test_budget_respected(self):
         inst = planted_sphere_annulus(500, 24, (0.4, 0.5), rng=11)
