@@ -14,8 +14,9 @@ points, L = 16 tables by default):
   release behaviour per family).
 
 Every sharded result — including a budgeted run that exercises the
-shard-local ``max_retrieved`` clip — is checked identical to the
-unsharded in-memory index before any timing is trusted.  Set
+``max_retrieved`` clip on the shards' summed counts — is checked
+identical to the unsharded in-memory index before any timing is
+trusted.  Set
 ``BENCH_SMOKE=1`` to shrink the instance for CI smoke runs (assertions
 are only enforced at full size).
 """
@@ -39,7 +40,7 @@ D = 64
 K = 16
 SEED = 2018
 SHARDS = 4
-BUDGET = 16 * N_TABLES  # exercises the shard-local table-granularity clip
+BUDGET = 16 * N_TABLES  # exercises the table clip on the summed counts
 QUERY_REPEATS = 3 if SMOKE else 5
 MIN_COLD_START_SPEEDUP = 10.0
 

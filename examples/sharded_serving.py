@@ -12,11 +12,11 @@ cold start.  This script walks the full lifecycle:
 3. build the same spec with ``shards=4`` (hashing the shards on two build
    threads): a `ShardedIndex` that partitions the points into contiguous
    shards with identical hash pairs and saves one file pair per shard.
-   Reloaded, it memory-maps every shard in this process, hashes each
-   query block once, probes the shards one after another and merges their
-   hit streams exactly — results stay bit-identical to the unsharded
-   index, with a ``max_retrieved`` budget clipped per shard before the
-   gather.
+   Reloaded, it memory-maps every shard in this process, hashes and
+   fingerprints each query block once, looks it up in every shard and
+   clips a ``max_retrieved`` budget once on the summed per-table counts
+   before the gather — results stay bit-identical to the unsharded
+   index.
 
 Run:  python examples/sharded_serving.py
 """

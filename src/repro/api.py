@@ -198,9 +198,10 @@ class IndexSpec:
         Partition the point set into this many contiguous shards, each
         backed by its own index over identical hash pairs, served by
         :class:`~repro.serving.sharded.ShardedIndex` (``build`` returns one
-        when ``shards > 1``).  Requires ``kind="raw"`` and a fixed ``seed``
+        when ``shards > 1``).  Requires ``kind="raw"``, a fixed ``seed``
         (all shards must sample the same pairs for the merged candidate
-        streams to match the unsharded index exactly).
+        streams to match the unsharded index exactly) and
+        ``backend="packed"`` (the shards run through the packed probe).
     options:
         Kind-specific options (see module docstring).
     """
@@ -236,6 +237,12 @@ class IndexSpec:
                     "shards > 1 needs a fixed integer seed: every shard "
                     "must sample identical hash pairs for the merged "
                     "candidate streams to match the unsharded index"
+                )
+            if self.backend != "packed":
+                raise ValueError(
+                    f"shards > 1 requires backend='packed', got "
+                    f"backend={self.backend!r}: the shards run through "
+                    "the packed probe"
                 )
         if self.seed is not None and not isinstance(self.seed, (int, np.integer)):
             raise ValueError(

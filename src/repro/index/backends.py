@@ -28,8 +28,8 @@ Both backends produce identical candidate lists, candidate order, and
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "IndexBackend",
     "DictBackend",
     "PackedBackend",
+    "packed_probe",
     "make_backend",
     "budget_truncation",
     "first_seen_dedup",
@@ -116,10 +117,10 @@ class BatchHits:
     hits:
         Flat point-index array, query-major; within a query, hits are in
         probe order (table by table, insertion order inside a bucket).
-        Its integer dtype is the producer's:
-        :meth:`IndexBackend.budgeted_hits` keeps the backend's stored id
-        dtype (int32 for a packed index whose ids fit), while
-        :meth:`IndexBackend.batch_query_hits` always widens to int64.
+        Its integer dtype is the producer's: :func:`packed_probe` over
+        one part keeps the backend's stored id dtype (int32 for a packed
+        index whose ids fit), while :meth:`IndexBackend.batch_query_hits`
+        always widens to int64.
     offsets:
         Shape ``(n_queries + 1,)``; query ``i`` owns
         ``hits[offsets[i]:offsets[i + 1]]``.
@@ -137,14 +138,10 @@ class BatchHits:
     full_table_counts:
         ``None`` when the stream is unclipped (``table_counts`` already
         *are* the full counts).  When a producer clipped the stream
-        (``max_hits`` here, or the ``max_retrieved`` clip of
-        :meth:`IndexBackend.budgeted_hits`), this carries the **pre-clip**
-        per-table retrieval counts for every table, so a downstream merge
-        can apply table-granularity budget semantics on the counts the
-        unclipped stream *would* have had — the contract that lets shards
-        ship clipped hits while the merged
-        :func:`budget_truncation` stays bit-identical to the unsharded
-        index.
+        (``max_hits`` here, or a ``max_retrieved`` table clip), this
+        carries the **pre-clip** per-table retrieval counts for every
+        table, from which :func:`batch_results` derives each query's
+        ``tables_probed`` and ``truncated``.
     """
 
     hits: np.ndarray
@@ -189,10 +186,10 @@ def budget_truncation(
     ``(n_queries, L)`` per-table retrieval-count matrix, a query stops
     after the first table at which its cumulative count reaches
     ``max_retrieved``.  Returns ``(tables_probed, truncated)``, both
-    ``(n_queries,)``.  Shared by :meth:`PackedBackend.batch_query` and the
-    sharded merge (:mod:`repro.serving.sharded`) so the truncation
-    semantics — which ``tests/test_oracle.py`` holds bit-identical to the
-    reference single-query scan — are defined exactly once."""
+    ``(n_queries,)``.  Shared by the packed probe's clip and the result
+    builder (:func:`batch_results`) so the truncation semantics — which
+    ``tests/test_oracle.py`` holds bit-identical to the reference
+    single-query scan — are defined exactly once."""
     n_queries = counts.shape[0]
     if max_retrieved is None:
         return (
@@ -216,8 +213,7 @@ def first_seen_dedup(
     position carries the stamp.  O(len(segment)), and ``stamp`` — a
     caller-owned scratch array over the id space — needs no reset between
     calls: only just-stamped entries are ever read.  The companion of
-    :func:`budget_truncation`, shared by the packed backend and the
-    sharded merge."""
+    :func:`budget_truncation` in :func:`batch_results`."""
     if not segment.size:
         return []
     positions = positions_all[: segment.size]
@@ -231,8 +227,8 @@ def segment_gather(
     """THE variable-length gather: the slices
     ``values[starts[k] : starts[k] + lengths[k]]`` concatenated in order,
     as one fancy-index pass (no per-slice Python loop).  Keeps
-    ``values``' dtype; the packed probe, the budget clip and the sharded
-    merge all build their hit streams through it."""
+    ``values``' dtype; the packed probe and :func:`clip_batch_hits` build
+    their hit streams through it."""
     lengths = np.asarray(lengths, dtype=np.int64)
     total = int(lengths.sum())
     if not total:
@@ -267,7 +263,8 @@ def batch_results(
 ) -> list[CandidateResult]:
     """Turn a budget-clipped, table-major hit stream into one
     :class:`CandidateResult` per query — the single result builder behind
-    :meth:`PackedBackend.batch_query` and the sharded merge.
+    :meth:`PackedBackend.batch_query` and the sharded index's
+    ``batch_query``.
 
     ``block`` must already be clipped to ``max_retrieved`` at table
     granularity (each query's segment holds exactly the hits of the tables
@@ -317,19 +314,9 @@ def clip_batch_hits(
     """Apply the Theorem 6.1 table-granularity ``max_retrieved`` budget to
     an *unclipped* :class:`BatchHits` stream, keeping the pre-clip counts.
 
-    The reference path of :meth:`IndexBackend.budgeted_hits` for backends
-    without a budgeted gather (it gathers every hit, then clips), and the
-    oracle the packed clip-before-gather version is held to.  The
-    exactness-preserving device behind shard-local clipping in sharded
-    serving: a query's merged scan stops after the first table where the
-    *merged* cumulative count reaches the budget, and since every shard's
-    own cumulative counts are bounded by the merged ones, the merged
-    stopping table can never lie beyond the shard-local one.  Clipping each
-    shard's stream at its own :func:`budget_truncation` table therefore
-    discards only hits the merge could never use, while the recorded
-    ``full_table_counts`` let the merge compute the exact merged stopping
-    table and stats.  Within a query's segment hits are table-major, so the
-    kept hits are a per-query prefix.
+    The gather-everything-then-clip reference that :func:`packed_probe`'s
+    clip-before-gather is held to.  Within a query's segment hits are
+    table-major, so the kept hits are a per-query prefix.
 
     ``block`` must be unclipped (``full_table_counts is None``); returns it
     unchanged when ``max_retrieved`` is ``None``.
@@ -432,23 +419,6 @@ class IndexBackend(ABC):
     ) -> list[CandidateResult]:
         """Probe all tables for every query row; one :class:`CandidateResult`
         per query, candidates distinct and in first-seen order."""
-
-    def budgeted_hits(
-        self, comps: list[np.ndarray], max_retrieved: int | None
-    ) -> BatchHits:
-        """Hit streams for every query row, clipped at table granularity
-        to the Theorem 6.1 ``max_retrieved`` budget, with the pre-clip
-        per-table counts in ``full_table_counts`` (``None`` when unbudgeted)
-        — the probe every budgeted table-granularity consumer shares: the
-        packed :meth:`batch_query` and every shard of a sharded index.
-
-        This reference version gathers every hit and then clips
-        (:func:`clip_batch_hits`); :class:`PackedBackend` clips on the
-        count matrix first, so no table past a query's stopping table is
-        ever gathered."""
-        return clip_batch_hits(
-            self.batch_query_hits(comps), len(comps), max_retrieved
-        )
 
     def _scan(
         self, buckets, max_retrieved: int | None
@@ -796,15 +766,12 @@ class PackedBackend(IndexBackend):
         self._ids = arrays["ids"]
         self._n_points = int(np.asarray(arrays["n_points"])[0])
 
-    def _lookup(
-        self, comps: list[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Resolve every (table, query) bucket in one ``searchsorted`` per
-        table: returns ``(starts, counts)``, both shape ``(L, n_queries)``,
-        giving each bucket's slice of the shared ``_ids`` array.  The
-        query fingerprints come from :func:`_query_fingerprints`, one
-        mixing pass per component width rather than one per table."""
-        qfps = _query_fingerprints(comps)
+    def _lookup(self, qfps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Resolve every (table, query) bucket of an ``(L, n_queries)``
+        uint64 query-fingerprint matrix (:func:`_query_fingerprints`) in
+        one ``searchsorted`` per table: returns ``(starts, counts)``, both
+        shape ``(L, n_queries)``, giving each bucket's slice of the shared
+        ``_ids`` array."""
         n_tables, n_queries = qfps.shape
         starts = np.zeros((n_tables, n_queries), dtype=np.int64)
         counts = np.zeros((n_tables, n_queries), dtype=np.int64)
@@ -821,34 +788,16 @@ class PackedBackend(IndexBackend):
             counts[t] = np.where(found, offsets[pos_c + 1] - lo, 0)
         return starts, counts
 
-    def budgeted_hits(
-        self, comps: list[np.ndarray], max_retrieved: int | None
-    ) -> BatchHits:
-        """Clip before the gather: one lookup, the budget clip on the count
-        matrix, then one gather of the included buckets only, in the
-        stored (possibly int32) id dtype."""
-        starts, counts = self._lookup(comps)
-        full = counts.T
-        included, truncated = _table_clip(full, len(comps), max_retrieved)
-        kept = np.where(included, full, 0)
-        offsets = np.zeros(full.shape[0] + 1, dtype=np.int64)
-        np.cumsum(kept.sum(axis=1), out=offsets[1:])
-        # Query-major so each query's hits are contiguous and table-major.
-        return BatchHits(
-            hits=segment_gather(self._ids, starts.T.ravel(), kept.ravel()),
-            offsets=offsets,
-            table_counts=kept,
-            truncated=truncated,
-            full_table_counts=None if max_retrieved is None else full,
-        )
-
     def batch_query(
         self, comps: list[np.ndarray], max_retrieved: int | None = None
     ) -> list[CandidateResult]:
-        """Vectorized probe: :meth:`budgeted_hits`, then
-        :func:`batch_results`."""
+        """Vectorized probe: :func:`packed_probe` over this one backend
+        with the table clip, then :func:`batch_results`."""
         return batch_results(
-            self.budgeted_hits(comps, max_retrieved),
+            packed_probe(
+                [(self, 0)], _query_fingerprints(comps),
+                max_retrieved=max_retrieved,
+            ),
             len(comps),
             self._n_points,
             max_retrieved,
@@ -857,39 +806,101 @@ class PackedBackend(IndexBackend):
     def batch_query_hits(
         self, comps: list[np.ndarray], max_hits: int | None = None
     ) -> BatchHits:
-        """Vectorized bulk hit streams: batched ``searchsorted`` over all
-        (table, query) buckets, exact per-hit ``max_hits`` clipping computed
-        on the count matrix (so clipped tails are never even gathered), and
-        one flat gather for every query's stream."""
-        starts, counts = self._lookup(comps)
-        n_queries = counts.shape[1]
-        if max_hits is None:
-            allowed = counts
-            truncated = np.zeros(n_queries, dtype=bool)
-            full_counts = None
-        else:
-            full_counts = counts.T.copy()
-            # Hits remaining in each query's budget when table t begins:
-            # clip each bucket to it, cutting the stream mid-bucket at
-            # exactly max_hits hits.
-            before = np.cumsum(counts, axis=0) - counts
-            allowed = np.minimum(
-                counts, np.clip(max_hits - before, 0, None)
+        """Vectorized bulk hit streams: :func:`packed_probe` over this one
+        backend with the exact per-hit ``max_hits`` cut (clipped tails are
+        never gathered), hits widened to int64."""
+        block = packed_probe(
+            [(self, 0)], _query_fingerprints(comps), max_hits=max_hits
+        )
+        return replace(block, hits=np.asarray(block.hits, dtype=np.int64))
+
+
+def packed_probe(
+    parts: Sequence[tuple[PackedBackend, int]],
+    qfps: np.ndarray,
+    *,
+    max_retrieved: int | None = None,
+    max_hits: int | None = None,
+) -> BatchHits:
+    """THE packed probe — lookup, clip, gather — over one or more parts.
+
+    ``parts`` are ``(backend, id_offset)`` pairs built over the same ``L``
+    hash pairs on consecutive point ranges, in ascending offset order: one
+    backend at offset 0 for a :class:`PackedBackend`, or the shards of a
+    sharded index.  ``qfps`` is the block's ``(L, n_queries)`` query
+    fingerprint matrix (:func:`_query_fingerprints`), computed once for
+    every part.  Each part resolves its buckets; each query's stream is
+    then what one index over the concatenated parts retrieves — table by
+    table, parts in offset order within a table — and its per-table counts
+    are the parts' counts summed.  At most one cut applies to the stream:
+
+    * ``max_retrieved``, the Theorem 6.1 table clip on the summed counts
+      (a query stops after the table where its cumulative count reaches
+      the budget);
+    * ``max_hits``, an exact cut at that many hits, mid-bucket if needed.
+
+    Only the kept buckets are gathered, and a cut stream carries the
+    summed pre-clip counts in ``full_table_counts``.  One part at offset 0
+    keeps its stored id dtype; otherwise each part's hits are lifted to
+    int64 global ids and interleaved into probe order in one pass.
+    """
+    if max_retrieved is not None and max_hits is not None:
+        raise ValueError("pass max_retrieved or max_hits, not both")
+    n_tables, n_queries = qfps.shape
+    lookups = [backend._lookup(qfps) for backend, _ in parts]
+    # (n_queries, L, parts): row-major order is each query's probe order.
+    counts = np.stack([c.T for _, c in lookups], axis=2)
+    full = counts.sum(axis=2)
+    truncated = np.zeros(n_queries, dtype=bool)
+    if max_retrieved is not None:
+        included, truncated = _table_clip(full, n_tables, max_retrieved)
+        counts = counts * included[:, :, None]
+    elif max_hits is not None:
+        # Hits left in each query's cap when a bucket begins: clip each
+        # bucket to it, cutting the stream at exactly max_hits hits.
+        flat = counts.reshape(n_queries, -1)
+        before = np.cumsum(flat, axis=1) - flat
+        counts = np.minimum(
+            flat, np.clip(max_hits - before, 0, None)
+        ).reshape(counts.shape)
+        truncated = counts.sum(axis=(1, 2)) == max_hits
+    kept = counts.sum(axis=2)
+    offsets = np.zeros(n_queries + 1, dtype=np.int64)
+    np.cumsum(kept.sum(axis=1), out=offsets[1:])
+    gathered = [
+        segment_gather(backend._ids, starts.T.ravel(), counts[:, :, s].ravel())
+        for s, ((backend, _), (starts, _)) in enumerate(zip(parts, lookups))
+    ]
+    if len(parts) == 1 and parts[0][1] == 0:
+        hits = gathered[0]
+    else:
+        # Lift every part's hits to global ids (in int64, so a global id
+        # past the int32 range cannot wrap) in one flat array laid out
+        # (part, query, table), then gather it in (query, table, part)
+        # order.
+        flat_hits = np.empty(int(offsets[-1]), dtype=np.int64)
+        position = 0
+        for (_, offset), part_hits in zip(parts, gathered):
+            np.add(
+                part_hits, offset,
+                out=flat_hits[position : position + part_hits.size],
+                dtype=np.int64,
             )
-            truncated = allowed.sum(axis=0) == max_hits
-        lengths = allowed.sum(axis=0)
+            position += part_hits.size
+        by_part = counts.transpose(2, 0, 1)
+        sizes = by_part.ravel()
+        starts = (np.cumsum(sizes) - sizes).reshape(by_part.shape)
         hits = segment_gather(
-            self._ids, starts.T.ravel(), allowed.T.ravel()
+            flat_hits, starts.transpose(1, 2, 0).ravel(), counts.ravel()
         )
-        offsets = np.zeros(n_queries + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        return BatchHits(
-            hits=np.asarray(hits, dtype=np.int64),
-            offsets=offsets,
-            table_counts=allowed.T.copy(),
-            truncated=truncated,
-            full_table_counts=full_counts,
-        )
+    cut = max_retrieved is not None or max_hits is not None
+    return BatchHits(
+        hits=hits,
+        offsets=offsets,
+        table_counts=kept,
+        truncated=truncated,
+        full_table_counts=full if cut else None,
+    )
 
 
 BACKENDS: dict[str, type[IndexBackend]] = {

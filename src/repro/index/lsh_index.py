@@ -232,8 +232,6 @@ class DSHIndex:
             built index — is identical either way.
         """
         points = _check_real_finite(points, "points")
-        self._n_points = points.shape[0]
-        self._dim = points.shape[1]
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if workers is not None and workers > 1:
@@ -244,6 +242,8 @@ class DSHIndex:
         else:
             tables = [pair.hash_data(points) for pair in self._pairs]
         self._backend.build(tables)
+        # Only now: a rejected or failed rebuild keeps the old shape.
+        self._n_points, self._dim = points.shape
         self._built = True
         return self
 

@@ -20,7 +20,7 @@ Design points:
   identical to per-query calls (the repo-wide batch/loop parity
   invariant) — so coalescing is invisible in the responses.  Requests
   with different ``max_retrieved`` budgets are grouped and executed
-  per budget, preserving the shard-local clip exactness.
+  per budget, since a budget applies to a whole ``batch_query`` call.
 * **Backpressure.**  Admission is a bounded ``asyncio.Queue``; when
   it is full the request is *shed* immediately with a typed
   :class:`ServerOverloadedError` rather than queued into collapse.
@@ -182,6 +182,7 @@ class _Snapshot:
         self.retired = False
         self.drained = asyncio.Event()
         self.dim: int | None = index.dim
+        self.kind: str = index.spec.kind
 
     def retire(self) -> None:
         """Stop new dispatches (callers switch first) and arm ``drained``."""
@@ -400,8 +401,9 @@ class AsyncIndexServer:
         Raises ``ValueError`` at admission for a row of the wrong shape
         or dimension, a floating row with NaN/inf entries, or a negative
         budget, and ``TypeError`` for a row whose dtype is not bool,
-        integer or real floating or a non-integer budget; such a request
-        never joins a batch.
+        integer or real floating, a non-integer budget, or any budget on
+        a snapshot whose kind is not ``"raw"`` (only raw indexes take
+        ``max_retrieved``); such a request never joins a batch.
 
         Sheds with :class:`ServerOverloadedError` when ``max_pending``
         admitted requests are still outstanding (queued or in flight).
@@ -419,6 +421,13 @@ class AsyncIndexServer:
             query, None if snapshot is None else snapshot.dim
         )[0]
         budget = _check_budget(max_retrieved)
+        # A budget on another kind would fail its whole budget group at
+        # execution; a swap between here and dispatch still fails there.
+        if budget is not None and snapshot is not None and snapshot.kind != "raw":
+            raise TypeError(
+                f"max_retrieved applies to raw indexes only; this "
+                f"snapshot serves kind={snapshot.kind!r}"
+            )
         loop = asyncio.get_running_loop()
         # ``_pending`` counts every admitted-but-unresolved request —
         # queued *and* in flight — so backpressure bounds total

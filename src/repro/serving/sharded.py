@@ -17,15 +17,13 @@ sharded and unsharded indexes are observably identical
 Shards are served in-process on the caller's thread: a built index holds
 its shards as live ``DSHIndex`` objects, and :meth:`ShardedIndex.load`
 opens every shard file in the calling process (memory-mapped by
-default).  A query block is hashed once — all shards share the pairs —
-and each shard probes through
-:meth:`~repro.index.backends.IndexBackend.budgeted_hits`, which applies
-the exactness-preserving table-granularity ``max_retrieved`` clip
-*before* the gather: a packed shard clips on its per-table count matrix
-and gathers only the buckets up to its local stopping table.  The
-pre-clip ``full_table_counts`` ride along and the merged
-:func:`~repro.index.backends.budget_truncation` runs on the *full* merged
-counts, keeping results bit-identical to the unsharded index.
+default).  Every shard uses the packed layout, so a query block runs
+through the same :func:`~repro.index.backends.packed_probe` as an
+unsharded packed index, with the shards as its parts: the block is hashed
+and fingerprinted once (all shards share the pairs), each shard looks up
+its buckets, the Theorem 6.1 ``max_retrieved`` clip runs once on the
+summed per-table counts, and only the buckets it includes are gathered
+before one interleave into probe order.
 
 The shards are probed one after another, not fanned out to worker
 processes: on the 4-shard, 64-query-block benchmark shape a 2-process
@@ -43,7 +41,7 @@ import json
 import os
 import pathlib
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, cast
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api builds us)
     from repro.api import IndexSpec
@@ -51,11 +49,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api builds us)
 import numpy as np
 
 from repro.index.backends import (
-    BatchHits,
     CandidateResult,
-    _table_clip,
+    PackedBackend,
+    _query_fingerprints,
     batch_results,
-    segment_gather,
+    packed_probe,
 )
 from repro.index.lsh_index import (
     DSHIndex,
@@ -161,68 +159,25 @@ def _probe_bundle(path: str, verify: str) -> str | None:
     return None
 
 
-def _merge_blocks(
-    blocks: list[BatchHits],
-    offsets: list[int],
-    n_tables: int,
-    n_points: int,
-    max_retrieved: int | None,
-) -> list[CandidateResult]:
-    """Merge per-shard hit streams into globally-correct candidate results.
-
-    ``blocks[s]`` is shard ``s``'s hit stream for the whole query block
-    and ``offsets[s]`` its global starting index.
-
-    One vectorised interleave rebuilds the unsharded probe order —
-    table-major, shards in ascending offset order within a table — as a
-    single :func:`~repro.index.backends.segment_gather`, and
-    :func:`~repro.index.backends.batch_results` builds the results.  The
-    budget runs on the **pre-clip** merged per-table counts, so
-    shard-local clipping never changes the merged stopping table,
-    retrieval stats, or candidate stream: a clipped block only omits hits
-    past its shard-local stopping table, which is never before the merged
-    one.
-    """
-    # Post-clip counts locate hits inside each block's (possibly clipped)
-    # stream; pre-clip counts drive the budget and the stats.
-    clipped = np.stack([b.table_counts for b in blocks])  # (S, nq, L)
-    full = np.stack([b.pre_clip_table_counts for b in blocks]).sum(
-        axis=0
-    )  # (nq, L)
-    included, truncated = _table_clip(full, n_tables, max_retrieved)
-    lengths = np.where(included, clipped, 0)
-
-    # Every block's hits, lifted to global ids, in one flat array.  A
-    # block's stream is exactly its (query, table) segments in order, so
-    # the flat array is laid out (shard, query, table) like ``clipped``.
-    # Blocks may carry int32 shard-local ids: the add runs in int64 so a
-    # global id past the int32 range cannot wrap.
-    flat = np.empty(sum(b.hits.size for b in blocks), dtype=np.int64)
-    pos = 0
-    for offset, b in zip(offsets, blocks):
-        np.add(
-            b.hits, offset, out=flat[pos : pos + b.hits.size],
-            dtype=np.int64,
+def _check_sharded_spec(spec: IndexSpec) -> None:
+    """What every :class:`ShardedIndex`, built or loaded, needs from its
+    spec: the raw kind, a fixed seed (identical hash pairs in every
+    shard) and the packed layout (the shards are :func:`packed_probe`
+    parts)."""
+    if spec.kind != "raw":
+        raise ValueError(
+            f"ShardedIndex requires kind='raw', got {spec.kind!r}"
         )
-        pos += b.hits.size
-    sizes = clipped.ravel()
-    starts = (np.cumsum(sizes) - sizes).reshape(clipped.shape)
-
-    kept = lengths.sum(axis=0)  # (nq, L)
-    merged_offsets = np.zeros(kept.shape[0] + 1, dtype=np.int64)
-    np.cumsum(kept.sum(axis=1), out=merged_offsets[1:])
-    merged = BatchHits(
-        hits=segment_gather(
-            flat,
-            starts.transpose(1, 2, 0).ravel(),
-            lengths.transpose(1, 2, 0).ravel(),
-        ),
-        offsets=merged_offsets,
-        table_counts=kept,
-        truncated=truncated,
-        full_table_counts=full,
-    )
-    return batch_results(merged, n_tables, n_points, max_retrieved)
+    if spec.seed is None:
+        raise ValueError(
+            "ShardedIndex needs a spec with a fixed seed so every "
+            "shard samples identical hash pairs"
+        )
+    if spec.backend != "packed":
+        raise ValueError(
+            f"ShardedIndex serves packed shards only, got "
+            f"backend={spec.backend!r}"
+        )
 
 
 class ShardedIndex:
@@ -243,7 +198,7 @@ class ShardedIndex:
         range ``bounds[s]:bounds[s + 1]``.
     spec:
         A validated :class:`~repro.api.IndexSpec` with ``kind="raw"``,
-        ``shards >= 1``, and a fixed seed.
+        ``backend="packed"``, ``shards >= 1``, and a fixed seed.
     build_workers:
         Threads for building shards concurrently (hash kernels are
         NumPy-bound); ``None`` builds serially.
@@ -256,15 +211,7 @@ class ShardedIndex:
         *,
         build_workers: int | None = None,
     ) -> None:
-        if spec.kind != "raw":
-            raise ValueError(
-                f"ShardedIndex requires kind='raw', got {spec.kind!r}"
-            )
-        if spec.seed is None:
-            raise ValueError(
-                "ShardedIndex needs a spec with a fixed seed so every "
-                "shard samples identical hash pairs"
-            )
+        _check_sharded_spec(spec)
         points = np.atleast_2d(np.asarray(points))
         self.spec = spec
         self._bounds = shard_bounds(points.shape[0], spec.shards)
@@ -350,32 +297,25 @@ class ShardedIndex:
 
     # -- querying --------------------------------------------------------
 
-    def _shard_blocks(
-        self, queries: np.ndarray, max_retrieved: int | None
-    ) -> list[BatchHits]:
-        """Per-shard hit streams, each clipped to ``max_retrieved`` at its
-        shard-local stopping table before the gather: all shards share the
-        hash pairs, so hash the query block once and probe each shard's
-        backend directly."""
-        comps = self._shards[0]._query_components(queries)
-        return [
-            shard._backend.budgeted_hits(comps, max_retrieved)
-            for shard in self._shards
-        ]
-
     def batch_query(
         self, queries: np.ndarray, max_retrieved: int | None = None
     ) -> list[CandidateResult]:
-        """Candidate retrieval for a query block, probed shard by shard
-        and merged exactly (global ids, first-seen dedup order, summed
-        stats) — element-for-element identical to the unsharded index."""
+        """Candidate retrieval for a query block: hashed and fingerprinted
+        once, then one :func:`packed_probe` over the shards with the
+        budget clipped on their summed counts — element-for-element
+        identical to the unsharded index (global ids, first-seen dedup
+        order, stats)."""
         queries = _check_query_block(queries, self._dim)
         max_retrieved = _check_budget(max_retrieved)
         if queries.shape[0] == 0:
             return []
-        return _merge_blocks(
-            self._shard_blocks(queries, max_retrieved),
-            [int(b) for b in self._bounds[:-1]],
+        parts = [
+            (cast(PackedBackend, shard._backend), offset)
+            for shard, offset in zip(self._shards, self._bounds[:-1].tolist())
+        ]
+        qfps = _query_fingerprints(self._shards[0]._query_components(queries))
+        return batch_results(
+            packed_probe(parts, qfps, max_retrieved=max_retrieved),
             self.n_tables, self.n_points, max_retrieved,
         )
 
@@ -492,6 +432,7 @@ class ShardedIndex:
         shard_names = check_manifest_coherence(manifest, json_path)
         self = object.__new__(cls)
         self.spec = IndexSpec.from_dict(manifest["spec"])
+        _check_sharded_spec(self.spec)
         self._bounds = np.asarray(manifest["bounds"], dtype=np.int64)
         self._dim = int(manifest["dim"])
         self._paths = [str(json_path.parent / name) for name in shard_names]

@@ -387,6 +387,39 @@ class TestBackpressure:
             assert served.result.index == ref.index
             assert served.result.stats == ref.stats
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            dict(kind="annulus", family="annulus_sphere", t=1.5,
+                 interval=(0.3, 0.6)),
+            dict(kind="hyperplane", alpha=0.3, t=1.4),
+            dict(kind="range_reporting", family="simhash", r_report=0.5,
+                 distance="euclidean_distance"),
+        ],
+        ids=lambda build: build["kind"],
+    )
+    def test_budget_on_an_application_snapshot_is_not_admitted(
+        self, tmp_path, build
+    ):
+        """Only raw indexes take ``max_retrieved``: on any other kind the
+        budget is rejected at admission with a ``TypeError`` naming the
+        kind, so it is never admitted and fails no batch."""
+        points = sphere.random_points(100, 8, rng=3)
+        query = sphere.random_points(1, 8, rng=4)[0]
+        index = build_index(points, n_tables=4, rng=5, **build)
+        save_index(index, tmp_path / "app")
+
+        async def scenario():
+            async with AsyncIndexServer(str(tmp_path / "app")) as server:
+                with pytest.raises(TypeError, match=f"kind='{build['kind']}'"):
+                    await server.query(query, max_retrieved=5)
+                rejected = server.metrics()
+                return rejected, await server.query(query)
+
+        rejected, served = asyncio.run(scenario())
+        assert (rejected["admitted"], rejected["failed"]) == (0, 0)
+        assert served.result.stats == index.query(query).stats
+
     @pytest.mark.parametrize("dtype", [object, str, np.complex128])
     def test_non_numeric_query_fails_alone_in_its_window(
         self, saved_single, flat, data, dtype

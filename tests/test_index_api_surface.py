@@ -152,6 +152,19 @@ class TestDimensionValidation:
         assert stats.tables_probed == 3
 
 
+class TestRejectedRebuild:
+    def test_rejected_rebuild_keeps_the_built_index(self):
+        """A rebuild rejected before it hashes (``workers=0``) leaves the
+        index's shape and answers as they were."""
+        points = hamming.random_points(50, 16, rng=1)
+        index = DSHIndex(BitSampling(16), n_tables=3, rng=0).build(points)
+        before = index.batch_query(points[:4])
+        with pytest.raises(ValueError, match="workers"):
+            index.build(points[:10, :8], workers=0)
+        assert (index.n_points, index.dim) == (50, 16)
+        assert index.batch_query(points[:4]) == before
+
+
 class TestNonFiniteQueries:
     """A NaN/inf row hashes to a family's "not captured" sentinel, so it
     must be rejected at the boundary instead of answered as "not found"."""

@@ -9,9 +9,10 @@ what each surface must answer:
 * raw retrieval: first-seen candidates and ``QueryStats`` under the
   Theorem 6.1 ``max_retrieved`` budget (stop after the table where the
   cumulative count reaches it);
-* the backend block probes: ``batch_query_hits`` cut at ``max_hits`` hits
-  and ``budgeted_hits`` clipped at table granularity, with per-table
-  counts before and after the cut;
+* the block probes: ``batch_query_hits`` cut at ``max_hits`` hits, and
+  ``packed_probe`` over one backend or a sharded index's shards both cut
+  at hits and clipped at table granularity, with per-table counts before
+  and after the cut;
 * annulus search: the streaming ``budget_factor * L`` scan that stops at
   the first in-interval first occurrence (hyperplane queries are its
   ``(-alpha, alpha)`` case, ``query_many`` keeps going to ``k``);
@@ -23,7 +24,7 @@ exact table boundary, one past it, unbounded; mixed within a block) and
 query blocks with repeated rows and empty buckets.  Every surface must
 equal the reference: ``DSHIndex`` on both backends, a spec round trip
 through JSON, a single bundle saved and loaded, ``ShardedIndex`` built and
-loaded (and its merge fed clipped and unclipped shard blocks), the
+loaded (packed only, with its probe also checked on its own), the
 ``serve_in_thread`` handle with mixed budgets sent concurrently, and the
 annulus, hyperplane and range-reporting indexes.  A pinned grid adds one
 fixed case per raw family, checked on every raw surface at every budget
@@ -51,8 +52,9 @@ from repro.index import (
     clip_batch_hits,
 )
 from repro.index.annulus import sphere_peak_placement
+from repro.index.backends import _query_fingerprints, packed_probe
 from repro.serving import ServingOptions, ShardedIndex, serve_in_thread
-from repro.serving.sharded import _merge_blocks, shard_bounds
+from repro.serving.sharded import shard_bounds
 from repro.spaces import hamming, sphere
 
 D = {"hamming": 16, "sphere": 8, "euclidean": 8}
@@ -187,6 +189,27 @@ def _assert_block(block, rows, full):
             assert block.table_of(i, len(hits) - 1) == last
 
 
+def _assert_probe(index, queries, walk, limits):
+    """``packed_probe`` over a packed index's backend, or over a sharded
+    index's shard backends at their id offsets, equals every walk row
+    clipped at table granularity and cut at exactly that many hits, for
+    each limit, with the pre-clip counts whenever it cut."""
+    if isinstance(index, ShardedIndex):
+        parts = [(shard._backend, offset) for shard, offset
+                 in zip(index._shards, index.bounds[:-1].tolist())]
+        index = index._shards[0]
+    else:
+        parts = [(index._backend, 0)]
+    qfps = _query_fingerprints(index._query_components(queries))
+    full = [[bucket.size for bucket in ref] for ref in walk]
+    for limit in set(limits):
+        pre_clip = None if limit is None else full
+        _assert_block(packed_probe(parts, qfps, max_retrieved=limit),
+                      [_clip(ref, limit) for ref in walk], pre_clip)
+        _assert_block(packed_probe(parts, qfps, max_hits=limit),
+                      [_cut(ref, limit) for ref in walk], pre_clip)
+
+
 def _annulus(index, query, row, k=1):
     """The streaming Theorem 6.1 annulus scan over one walk row: up to
     ``k`` in-interval first occurrences, each with the stats at its hit,
@@ -266,7 +289,6 @@ def raw_cases(draw):
         "max_hits": draw(st.sampled_from(MAX_HITS)),
         "workers": draw(st.sampled_from([None, 2])),
         "shards": draw(st.integers(1, 4)),
-        "clip": draw(st.lists(st.booleans(), min_size=4, max_size=4)),
         "mmap": draw(st.booleans()),
         "verify": draw(st.sampled_from(["off", "lazy", "eager"])),
     }
@@ -335,12 +357,11 @@ def test_raw_surfaces_equal_the_dict_walk(case):
         unclipped = index._backend.batch_query_hits(comps)
         assert clip_batch_hits(unclipped, n_tables, None) is unclipped
         for budget in set(budgets):
-            expected = [_clip(ref, budget) for ref in walk]
-            pre_clip = None if budget is None else full
-            _assert_block(index._backend.budgeted_hits(comps, budget),
-                          expected, pre_clip)
             _assert_block(clip_batch_hits(unclipped, n_tables, budget),
-                          expected, pre_clip)
+                          [_clip(ref, budget) for ref in walk],
+                          None if budget is None else full)
+        if backend == "packed":
+            _assert_probe(index, queries, walk, [*budgets, cap])
 
     wire = json.loads(json.dumps(spec.to_dict()))
     _assert_raw_surface(
@@ -357,7 +378,7 @@ def test_raw_surfaces_equal_the_dict_walk(case):
     n_shards = knobs["shards"]
     if points.shape[0] < n_shards:
         return
-    sharded_spec = dataclasses.replace(spec, shards=n_shards)
+    sharded_spec = dataclasses.replace(spec, shards=n_shards, backend="packed")
     if n_shards > 1:
         sharded = sharded_spec.build(points, workers=knobs["workers"])
         assert isinstance(sharded, ShardedIndex)
@@ -365,19 +386,7 @@ def test_raw_surfaces_equal_the_dict_walk(case):
         sharded = ShardedIndex(points, sharded_spec)
     assert sharded.n_points == points.shape[0]
     _assert_raw_surface(sharded, queries, walk, budgets)
-
-    # The merge alone, fed shard blocks clipped or not, shard by shard.
-    bounds = sharded.bounds.tolist()
-    for budget in set(budgets):
-        blocks = [
-            clip_batch_hits(shard.batch_query_hits(queries), n_tables, budget)
-            if clip else shard.batch_query_hits(queries)
-            for shard, clip in zip(sharded._shards, knobs["clip"])
-        ]
-        merged = _merge_blocks(
-            blocks, bounds[:-1], n_tables, points.shape[0], budget
-        )
-        assert merged == [_scan(ref, budget) for ref in walk]
+    _assert_probe(sharded, queries, walk, [*budgets, cap])
 
     verify = knobs["verify"]
     with tempfile.TemporaryDirectory() as root:
@@ -388,7 +397,7 @@ def test_raw_surfaces_equal_the_dict_walk(case):
         )
         assert isinstance(loaded, ShardedIndex)
         assert loaded.spec == sharded_spec
-        assert loaded.backend == spec.backend
+        assert loaded.backend == "packed"
         assert loaded.bounds.tolist() == shard_bounds(
             points.shape[0], n_shards
         ).tolist()
@@ -408,8 +417,11 @@ def test_served_handle_equals_the_dict_walk(case):
     )
     n_shards = min(knobs["shards"], max(points.shape[0], 1))
     with tempfile.TemporaryDirectory() as root:
+        # A sharded index is packed only; one shard keeps the drawn layout.
+        backend = spec.backend if n_shards == 1 else "packed"
         save_index(
-            dataclasses.replace(spec, shards=n_shards).build(points),
+            dataclasses.replace(spec, shards=n_shards, backend=backend)
+            .build(points),
             f"{root}/srv",
         )
         handle = serve_in_thread(
@@ -440,7 +452,7 @@ GRID_FAMILIES = RAW_FAMILIES + [
     ("annulus_sphere", "sphere", {"alpha_max": 0.3, "t": 1.5}, None)
 ]
 SURFACES = ["dict", "packed", "spec-json", "bundle", "sharded",
-            "sharded-loaded", "merge", "served"]
+            "sharded-loaded", "probe", "served"]
 
 
 @pytest.fixture(scope="module")
@@ -480,7 +492,7 @@ def grid(tmp_path_factory):
             "sharded-loaded": load_index(
                 str(root / "srv"), options=ServingOptions(mmap=True)
             ),
-            "merge": sharded,
+            "probe": sharded,
             "served": handles[-1],
         }
         cases[family] = (queries, _walk(surfaces["dict"], queries), surfaces)
@@ -504,24 +516,17 @@ def test_grid_cell_equals_the_dict_walk(grid, family, surface, budget):
             served = list(pool.map(index.query, queries, budgets))
         assert [s.result for s in served] == expected
         return
-    if surface == "merge":
-        for b in set(budgets):
-            blocks = [
-                clip_batch_hits(shard.batch_query_hits(queries),
-                                index.n_tables, b)
-                if i % 2 else shard.batch_query_hits(queries)
-                for i, shard in enumerate(index._shards)
-            ]
-            merged = _merge_blocks(blocks, index.bounds[:-1].tolist(),
-                                   index.n_tables, index.n_points, b)
-            assert merged == [_scan(ref, b) for ref in walk]
+    if surface == "probe":
+        _assert_probe(index, queries, walk, budgets)
         return
     _assert_raw_surface(index, queries, walk, budgets)
-    if surface in ("dict", "packed"):
-        comps = index._query_components(queries)
+    if surface == "packed":
+        _assert_probe(index, queries, walk, budgets)
+    if surface == "dict":
+        unclipped = index.batch_query_hits(queries)
         full = [[bucket.size for bucket in ref] for ref in walk]
         for b in set(budgets):
-            _assert_block(index._backend.budgeted_hits(comps, b),
+            _assert_block(clip_batch_hits(unclipped, index.n_tables, b),
                           [_clip(ref, b) for ref in walk],
                           None if b is None else full)
 

@@ -1,4 +1,4 @@
-"""Sharded serving: entry points, the shard-local clip, lifecycle and
+"""Sharded serving: entry points, the merged budget clip, lifecycle and
 spec validation.
 
 Whether a sharded index, built or loaded, answers exactly like the
@@ -16,7 +16,6 @@ import pytest
 
 from repro.api import IndexSpec, build_index, load_index
 from repro.index import backends
-from repro.index.backends import clip_batch_hits
 from repro.serving import ServingOptions, ShardedIndex, shard_bounds
 from repro.spaces import hamming
 
@@ -151,39 +150,45 @@ class TestLoadedServing:
         )
 
 
-class TestShardLocalClip:
-    def test_budgeted_shards_gather_only_clipped_hits(
+class TestMergedBudgetClip:
+    def test_shards_gather_only_the_merged_budget_buckets(
         self, data, monkeypatch
     ):
-        """A budgeted in-process probe clips each shard on its count
-        matrix before the gather: the backends gather exactly the
-        shard-local clipped hits, never the full streams."""
+        """A budgeted sharded probe clips once, on the shards' summed
+        per-table counts, before any gather: each shard gathers exactly
+        its buckets in the tables the unsharded scan probes, and together
+        they gather the unsharded clipped count."""
         points, queries = data
         budget = 40
         sharded = ShardedIndex(points, _spec(shards=4))
-        comps = sharded._shards[0]._query_components(queries)
-        streams = [
-            shard._backend.batch_query_hits(comps) for shard in sharded._shards
-        ]
-        clipped = sum(
-            clip_batch_hits(block, N_TABLES, budget).hits.size
-            for block in streams
-        )
-        unbudgeted = sum(block.hits.size for block in streams)
         expected = _spec().build(points).batch_query(
             queries, max_retrieved=budget
         )
+        comps = sharded._shards[0]._query_components(queries)
+        included = [
+            sum(
+                int(counts[: r.stats.tables_probed].sum())
+                for counts, r in zip(
+                    shard._backend.batch_query_hits(comps).table_counts,
+                    expected,
+                )
+            )
+            for shard in sharded._shards
+        ]
+        assert sum(included) == sum(r.stats.retrieved for r in expected)
 
-        gathered = []
+        gathered = [0] * len(sharded._shards)
         original = backends.segment_gather
 
         def counting_gather(values, starts, lengths):
-            gathered.append(int(np.sum(lengths)))
+            for s, shard in enumerate(sharded._shards):
+                if values is shard._backend._ids:
+                    gathered[s] += int(np.sum(lengths))
             return original(values, starts, lengths)
 
         monkeypatch.setattr(backends, "segment_gather", counting_gather)
         observed = sharded.batch_query(queries, max_retrieved=budget)
-        assert sum(gathered) == clipped < unbudgeted
+        assert gathered == included
         _assert_results_equal(expected, observed)
 
 
@@ -230,6 +235,13 @@ class TestSpecValidation:
     def test_rejects_sharding_without_seed(self):
         with pytest.raises(ValueError, match="fixed integer seed"):
             dataclasses.replace(_spec(shards=2), seed=None)
+
+    def test_rejects_sharding_the_dict_layout(self, data):
+        with pytest.raises(ValueError, match="backend='packed'"):
+            _spec(backend="dict", shards=2)
+        points, _ = data
+        with pytest.raises(ValueError, match="packed shards only"):
+            ShardedIndex(points, _spec(backend="dict"))
 
     def test_rejects_sharding_non_raw_kinds(self):
         with pytest.raises(ValueError, match="kind='raw'"):
