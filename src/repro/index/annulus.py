@@ -270,11 +270,14 @@ class AnnulusIndex:
     def batch_query(self, query_points: np.ndarray) -> list[AnnulusQueryResult]:
         """Run :meth:`query` for every row of ``query_points``, vectorized.
 
-        All queries are hashed through each table's ``g`` in one call and
-        every (query, table) bucket is resolved by the backend's batched
-        hits-with-multiplicity path (one ``searchsorted`` + gather on the
-        packed backend), already clipped to the per-query ``8 L`` budget at
-        exact hit granularity.  Proximity is then evaluated in one call per
+        The block's hit streams come from the backend's batched
+        hits-with-multiplicity path, cut at the per-query ``8 L`` budget at
+        exact hit granularity.  On the packed backend it runs in waves of
+        :data:`~repro.index.backends.WAVE` tables: each wave hashes and
+        looks up (``searchsorted``) only the queries still under their
+        budget, and one gather at the end collects every stream, so a
+        query's tables past the wave holding its cut are never hashed.
+        Proximity is then evaluated in one call per
         query over its clipped hits (repeats included), and the streaming
         procedure is replayed as segment reductions over the whole block:
         each hit is flagged as the first occurrence of its point within

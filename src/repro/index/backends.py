@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, overload
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "QueryStats",
     "CandidateResult",
     "BatchHits",
+    "QueryComponents",
     "IndexBackend",
     "DictBackend",
     "PackedBackend",
@@ -55,6 +56,11 @@ __all__ = [
     "batch_results",
     "BACKENDS",
 ]
+
+#: Tables per wave of a ``max_hits`` probe (:func:`packed_probe`): each
+#: wave hashes, fingerprints and looks up only the rows still below their
+#: cap.  Not an option; picked from a measured sweep (CHANGES.md).
+WAVE = 4
 
 
 @dataclass
@@ -137,11 +143,16 @@ class BatchHits:
         streaming single-query semantics).
     full_table_counts:
         ``None`` when the stream is unclipped (``table_counts`` already
-        *are* the full counts).  When a producer clipped the stream
-        (``max_hits`` here, or a ``max_retrieved`` table clip), this
-        carries the **pre-clip** per-table retrieval counts for every
-        table, from which :func:`batch_results` derives each query's
-        ``tables_probed`` and ``truncated``.
+        *are* the full counts).  When a producer clipped the stream, this
+        carries **pre-clip** per-table retrieval counts:
+
+        * under a ``max_retrieved`` table clip, for every table, from
+          which :func:`batch_results` derives each query's
+          ``tables_probed`` and ``truncated``;
+        * under a ``max_hits`` cut, for every table the probe *reached*
+          and ``0`` for every table it never looked up.  Table ``t`` is
+          reached when the query's stream held fewer than ``max_hits``
+          hits as ``t`` began, so a cap of 0 reaches no table.
     """
 
     hits: np.ndarray
@@ -346,13 +357,74 @@ def clip_batch_hits(
     )
 
 
+class QueryComponents(Sequence[np.ndarray]):
+    """One query block's per-table hash components, hashed on demand.
+
+    ``hashes[t]`` is table ``t``'s query-side hash (a
+    :meth:`~repro.core.family.HashPair.hash_query`): it maps an ``(m, d)``
+    block to its ``(m, c)`` components, row by row.  Indexing (and so
+    iteration) hashes table ``t``'s whole block once and caches it;
+    :meth:`rows` hashes only some rows of a table, so a probe that retires
+    rows early (:func:`packed_probe` under ``max_hits``) never spends hash
+    work on the (query, table) pairs it does not reach.
+    """
+
+    def __init__(
+        self,
+        hashes: Sequence[Callable[[np.ndarray], np.ndarray]],
+        queries: np.ndarray,
+    ) -> None:
+        self._hashes = list(hashes)
+        self._queries = queries
+        self._tables: list[np.ndarray | None] = [None] * len(self._hashes)
+
+    @property
+    def n_queries(self) -> int:
+        """Rows in the query block (no hashing)."""
+        return int(self._queries.shape[0])
+
+    def __len__(self) -> int:
+        return len(self._hashes)
+
+    @overload
+    def __getitem__(self, t: int) -> np.ndarray: ...
+
+    @overload
+    def __getitem__(self, t: slice) -> list[np.ndarray]: ...
+
+    def __getitem__(self, t: int | slice) -> np.ndarray | list[np.ndarray]:
+        if isinstance(t, slice):
+            return [self[i] for i in range(len(self))[t]]
+        block = self._tables[t]
+        if block is None:
+            block = self._tables[t] = self._hashes[t](self._queries)
+        return block
+
+    def rows(self, t: int, rows: np.ndarray) -> np.ndarray:
+        """Table ``t``'s components of the given rows only: sliced from the
+        cache when the whole table is hashed, else hashed without caching."""
+        block = self._tables[t]
+        if block is not None:
+            return block[rows]
+        return self._hashes[t](self._queries[rows])
+
+
+def _block_shape(comps: Sequence[np.ndarray]) -> tuple[int, int]:
+    """``(L, n_queries)`` of a component sequence, hashing nothing when it
+    is a :class:`QueryComponents`."""
+    if isinstance(comps, QueryComponents):
+        return len(comps), comps.n_queries
+    return len(comps), (as_components(comps[0]).shape[0] if len(comps) else 0)
+
+
 class IndexBackend(ABC):
     """Storage layout behind a :class:`DSHIndex`.
 
     Component arrays flow in from the index, which owns the hash pairs: the
     backend never hashes points, it only buckets already-computed ``(n, c)``
-    int64 components.  ``comps`` arguments are lists with one entry per
-    table, each of shape ``(n_queries, c)``.
+    int64 components.  ``comps`` arguments are sequences with one entry
+    per table, each of shape ``(n_queries, c)``: a plain list, or a
+    :class:`QueryComponents` that hashes a table when it is first read.
     """
 
     name: str = "abstract"
@@ -415,7 +487,7 @@ class IndexBackend(ABC):
 
     @abstractmethod
     def batch_query(
-        self, comps: list[np.ndarray], max_retrieved: int | None = None
+        self, comps: Sequence[np.ndarray], max_retrieved: int | None = None
     ) -> list[CandidateResult]:
         """Probe all tables for every query row; one :class:`CandidateResult`
         per query, candidates distinct and in first-seen order."""
@@ -460,7 +532,7 @@ class IndexBackend(ABC):
         )
 
     def batch_query_hits(
-        self, comps: list[np.ndarray], max_hits: int | None = None
+        self, comps: Sequence[np.ndarray], max_hits: int | None = None
     ) -> BatchHits:
         """Bulk hit streams for every query row (duplicates preserved, probe
         order), feeding the application-layer ``batch_query`` paths.
@@ -471,14 +543,14 @@ class IndexBackend(ABC):
         a consumer that counts every hit it examines and stops mid-bucket
         (annulus search under its ``8L`` budget).
 
-        This reference implementation walks buckets per query in Python;
-        :class:`PackedBackend` overrides it with one batched
-        ``searchsorted`` + gather.  Under ``max_hits`` the pre-clip
-        per-table counts are recorded in ``full_table_counts`` (every
-        bucket is still *counted*, only the gather stops at the cap).
+        This reference implementation walks buckets per query in Python
+        and stops a query's walk at its cap; :class:`PackedBackend`
+        overrides it with :func:`packed_probe`'s waves of batched
+        ``searchsorted`` lookups and one gather.  Under ``max_hits`` the
+        pre-cut counts of the tables each query reached are recorded in
+        ``full_table_counts`` (see :class:`BatchHits`).
         """
-        n_tables = len(comps)
-        n_queries = comps[0].shape[0] if n_tables else 0
+        n_tables, n_queries = _block_shape(comps)
         table_counts = np.zeros((n_queries, n_tables), dtype=np.int64)
         full_counts = (
             None
@@ -491,6 +563,8 @@ class IndexBackend(ABC):
         for i in range(n_queries):
             gathered = 0
             for t in range(n_tables):
+                if max_hits is not None and gathered >= max_hits:
+                    break
                 bucket = np.asarray(
                     self.bucket(t, comps[t][i : i + 1]), dtype=np.int64
                 )
@@ -545,7 +619,7 @@ class DictBackend(IndexBackend):
         return [len(bucket) for table in self._tables for bucket in table.values()]
 
     def batch_query(
-        self, comps: list[np.ndarray], max_retrieved: int | None = None
+        self, comps: Sequence[np.ndarray], max_retrieved: int | None = None
     ) -> list[CandidateResult]:
         """Per-query reference ``_scan`` over precomputed key rows."""
         per_table_keys = [rows_to_keys(c) for c in comps]
@@ -619,7 +693,7 @@ class DictBackend(IndexBackend):
             self._tables.append(table)
 
 
-def _query_fingerprints(comps: list[np.ndarray]) -> np.ndarray:
+def _query_fingerprints(comps: Sequence[np.ndarray]) -> np.ndarray:
     """Every table's query fingerprints as an ``(L, n_queries)`` uint64
     matrix, with one ``rows_to_fingerprints`` call per distinct component
     width instead of one per table.
@@ -766,58 +840,80 @@ class PackedBackend(IndexBackend):
         self._ids = arrays["ids"]
         self._n_points = int(np.asarray(arrays["n_points"])[0])
 
-    def _lookup(self, qfps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Resolve every (table, query) bucket of an ``(L, n_queries)``
-        uint64 query-fingerprint matrix (:func:`_query_fingerprints`) in
-        one ``searchsorted`` per table: returns ``(starts, counts)``, both
-        shape ``(L, n_queries)``, giving each bucket's slice of the shared
+    def _lookup(
+        self, qfps: np.ndarray, first: int = 0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Resolve every (table, query) bucket of a ``(w, n_queries)``
+        uint64 query-fingerprint matrix whose row ``k`` belongs to table
+        ``first + k`` (:func:`_query_fingerprints`), in one
+        ``searchsorted`` per table: returns ``(starts, counts)``, both
+        shape ``(w, n_queries)``, giving each bucket's slice of the shared
         ``_ids`` array."""
-        n_tables, n_queries = qfps.shape
-        starts = np.zeros((n_tables, n_queries), dtype=np.int64)
-        counts = np.zeros((n_tables, n_queries), dtype=np.int64)
-        for t in range(n_tables):
+        n_rows, n_queries = qfps.shape
+        starts = np.zeros((n_rows, n_queries), dtype=np.int64)
+        counts = np.zeros((n_rows, n_queries), dtype=np.int64)
+        for k in range(n_rows):
+            t = first + k
             unique = self._unique[t]
             if unique.size == 0:
                 continue
             offsets = self._offsets[t]
-            pos = np.searchsorted(unique, qfps[t])
+            pos = np.searchsorted(unique, qfps[k])
             pos_c = np.minimum(pos, unique.size - 1)
-            found = unique[pos_c] == qfps[t]
+            found = unique[pos_c] == qfps[k]
             lo = offsets[pos_c]
-            starts[t] = np.where(found, lo + self._base[t], 0)
-            counts[t] = np.where(found, offsets[pos_c + 1] - lo, 0)
+            starts[k] = np.where(found, lo + self._base[t], 0)
+            counts[k] = np.where(found, offsets[pos_c + 1] - lo, 0)
         return starts, counts
 
     def batch_query(
-        self, comps: list[np.ndarray], max_retrieved: int | None = None
+        self, comps: Sequence[np.ndarray], max_retrieved: int | None = None
     ) -> list[CandidateResult]:
         """Vectorized probe: :func:`packed_probe` over this one backend
         with the table clip, then :func:`batch_results`."""
         return batch_results(
-            packed_probe(
-                [(self, 0)], _query_fingerprints(comps),
-                max_retrieved=max_retrieved,
-            ),
+            packed_probe([(self, 0)], comps, max_retrieved=max_retrieved),
             len(comps),
             self._n_points,
             max_retrieved,
         )
 
     def batch_query_hits(
-        self, comps: list[np.ndarray], max_hits: int | None = None
+        self, comps: Sequence[np.ndarray], max_hits: int | None = None
     ) -> BatchHits:
         """Vectorized bulk hit streams: :func:`packed_probe` over this one
-        backend with the exact per-hit ``max_hits`` cut (clipped tails are
-        never gathered), hits widened to int64."""
-        block = packed_probe(
-            [(self, 0)], _query_fingerprints(comps), max_hits=max_hits
-        )
+        backend with the exact per-hit ``max_hits`` cut, probed in waves
+        (rows past their cap are neither hashed nor looked up further, and
+        clipped tails are never gathered), hits widened to int64."""
+        block = packed_probe([(self, 0)], comps, max_hits=max_hits)
         return replace(block, hits=np.asarray(block.hits, dtype=np.int64))
+
+
+def _wave_fingerprints(
+    source: np.ndarray | Sequence[np.ndarray],
+    first: int,
+    last: int,
+    rows: np.ndarray | None,
+) -> np.ndarray:
+    """Fingerprints of tables ``first .. last - 1`` for ``rows`` (``None``:
+    every row), as a ``(last - first, n_rows)`` matrix, from a fingerprint
+    matrix or a component sequence.  A :class:`QueryComponents` hashes
+    only those rows; a whole table is hashed once and cached."""
+    if isinstance(source, np.ndarray):
+        block = source[first:last]
+        return block if rows is None else block[:, rows]
+    if rows is None:
+        comps = [source[t] for t in range(first, last)]
+    elif isinstance(source, QueryComponents):
+        comps = [source.rows(t, rows) for t in range(first, last)]
+    else:
+        comps = [as_components(source[t])[rows] for t in range(first, last)]
+    return _query_fingerprints(comps)
 
 
 def packed_probe(
     parts: Sequence[tuple[PackedBackend, int]],
-    qfps: np.ndarray,
+    source: np.ndarray | Sequence[np.ndarray],
     *,
     max_retrieved: int | None = None,
     max_hits: int | None = None,
@@ -827,29 +923,66 @@ def packed_probe(
     ``parts`` are ``(backend, id_offset)`` pairs built over the same ``L``
     hash pairs on consecutive point ranges, in ascending offset order: one
     backend at offset 0 for a :class:`PackedBackend`, or the shards of a
-    sharded index.  ``qfps`` is the block's ``(L, n_queries)`` query
-    fingerprint matrix (:func:`_query_fingerprints`), computed once for
-    every part.  Each part resolves its buckets; each query's stream is
-    then what one index over the concatenated parts retrieves — table by
-    table, parts in offset order within a table — and its per-table counts
-    are the parts' counts summed.  At most one cut applies to the stream:
+    sharded index.  ``source`` is the block's ``(L, n_queries)`` uint64
+    query fingerprint matrix (:func:`_query_fingerprints`), or its
+    per-table components (a list or a :class:`QueryComponents`), which
+    are fingerprinted here; either way once for every part.  Each part
+    resolves its buckets; each query's stream is then what one index over
+    the concatenated parts retrieves — table by table, parts in offset
+    order within a table — and its per-table counts are the parts' counts
+    summed.  At most one cut applies to the stream:
 
     * ``max_retrieved``, the Theorem 6.1 table clip on the summed counts
       (a query stops after the table where its cumulative count reaches
       the budget);
     * ``max_hits``, an exact cut at that many hits, mid-bucket if needed.
 
-    Only the kept buckets are gathered, and a cut stream carries the
-    summed pre-clip counts in ``full_table_counts``.  One part at offset 0
-    keeps its stored id dtype; otherwise each part's hits are lifted to
-    int64 global ids and interleaved into probe order in one pass.
+    Without ``max_hits`` every table is looked up for every query in one
+    wave.  Under ``max_hits`` the tables are probed in waves of
+    :data:`WAVE`: each wave fingerprints and looks up only the rows still
+    below their cap, and a row retires once its stream reaches the cap.
+    Either way the buckets are resolved into ``(starts, counts)`` first
+    and only the kept ones are gathered, in one pass at the end.  A cut
+    stream carries the summed pre-clip counts in ``full_table_counts``
+    (under ``max_hits``, of the tables reached; see :class:`BatchHits`).
+    One part at offset 0 keeps its stored id dtype; otherwise each part's
+    hits are lifted to int64 global ids and interleaved into probe order
+    in one pass.
     """
     if max_retrieved is not None and max_hits is not None:
         raise ValueError("pass max_retrieved or max_hits, not both")
-    n_tables, n_queries = qfps.shape
-    lookups = [backend._lookup(qfps) for backend, _ in parts]
+    n_tables, n_queries = (
+        source.shape if isinstance(source, np.ndarray)
+        else _block_shape(source)
+    )
     # (n_queries, L, parts): row-major order is each query's probe order.
-    counts = np.stack([c.T for _, c in lookups], axis=2)
+    starts = np.zeros((n_queries, n_tables, len(parts)), dtype=np.int64)
+    counts = np.zeros_like(starts)
+    wave = n_tables if max_hits is None else WAVE
+    # A cap of 0 reaches no table.
+    active = np.arange(0 if max_hits == 0 else n_queries)
+    held = np.zeros(n_queries, dtype=np.int64)
+    for first in range(0, n_tables, wave):
+        if not active.size:
+            break
+        last = min(first + wave, n_tables)
+        whole = active.size == n_queries
+        fps = _wave_fingerprints(source, first, last, None if whole else active)
+        rows = slice(None) if whole else active
+        for s, (backend, _) in enumerate(parts):
+            part_starts, part_counts = backend._lookup(fps, first)
+            starts[rows, first:last, s] = part_starts.T
+            counts[rows, first:last, s] = part_counts.T
+        if max_hits is not None:
+            # A table is reached if its row held fewer than max_hits hits
+            # as it began; drop the counts of the wave's tables past that.
+            wave_counts = counts[active, first:last]
+            per_table = wave_counts.sum(axis=2)
+            began = held[active, None] + np.cumsum(per_table, axis=1) - per_table
+            reached = began < max_hits
+            counts[active, first:last] = wave_counts * reached[:, :, None]
+            held[active] += (per_table * reached).sum(axis=1)
+            active = active[held[active] < max_hits]
     full = counts.sum(axis=2)
     truncated = np.zeros(n_queries, dtype=bool)
     if max_retrieved is not None:
@@ -868,8 +1001,10 @@ def packed_probe(
     offsets = np.zeros(n_queries + 1, dtype=np.int64)
     np.cumsum(kept.sum(axis=1), out=offsets[1:])
     gathered = [
-        segment_gather(backend._ids, starts.T.ravel(), counts[:, :, s].ravel())
-        for s, ((backend, _), (starts, _)) in enumerate(zip(parts, lookups))
+        segment_gather(
+            backend._ids, starts[:, :, s].ravel(), counts[:, :, s].ravel()
+        )
+        for s, (backend, _) in enumerate(parts)
     ]
     if len(parts) == 1 and parts[0][1] == 0:
         hits = gathered[0]
@@ -889,9 +1024,9 @@ def packed_probe(
             position += part_hits.size
         by_part = counts.transpose(2, 0, 1)
         sizes = by_part.ravel()
-        starts = (np.cumsum(sizes) - sizes).reshape(by_part.shape)
+        flat_starts = (np.cumsum(sizes) - sizes).reshape(by_part.shape)
         hits = segment_gather(
-            flat_hits, starts.transpose(1, 2, 0).ravel(), counts.ravel()
+            flat_hits, flat_starts.transpose(1, 2, 0).ravel(), counts.ravel()
         )
     cut = max_retrieved is not None or max_hits is not None
     return BatchHits(

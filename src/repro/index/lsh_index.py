@@ -20,6 +20,14 @@ The query surface follows the repo-wide :class:`~repro.index.queryable.Queryable
 convention: :meth:`DSHIndex.query` for one point, :meth:`DSHIndex.batch_query`
 for a batch, both returning :class:`~repro.index.backends.CandidateResult`
 (tuple-compatible with the legacy ``(candidates, stats)`` pairs).
+
+Query hashing is lazy.  A single query hashes table ``i`` only when its
+probe reaches it.  A block hands the backend a
+:class:`~repro.index.backends.QueryComponents` that hashes a table on first
+read; under a ``max_hits`` cap (:meth:`DSHIndex.batch_query_hits`, the
+annulus path) the packed probe reads it in waves of a few tables, hashing
+only the rows still below their cap, so hash work stops with the budget at
+wave granularity.  Without a cap every table is hashed for every row.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from repro.index.backends import (
     BatchHits,
     CandidateResult,
     IndexBackend,
+    QueryComponents,
     QueryStats,
     make_backend,
 )
@@ -266,9 +275,10 @@ class DSHIndex:
         if not self._built:
             raise RuntimeError("index not built; call build(points) first")
 
-    def _query_components(self, query: np.ndarray) -> list[np.ndarray]:
-        """Hash one or more query rows through every table's ``g``."""
-        return [pair.hash_query(query) for pair in self._pairs]
+    def _query_components(self, query: np.ndarray) -> QueryComponents:
+        """One or more query rows' components under every table's ``g``,
+        each table hashed when the backend first reads it."""
+        return QueryComponents([pair.hash_query for pair in self._pairs], query)
 
     def query(
         self, query: np.ndarray, max_retrieved: int | None = None
@@ -324,8 +334,8 @@ class DSHIndex:
 
         Hashes all queries through each table's ``g`` in one vectorized
         call (for a bit-sampling power, one fused column gather; see
-        :class:`~repro.core.combinators.ConcatenatedFamily`), then hands
-        the per-table component blocks to the backend: the dict backend
+        :class:`~repro.core.combinators.ConcatenatedFamily`) as the backend
+        reads the per-table component blocks: the dict backend
         walks buckets per query through the same probe routine as
         :meth:`query`; the packed backend fingerprints every table in one
         mixing pass per component width, resolves all ``(query, table)``
@@ -342,11 +352,22 @@ class DSHIndex:
     ) -> BatchHits:
         """Bulk hit streams (duplicates preserved, probe order) for a block
         of queries — the bulk counterpart of :meth:`iter_candidates` that
-        the application layers' ``batch_query`` paths are built on.  ``max_hits``
-        cuts each stream at exactly that many hits (hit granularity, unlike
-        ``max_retrieved``'s table granularity)."""
+        the application layers' ``batch_query`` paths are built on.
+
+        ``max_hits`` cuts each stream at exactly that many hits (hit
+        granularity, unlike ``max_retrieved``'s table granularity): ``None``
+        or a non-negative integer (a non-integer raises ``TypeError``, a
+        negative one ``ValueError``).  Hashing is lazy at wave granularity:
+        under a cap the packed backend hashes and looks up the tables in
+        waves of :data:`~repro.index.backends.WAVE`, each for the rows
+        still below their cap, so a row's tables past the wave holding its
+        cut are never hashed.  Without a cap every table is hashed for
+        every row.
+        """
         self._require_built()
         queries = _check_query_block(queries, self._dim)
+        if max_hits is not None:
+            max_hits = _check_count(max_hits, "max_hits", 0)
         return self._backend.batch_query_hits(
             self._query_components(queries), max_hits
         )

@@ -1,9 +1,10 @@
 """The Theorem 6.1 budget at the index boundary.
 
 Covers, on both storage backends: the laziness contract (tables past the
-stopping point must never even be *hashed*), budget validation on every
-surface that takes one, and the clip's rejection of an already-clipped
-stream.  Which tables a budget probes, and what it returns, is checked by
+stopping point must never even be *hashed*; for a ``max_hits`` block, no
+table past the probe wave that holds a row's cut), budget and ``max_hits``
+validation on every surface that takes one, and the clip's rejection of an
+already-clipped stream.  Which tables a budget probes, and what it returns, is checked by
 the generated oracle (``tests/test_oracle.py``).
 """
 
@@ -14,6 +15,7 @@ from repro.api import IndexSpec
 from repro.core.family import DSHFamily, HashPair
 from repro.families.bit_sampling import BitSampling
 from repro.index import DSHIndex, clip_batch_hits
+from repro.index.backends import WAVE
 from repro.serving import ShardedIndex
 from repro.spaces import hamming
 
@@ -21,11 +23,13 @@ BACKENDS = ["dict", "packed"]
 
 
 class CountingFamily(DSHFamily):
-    """Wraps a family, counting query-side hash evaluations."""
+    """Wraps a family, counting query-side hash evaluations and the query
+    rows they hash."""
 
     def __init__(self, base):
         self.base = base
         self.query_hashes = 0
+        self.query_rows = 0
 
     def sample(self, rng=None):
         inner = self.base.sample(rng)
@@ -33,6 +37,7 @@ class CountingFamily(DSHFamily):
 
         def g(points):
             outer.query_hashes += 1
+            outer.query_rows += len(points)
             return inner.g(points)
 
         return HashPair(h=inner.h, g=g, meta=inner.meta)
@@ -88,6 +93,49 @@ class TestHashLaziness:
         for _ in range(20):
             next(stream)
         assert family.query_hashes == 2
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("cap", [25, 40], ids=["mid-table", "at-boundary"])
+    def test_capped_block_hashes_no_wave_past_the_cut(self, backend, cap):
+        """20 hits per table and a cap of 25 (or exactly 40): every row's
+        cut falls in table 1, so no table past the wave holding it is
+        hashed (the dict reference walk hashes exactly the tables it
+        reaches)."""
+        family = CountingFamily(BitSampling(8))
+        points = np.zeros((20, 8), dtype=np.int8)
+        index = DSHIndex(family, n_tables=8, rng=0, backend=backend).build(points)
+        family.query_rows = 0
+        block = index.batch_query_hits(points[:3], max_hits=cap)
+        kept = cap - 20
+        assert block.table_counts.tolist() == [[20, kept, 0, 0, 0, 0, 0, 0]] * 3
+        assert block.full_table_counts.tolist() == [[20, 20, 0, 0, 0, 0, 0, 0]] * 3
+        wave_end = min(8, WAVE * -(-2 // WAVE))
+        reached = wave_end if backend == "packed" else 2
+        assert family.query_rows == 3 * reached
+
+    def test_capped_block_retires_rows_separately(self):
+        """A row whose cut falls in the first wave stops being hashed; a
+        row that never fills its cap (all-ones queries collide with no
+        all-zeros point) is hashed through every table."""
+        family = CountingFamily(BitSampling(8))
+        points = np.zeros((20, 8), dtype=np.int8)
+        index = DSHIndex(family, n_tables=8, rng=0, backend="packed").build(points)
+        queries = np.array([[0] * 8, [1] * 8, [0] * 8], dtype=np.int8)
+        family.query_rows = 0
+        block = index.batch_query_hits(queries, max_hits=25)
+        assert block.truncated.tolist() == [True, False, True]
+        assert block.table_counts.sum(axis=1).tolist() == [25, 0, 25]
+        wave_end = min(8, WAVE * -(-2 // WAVE))
+        assert family.query_rows == 2 * wave_end + 8
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_uncapped_block_hashes_every_table(self, backend):
+        family = CountingFamily(BitSampling(8))
+        points = np.zeros((20, 8), dtype=np.int8)
+        index = DSHIndex(family, n_tables=8, rng=0, backend=backend).build(points)
+        family.query_rows = 0
+        index.batch_query_hits(points[:3])
+        assert family.query_rows == 3 * 8
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_untruncated_query_hashes_every_table(self, backend):
@@ -175,3 +223,42 @@ class TestBudgetValidation:
             assert index.query(
                 points[0], max_retrieved=budget
             ) == reference.query(points[0], max_retrieved=int(budget))
+
+
+def _same_block(a, b):
+    return all(
+        np.array_equal(getattr(a, f), getattr(b, f))
+        for f in ("hits", "offsets", "table_counts", "truncated",
+                  "full_table_counts")
+    )
+
+
+class TestMaxHitsValidation:
+    """``DSHIndex.batch_query_hits`` rejects a ``max_hits`` that is not
+    ``None`` or a non-negative integer, on both backends, before probing:
+    a negative cap is not answered as a negative slice (dict) or an empty
+    stream (packed), and a float is not used as a fractional cap."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "cap, error",
+        [(2.5, TypeError), (np.float64(3.0), TypeError), ("8", TypeError),
+         (-1, ValueError), (np.int64(-3), ValueError)],
+        ids=["float", "np-float", "str", "negative", "np-negative"],
+    )
+    def test_rejects_bad_max_hits(self, budget_surfaces, backend, cap, error):
+        surfaces, _, points = budget_surfaces
+        with pytest.raises(error, match="max_hits"):
+            surfaces[backend].batch_query_hits(points[:3], max_hits=cap)
+
+    def test_integer_like_max_hits_answer_as_ints(self, budget_surfaces):
+        surfaces, _, points = budget_surfaces
+        for cap in (0, 7, np.int64(7), np.int32(40)):
+            expected = surfaces["dict"].batch_query_hits(
+                points[:5], max_hits=int(cap)
+            )
+            for backend in BACKENDS:
+                assert _same_block(
+                    surfaces[backend].batch_query_hits(points[:5], max_hits=cap),
+                    expected,
+                )

@@ -151,39 +151,46 @@ def _scan(row, budget):
 
 def _cut(row, cap):
     """One walk row's hit stream cut at ``cap`` hits: (hits, per-table
-    counts, truncated)."""
-    hits, counts = [], []
+    counts, truncated, pre-cut counts).  The pre-cut counts are those of
+    the tables the cut stream reaches — a table is reached while fewer
+    than ``cap`` hits are held as it begins — and 0 past them."""
+    hits, counts, full = [], [], []
     for bucket in row:
+        reached = cap is None or len(hits) < cap
         kept = bucket if cap is None else bucket[: max(cap - len(hits), 0)]
         hits += kept.tolist()
         counts.append(kept.size)
-    return hits, counts, cap is not None and len(hits) == cap
+        full.append(bucket.size if reached else 0)
+    return hits, counts, cap is not None and len(hits) == cap, full
 
 
 def _clip(row, budget):
-    """One walk row clipped to the tables its budgeted scan probes."""
+    """One walk row clipped to the tables its budgeted scan probes; the
+    pre-clip counts cover every table."""
     stats = _scan(row, budget).stats
-    hits, counts, _ = _cut(row[: stats.tables_probed], None)
+    hits, counts, _, _ = _cut(row[: stats.tables_probed], None)
     padding = [0] * (len(row) - stats.tables_probed)
-    return hits, counts + padding, stats.truncated
+    full = [bucket.size for bucket in row]
+    return hits, counts + padding, stats.truncated, full
 
 
-def _assert_block(block, rows, full):
-    """A ``BatchHits`` equals per-row (hits, counts, truncated) and the
-    pre-clip counts ``full`` (``None`` for an unclipped stream)."""
+def _assert_block(block, rows, limit):
+    """A ``BatchHits`` equals per-row (hits, counts, truncated, pre-clip
+    counts); the pre-clip counts are recorded only when a ``limit`` cut
+    the stream."""
     assert block.hits.astype(np.int64).tolist() == [
-        h for hits, _, _ in rows for h in hits
+        h for hits, _, _, _ in rows for h in hits
     ]
     assert block.offsets.tolist() == np.cumsum(
-        [0] + [len(hits) for hits, _, _ in rows]
+        [0] + [len(hits) for hits, _, _, _ in rows]
     ).tolist()
-    assert block.table_counts.tolist() == [counts for _, counts, _ in rows]
-    assert block.truncated.tolist() == [cut for _, _, cut in rows]
-    if full is None:
+    assert block.table_counts.tolist() == [counts for _, counts, _, _ in rows]
+    assert block.truncated.tolist() == [cut for _, _, cut, _ in rows]
+    if limit is None:
         assert block.full_table_counts is None
     else:
-        assert block.full_table_counts.tolist() == full
-    for i, (hits, counts, _) in enumerate(rows):
+        assert block.full_table_counts.tolist() == [full for *_, full in rows]
+    for i, (hits, counts, _, _) in enumerate(rows):
         if hits:
             last = max(t for t, c in enumerate(counts) if c)
             assert block.table_of(i, len(hits) - 1) == last
@@ -201,13 +208,18 @@ def _assert_probe(index, queries, walk, limits):
     else:
         parts = [(index._backend, 0)]
     qfps = _query_fingerprints(index._query_components(queries))
-    full = [[bucket.size for bucket in ref] for ref in walk]
     for limit in set(limits):
-        pre_clip = None if limit is None else full
-        _assert_block(packed_probe(parts, qfps, max_retrieved=limit),
-                      [_clip(ref, limit) for ref in walk], pre_clip)
-        _assert_block(packed_probe(parts, qfps, max_hits=limit),
-                      [_cut(ref, limit) for ref in walk], pre_clip)
+        clipped = [_clip(ref, limit) for ref in walk]
+        cut = [_cut(ref, limit) for ref in walk]
+        # The fingerprint matrix, and components (lazy, or hashed into a
+        # plain list) fingerprinted wave by wave.
+        lazy = index._query_components(queries)
+        hashed = list(index._query_components(queries))
+        for source in (qfps, lazy, hashed):
+            _assert_block(packed_probe(parts, source, max_hits=limit),
+                          cut, limit)
+            _assert_block(packed_probe(parts, source, max_retrieved=limit),
+                          clipped, limit)
 
 
 def _annulus(index, query, row, k=1):
@@ -349,17 +361,14 @@ def test_raw_surfaces_equal_the_dict_walk(case):
 
         # The block probes behind every batch path.
         comps = index._query_components(queries)
-        full = [[b.size for b in ref] for ref in walk]
         hits = index.batch_query_hits(queries, max_hits=cap)
-        _assert_block(hits, [_cut(ref, cap) for ref in walk],
-                      None if cap is None else full)
+        _assert_block(hits, [_cut(ref, cap) for ref in walk], cap)
         assert hits.hits.dtype == np.int64
         unclipped = index._backend.batch_query_hits(comps)
         assert clip_batch_hits(unclipped, n_tables, None) is unclipped
         for budget in set(budgets):
             _assert_block(clip_batch_hits(unclipped, n_tables, budget),
-                          [_clip(ref, budget) for ref in walk],
-                          None if budget is None else full)
+                          [_clip(ref, budget) for ref in walk], budget)
         if backend == "packed":
             _assert_probe(index, queries, walk, [*budgets, cap])
 
@@ -524,11 +533,9 @@ def test_grid_cell_equals_the_dict_walk(grid, family, surface, budget):
         _assert_probe(index, queries, walk, budgets)
     if surface == "dict":
         unclipped = index.batch_query_hits(queries)
-        full = [[bucket.size for bucket in ref] for ref in walk]
         for b in set(budgets):
             _assert_block(clip_batch_hits(unclipped, index.n_tables, b),
-                          [_clip(ref, b) for ref in walk],
-                          None if b is None else full)
+                          [_clip(ref, b) for ref in walk], b)
 
 
 # -- applications ------------------------------------------------------------
