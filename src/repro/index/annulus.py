@@ -11,15 +11,17 @@ function (Euclidean distance, inner product, Hamming distance) plus the
 reporting interval.  :func:`sphere_annulus_index` wires it to the
 Section 6.2 sphere family for the Theorem 6.4 setting.
 
-:class:`AnnulusIndex` is :class:`~repro.index.queryable.Queryable`:
-:meth:`AnnulusIndex.query` streams candidates lazily (the literal Theorem
-6.1 procedure, stopping hash work at the first in-interval hit), while
-:meth:`AnnulusIndex.batch_query` routes a whole query block through the
-backend's batched hits-with-multiplicity path, evaluates proximity in one
-call per query over its budget-clipped hits, and finds each query's
-reported point, distinct-candidate count and stopping table with segment
-reductions over the block — element-for-element identical results, held
-by ``tests/test_oracle.py`` to a scan of the dict backend's walk.
+:class:`AnnulusIndex` is :class:`~repro.index.queryable.Queryable`, with
+one probe path: :meth:`AnnulusIndex.batch_query` routes a query block
+through the backend's batched hits-with-multiplicity path, cut at the
+``8 L`` budget, evaluates proximity in one call per query over its cut
+hits, and finds each query's reported point, distinct-candidate count and
+stopping table with segment reductions over the block.
+:meth:`AnnulusIndex.query` is its one-row case and
+:meth:`AnnulusIndex.query_many` reads the same one-row stream past the
+first hit.  ``tests/test_oracle.py`` holds all three to the literal
+Theorem 6.1 procedure (stream the hits, stop at the first in-interval
+one) over the dict backend's walk.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from repro.core.family import DSHFamily
 from repro.families.annulus_sphere import AnnulusFamily
-from repro.index.backends import IndexBackend, QueryStats
+from repro.index.backends import BatchHits, IndexBackend, QueryStats
 from repro.index.lsh_index import DSHIndex, _check_count, _check_single_query
 from repro.index.queryable import QueryResult
 from repro.utils.rng import ensure_rng
@@ -222,53 +224,48 @@ class AnnulusIndex:
         return values
 
     def _single(self, query_point: np.ndarray) -> np.ndarray:
-        """One query point as a float64 ``(d,)`` row; a block of several
-        rows raises instead of being flattened into one point."""
+        """One query point as a float64 ``(1, d)`` block; a block of
+        several rows raises instead of being flattened into one point."""
         query = _check_single_query(query_point, self._index.dim)
-        return query[0].astype(np.float64)
+        return query.astype(np.float64)
+
+    def _stream(
+        self, queries: np.ndarray
+    ) -> tuple[BatchHits, np.ndarray, np.ndarray]:
+        """The block's hit streams cut at the budget, plus two per-hit
+        arrays: the proximity of each hit to its query (one call per query
+        over its segment, repeats included) and whether the hit is the
+        first occurrence of its point within its query's segment."""
+        block = self._index.batch_query_hits(queries, max_hits=self.budget)
+        hits = block.hits
+        positions = np.arange(hits.size)
+        prox = np.empty(hits.size, dtype=np.float64)
+        first = np.empty(hits.size, dtype=bool)
+        # first_seen_dedup's stamp, kept as a per-hit flag: each point id
+        # carries the position of its first occurrence in the segment.
+        stamp = np.empty(self.n_points, dtype=np.int64)
+        bounds = block.offsets.tolist()
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if a == b:
+                continue
+            segment = hits[a:b]
+            prox[a:b] = self._proximities(queries[i], self.points[segment])
+            stamp[segment[::-1]] = positions[a:b][::-1]
+            first[a:b] = stamp[segment] == positions[a:b]
+        return block, prox, first
 
     def query(self, query_point: np.ndarray) -> AnnulusQueryResult:
         """Report one point with proximity in the interval, if found.
 
-        Streams candidates in probe order, checking proximities one by one,
-        and stops at the first hit or when the retrieval budget is spent —
-        the exact procedure from the proof of Theorem 6.1.  Duplicate hits
-        count toward the budget but their proximity is never recomputed.
+        The one-row case of :meth:`batch_query`, which replays the exact
+        procedure from the proof of Theorem 6.1: stream candidates in probe
+        order, stop at the first in-interval one or when the retrieval
+        budget is spent.  Duplicate hits count toward the budget.
         """
-        query_point = self._single(query_point)
-        lo, hi = self.interval
-        examined = 0
-        seen: set[int] = set()
-        last_table = 0
-        truncated = False
-        for idx, table in self._index.iter_candidates(query_point):
-            examined += 1
-            last_table = table
-            if idx not in seen:
-                seen.add(idx)
-                value = float(
-                    self._proximities(
-                        query_point, self.points[idx : idx + 1]
-                    )[0]
-                )
-                if lo <= value <= hi:
-                    return AnnulusQueryResult(
-                        stats=QueryStats(
-                            retrieved=examined,
-                            unique_candidates=len(seen),
-                            tables_probed=table + 1,
-                        ),
-                        index=idx,
-                        proximity=value,
-                    )
-            if examined >= self.budget:
-                truncated = True
-                break
-        tables_probed = last_table + 1 if truncated else self._index.n_tables
-        return self._not_found(examined, len(seen), tables_probed, truncated)
+        return self.batch_query(self._single(query_point))[0]
 
     def batch_query(self, query_points: np.ndarray) -> list[AnnulusQueryResult]:
-        """Run :meth:`query` for every row of ``query_points``, vectorized.
+        """:meth:`query` for every row of ``query_points``, vectorized.
 
         The block's hit streams come from the backend's batched
         hits-with-multiplicity path, cut at the per-query ``8 L`` budget at
@@ -284,32 +281,14 @@ class AnnulusIndex:
         its query, the first in-range first occurrence is found with one
         ``searchsorted``, distinct-prefix counts are differences of one
         ``cumsum`` and the stopping table is read off the cumulative
-        per-table hit counts.  Results — indices, stats, truncation — are
-        element-for-element identical to a :meth:`query` loop (checked by
-        ``tests/test_oracle.py``); reported ``proximity`` values may differ
-        from the single-query path
-        in the last floating-point bit, because BLAS may order the
-        reduction of a many-row proximity evaluation differently than a
-        one-row one.
+        per-table hit counts.  Results do not depend on the block a query
+        arrives in; ``tests/test_oracle.py`` holds them to a streaming scan
+        of the dict backend's walk.
         """
         queries = np.atleast_2d(check_real_dtype(query_points, "queries"))
         queries = queries.astype(np.float64, copy=False)
-        block = self._index.batch_query_hits(queries, max_hits=self.budget)
+        block, prox, first = self._stream(queries)
         hits, offsets = block.hits, block.offsets
-        positions = np.arange(hits.size)
-        prox = np.empty(hits.size, dtype=np.float64)
-        first = np.empty(hits.size, dtype=bool)
-        # first_seen_dedup's stamp, kept as a per-hit flag: each point id
-        # carries the position of its first occurrence in the segment.
-        stamp = np.empty(self.n_points, dtype=np.int64)
-        bounds = offsets.tolist()
-        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            if a == b:
-                continue
-            segment = hits[a:b]
-            prox[a:b] = self._proximities(queries[i], self.points[segment])
-            stamp[segment[::-1]] = positions[a:b][::-1]
-            first[a:b] = stamp[segment] == positions[a:b]
 
         lo, hi = self.interval
         starts, ends = offsets[:-1], offsets[1:]
@@ -358,45 +337,31 @@ class AnnulusIndex:
     ) -> list[AnnulusQueryResult]:
         """Report up to ``k`` *distinct* in-interval points.
 
-        Continues streaming candidates past the first hit (still within the
-        retrieval budget), deduplicating indices — the natural extension for
+        Reads the query's budget-cut stream past the first hit (the
+        one-row stream of :meth:`batch_query`) and keeps the first ``k``
+        in-interval first occurrences — the natural extension for
         consumers like recommenders that want several diverse answers.
         Returns the hits found, possibly fewer than ``k``; each result's
         stats snapshot the work done up to that hit.  ``k`` is an integer
         of at least 1.
         """
         k = _check_count(k, "k", 1)
-        query_point = self._single(query_point)
+        block, prox, first = self._stream(self._single(query_point))
         lo, hi = self.interval
-        examined = 0
-        seen: set[int] = set()
-        hits: list[AnnulusQueryResult] = []
-        for idx, table in self._index.iter_candidates(query_point):
-            examined += 1
-            if idx not in seen:
-                seen.add(idx)
-                value = float(
-                    self._proximities(
-                        query_point, self.points[idx : idx + 1]
-                    )[0]
-                )
-                if lo <= value <= hi:
-                    hits.append(
-                        AnnulusQueryResult(
-                            stats=QueryStats(
-                                retrieved=examined,
-                                unique_candidates=len(seen),
-                                tables_probed=table + 1,
-                            ),
-                            index=idx,
-                            proximity=value,
-                        )
-                    )
-                    if len(hits) == k:
-                        break
-            if examined >= self.budget:
-                break
-        return hits
+        found = np.flatnonzero(first & (prox >= lo) & (prox <= hi))[:k]
+        distinct = np.cumsum(first)
+        return [
+            AnnulusQueryResult(
+                stats=QueryStats(
+                    retrieved=at + 1,
+                    unique_candidates=int(distinct[at]),
+                    tables_probed=block.table_of(0, at) + 1,
+                ),
+                index=int(block.hits[at]),
+                proximity=float(prox[at]),
+            )
+            for at in found.tolist()
+        ]
 
 
 def _inner_product_proximity(query: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -7,22 +7,24 @@ in table order at query time.  Two interchangeable layouts implement it:
 * :class:`DictBackend` — the reference layout: one ``dict[bytes, list[int]]``
   per table keyed by the exact serialized component row
   (:func:`~repro.core.family.rows_to_keys`).  Injective keys, simple code,
-  Python-loop speed.  Single and batched queries share one probe routine so
-  the two paths cannot drift apart.
+  Python-loop speed.  Its probes are the reference walk: each query row's
+  tables in order, one bucket lookup at a time, hashing a table only when
+  the row reaches it.
 * :class:`PackedBackend` — the throughput layout: component rows are mixed
   to uint64 fingerprints (:func:`~repro.core.family.rows_to_fingerprints`)
   and each table is stored CSR-style as a sorted unique-fingerprint array,
   an offsets array, and a point-index array grouped by fingerprint
   (``np.argsort``/``np.unique`` at build, ``np.searchsorted`` at probe).
-  :meth:`~PackedBackend.batch_query` is vectorized end-to-end across queries
+  Every probe runs through :func:`packed_probe`, vectorized across queries
   *and* tables; per-query dedup preserves first-seen candidate order, so the
   results are element-for-element identical to :class:`DictBackend` (up to
   64-bit fingerprint collisions, see the collision bound documented on
   ``rows_to_fingerprints``).
 
-Both backends produce identical candidate lists, candidate order, and
-:class:`QueryStats`; ``tests/test_oracle.py`` checks both against the
-:class:`DictBackend` single-query walk on generated cases.
+A single query is a one-row block on either layout.  Both backends produce
+identical candidate lists, candidate order, and :class:`QueryStats`;
+``tests/test_oracle.py`` checks both against the :class:`DictBackend` walk
+on generated cases.
 """
 
 from __future__ import annotations
@@ -57,9 +59,10 @@ __all__ = [
     "BACKENDS",
 ]
 
-#: Tables per wave of a ``max_hits`` probe (:func:`packed_probe`): each
-#: wave hashes, fingerprints and looks up only the rows still below their
-#: cap.  Not an option; picked from a measured sweep (CHANGES.md).
+#: Tables per wave of a capped probe (:func:`packed_probe` under
+#: ``max_retrieved`` or ``max_hits``): each wave hashes, fingerprints and
+#: looks up only the rows still below their cap.  Not an option; picked
+#: from a measured sweep (CHANGES.md).
 WAVE = 4
 
 
@@ -139,20 +142,19 @@ class BatchHits:
         Shape ``(n_queries,)`` bool: whether the query's stream was cut by
         ``max_hits`` — i.e. exactly ``max_hits`` hits were gathered (a
         lazily-consuming caller cannot know whether more would have come,
-        so reaching the cap *is* the truncation signal, matching the
-        streaming single-query semantics).
+        so reaching the cap *is* the truncation signal).
     full_table_counts:
         ``None`` when the stream is unclipped (``table_counts`` already
-        *are* the full counts).  When a producer clipped the stream, this
-        carries **pre-clip** per-table retrieval counts:
-
-        * under a ``max_retrieved`` table clip, for every table, from
-          which :func:`batch_results` derives each query's
-          ``tables_probed`` and ``truncated``;
-        * under a ``max_hits`` cut, for every table the probe *reached*
-          and ``0`` for every table it never looked up.  Table ``t`` is
-          reached when the query's stream held fewer than ``max_hits``
-          hits as ``t`` began, so a cap of 0 reaches no table.
+        *are* the full counts).  When a producer cut the stream, this
+        carries the **pre-cut** count of every table the query *reached*
+        and ``0`` for every table past it, which is never looked up.  One
+        rule for both cuts: table ``t`` is reached when the query's stream
+        held fewer hits than the cap as ``t`` began.  Under a ``max_hits``
+        cap of 0 no table is reached; under ``max_retrieved`` the first
+        table always is (a budget of 0 probes one table), and since that
+        clip keeps reached tables whole these counts equal
+        ``table_counts``.  :func:`batch_results` derives each query's
+        ``tables_probed`` and ``truncated`` from them.
     """
 
     hits: np.ndarray
@@ -197,10 +199,10 @@ def budget_truncation(
     ``(n_queries, L)`` per-table retrieval-count matrix, a query stops
     after the first table at which its cumulative count reaches
     ``max_retrieved``.  Returns ``(tables_probed, truncated)``, both
-    ``(n_queries,)``.  Shared by the packed probe's clip and the result
-    builder (:func:`batch_results`) so the truncation semantics — which
-    ``tests/test_oracle.py`` holds bit-identical to the reference
-    single-query scan — are defined exactly once."""
+    ``(n_queries,)``.  Shared by the reference clip
+    (:func:`clip_batch_hits`) and the result builder
+    (:func:`batch_results`); ``tests/test_oracle.py`` holds it and the
+    packed probe's wave retirement bit-identical to the reference walk."""
     n_queries = counts.shape[0]
     if max_retrieved is None:
         return (
@@ -251,19 +253,6 @@ def segment_gather(
         + np.repeat(np.asarray(starts, dtype=np.int64), lengths)
     )
     return values[gather]
-
-
-def _table_clip(
-    counts: np.ndarray, n_tables: int, max_retrieved: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The Theorem 6.1 budget as a mask over a ``(n_queries, L)`` count
-    matrix: ``(included, truncated)``, where ``included[i, t]`` says
-    whether query ``i`` probes table ``t`` under ``max_retrieved``."""
-    tables_probed, truncated = budget_truncation(
-        counts, n_tables, max_retrieved
-    )
-    included = np.arange(n_tables)[None, :] < tables_probed[:, None]
-    return included, truncated
 
 
 def batch_results(
@@ -323,7 +312,8 @@ def clip_batch_hits(
     block: BatchHits, n_tables: int, max_retrieved: int | None
 ) -> BatchHits:
     """Apply the Theorem 6.1 table-granularity ``max_retrieved`` budget to
-    an *unclipped* :class:`BatchHits` stream, keeping the pre-clip counts.
+    an *unclipped* :class:`BatchHits` stream, keeping the pre-cut counts of
+    the tables each query reaches (:class:`BatchHits`).
 
     The gather-everything-then-clip reference that :func:`packed_probe`'s
     clip-before-gather is held to.  Within a query's segment hits are
@@ -340,7 +330,10 @@ def clip_batch_hits(
             "carries full_table_counts"
         )
     full = np.asarray(block.table_counts, dtype=np.int64)
-    included, truncated = _table_clip(full, n_tables, max_retrieved)
+    tables_probed, truncated = budget_truncation(
+        full, n_tables, max_retrieved
+    )
+    included = np.arange(n_tables)[None, :] < tables_probed[:, None]
     clipped = np.where(included, full, 0)
     keep = clipped.sum(axis=1)
     offsets = np.zeros(keep.size + 1, dtype=np.int64)
@@ -353,7 +346,7 @@ def clip_batch_hits(
         offsets=offsets,
         table_counts=clipped,
         truncated=truncated,
-        full_table_counts=full,
+        full_table_counts=clipped,
     )
 
 
@@ -365,8 +358,9 @@ class QueryComponents(Sequence[np.ndarray]):
     block to its ``(m, c)`` components, row by row.  Indexing (and so
     iteration) hashes table ``t``'s whole block once and caches it;
     :meth:`rows` hashes only some rows of a table, so a probe that retires
-    rows early (:func:`packed_probe` under ``max_hits``) never spends hash
-    work on the (query, table) pairs it does not reach.
+    rows early (:func:`packed_probe` under a cap, or the
+    :class:`DictBackend` walk) never spends hash work on the (query, table)
+    pairs it does not reach.
     """
 
     def __init__(
@@ -417,6 +411,17 @@ def _block_shape(comps: Sequence[np.ndarray]) -> tuple[int, int]:
     return len(comps), (as_components(comps[0]).shape[0] if len(comps) else 0)
 
 
+def _table_rows(
+    comps: Sequence[np.ndarray], t: int, rows: np.ndarray
+) -> np.ndarray:
+    """Table ``t``'s components of the given rows only; a
+    :class:`QueryComponents` hashes just those rows unless the whole table
+    is already cached."""
+    if isinstance(comps, QueryComponents):
+        return comps.rows(t, rows)
+    return as_components(comps[t])[rows]
+
+
 class IndexBackend(ABC):
     """Storage layout behind a :class:`DSHIndex`.
 
@@ -425,6 +430,7 @@ class IndexBackend(ABC):
     int64 components.  ``comps`` arguments are sequences with one entry
     per table, each of shape ``(n_queries, c)``: a plain list, or a
     :class:`QueryComponents` that hashes a table when it is first read.
+    Every probe takes a block; a single query is a one-row block.
     """
 
     name: str = "abstract"
@@ -475,13 +481,6 @@ class IndexBackend(ABC):
         immutable, which every query path already does."""
 
     @abstractmethod
-    def bucket(self, table: int, components: np.ndarray) -> np.ndarray:
-        """Point indices in ``table`` under one query's component row
-        (shape ``(1, c)``), in insertion (= increasing point index) order,
-        always as an **int64** array — backends that store narrowed ids
-        internally must widen here so callers never see dtype drift."""
-
-    @abstractmethod
     def bucket_sizes(self) -> list[int]:
         """All bucket sizes across tables (for load diagnostics)."""
 
@@ -489,25 +488,84 @@ class IndexBackend(ABC):
     def batch_query(
         self, comps: Sequence[np.ndarray], max_retrieved: int | None = None
     ) -> list[CandidateResult]:
-        """Probe all tables for every query row; one :class:`CandidateResult`
-        per query, candidates distinct and in first-seen order."""
+        """Probe the tables for every query row under the Theorem 6.1
+        ``max_retrieved`` budget (a row stops after the table where its
+        cumulative count reaches it); one :class:`CandidateResult` per
+        query, candidates distinct and in first-seen order."""
 
+    @abstractmethod
+    def batch_query_hits(
+        self, comps: Sequence[np.ndarray], max_hits: int | None = None
+    ) -> BatchHits:
+        """Bulk int64 hit streams for every query row (duplicates
+        preserved, probe order), feeding the application layers.
+
+        Unlike :meth:`batch_query`'s ``max_retrieved`` (the Theorem 6.1
+        device, which truncates at *table* granularity), ``max_hits`` cuts
+        each query's stream at exactly ``max_hits`` hits — the semantics of
+        a consumer that counts every hit it examines and stops mid-bucket
+        (annulus search under its ``8L`` budget).  Under ``max_hits`` the
+        pre-cut counts of the tables each query reached are recorded in
+        ``full_table_counts`` (see :class:`BatchHits`).
+        """
+
+
+class DictBackend(IndexBackend):
+    """Reference layout: ``dict[bytes, list[int]]`` per table.
+
+    Its probes are THE reference walk the packed probe is held to: for
+    each query row, the tables in order, one :meth:`bucket` lookup at a
+    time, stopping the row at its budget or cap.  A row's table is hashed
+    only when the walk reaches it (:func:`_table_rows`).
+    """
+
+    name = "dict"
+
+    def __init__(self) -> None:
+        self._tables: list[dict[bytes, list[int]]] = []
+
+    def build(self, tables: list[np.ndarray]) -> None:
+        """Bucket each table's component rows by exact serialized key."""
+        self._tables = []
+        for comps in tables:
+            table: dict[bytes, list[int]] = {}
+            for idx, key in enumerate(rows_to_keys(comps)):
+                table.setdefault(key, []).append(idx)
+            self._tables.append(table)
+
+    def bucket(self, table: int, components: np.ndarray) -> np.ndarray:
+        """Point indices in ``table`` under one query's component row
+        (shape ``(1, c)``), in insertion (= increasing point index) order,
+        as an int64 array."""
+        key = rows_to_keys(components)[0]
+        return np.asarray(self._tables[table].get(key, []), dtype=np.int64)
+
+    def bucket_sizes(self) -> list[int]:
+        """All bucket sizes across tables (for load diagnostics)."""
+        return [len(bucket) for table in self._tables for bucket in table.values()]
+
+    def _row_buckets(
+        self, comps: Sequence[np.ndarray], i: int
+    ) -> Iterable[np.ndarray]:
+        """Row ``i``'s buckets in table order, each table hashed and looked
+        up only when the consumer asks for it."""
+        row = np.array([i])
+        for t in range(len(comps)):
+            yield self.bucket(t, _table_rows(comps, t, row))
+
+    @staticmethod
     def _scan(
-        self, buckets, max_retrieved: int | None
+        buckets: Iterable[np.ndarray], max_retrieved: int | None
     ) -> CandidateResult:
-        """THE reference probe routine (first-seen dedup + the Theorem 6.1
-        early-termination budget) over a lazily-consumed iterable of
-        buckets, one per table in table order.  Every non-vectorized query
-        path funnels through here so the semantics cannot drift; the
-        packed ``batch_query`` override is held to the same semantics by
-        the generated oracle (``tests/test_oracle.py``)."""
+        """THE reference probe of one row (first-seen dedup + the Theorem
+        6.1 early-termination budget) over a lazily-consumed iterable of
+        buckets in table order."""
         stats = QueryStats()
         seen: set[int] = set()
         ordered: list[int] = []
         for bucket in buckets:
             stats.retrieved += len(bucket)
-            for idx in bucket:
-                idx = int(idx)
+            for idx in bucket.tolist():
                 if idx not in seen:
                     seen.add(idx)
                     ordered.append(idx)
@@ -518,38 +576,21 @@ class IndexBackend(ABC):
         stats.unique_candidates = len(ordered)
         return CandidateResult(ordered, stats)
 
-    def query(
-        self,
-        comps: Iterable[np.ndarray],
-        max_retrieved: int | None = None,
-    ) -> CandidateResult:
-        """Single-query probe.  ``comps`` may be any iterable of per-table
-        ``(1, c)`` component rows and is consumed lazily, so a truncating
-        budget also stops upstream hash evaluation (the caller can pass a
-        generator that hashes table ``i`` on demand)."""
-        return self._scan(
-            (self.bucket(t, c) for t, c in enumerate(comps)), max_retrieved
-        )
+    def batch_query(
+        self, comps: Sequence[np.ndarray], max_retrieved: int | None = None
+    ) -> list[CandidateResult]:
+        """:meth:`_scan` over each row's lazily walked buckets."""
+        _, n_queries = _block_shape(comps)
+        return [
+            self._scan(self._row_buckets(comps, i), max_retrieved)
+            for i in range(n_queries)
+        ]
 
     def batch_query_hits(
         self, comps: Sequence[np.ndarray], max_hits: int | None = None
     ) -> BatchHits:
-        """Bulk hit streams for every query row (duplicates preserved, probe
-        order), feeding the application-layer ``batch_query`` paths.
-
-        Unlike :meth:`batch_query`'s ``max_retrieved`` (the Theorem 6.1
-        device, which truncates at *table* granularity), ``max_hits`` cuts
-        each query's stream at exactly ``max_hits`` hits — the semantics of
-        a consumer that counts every hit it examines and stops mid-bucket
-        (annulus search under its ``8L`` budget).
-
-        This reference implementation walks buckets per query in Python
-        and stops a query's walk at its cap; :class:`PackedBackend`
-        overrides it with :func:`packed_probe`'s waves of batched
-        ``searchsorted`` lookups and one gather.  Under ``max_hits`` the
-        pre-cut counts of the tables each query reached are recorded in
-        ``full_table_counts`` (see :class:`BatchHits`).
-        """
+        """Each row's walk, stopped at its cap (the last bucket cut to
+        fit)."""
         n_tables, n_queries = _block_shape(comps)
         table_counts = np.zeros((n_queries, n_tables), dtype=np.int64)
         full_counts = (
@@ -562,12 +603,11 @@ class IndexBackend(ABC):
         lengths = np.zeros(n_queries, dtype=np.int64)
         for i in range(n_queries):
             gathered = 0
+            walk = self._row_buckets(comps, i)
             for t in range(n_tables):
                 if max_hits is not None and gathered >= max_hits:
                     break
-                bucket = np.asarray(
-                    self.bucket(t, comps[t][i : i + 1]), dtype=np.int64
-                )
+                bucket = next(walk)
                 if full_counts is not None:
                     full_counts[i, t] = bucket.size
                 if max_hits is not None and gathered + bucket.size > max_hits:
@@ -590,50 +630,6 @@ class IndexBackend(ABC):
             truncated=truncated,
             full_table_counts=full_counts,
         )
-
-
-class DictBackend(IndexBackend):
-    """Reference layout: ``dict[bytes, list[int]]`` per table."""
-
-    name = "dict"
-
-    def __init__(self) -> None:
-        self._tables: list[dict[bytes, list[int]]] = []
-
-    def build(self, tables: list[np.ndarray]) -> None:
-        """Bucket each table's component rows by exact serialized key."""
-        self._tables = []
-        for comps in tables:
-            table: dict[bytes, list[int]] = {}
-            for idx, key in enumerate(rows_to_keys(comps)):
-                table.setdefault(key, []).append(idx)
-            self._tables.append(table)
-
-    def bucket(self, table: int, components: np.ndarray) -> np.ndarray:
-        """Exact-key lookup; always returns an int64 id array."""
-        key = rows_to_keys(components)[0]
-        return np.asarray(self._tables[table].get(key, []), dtype=np.int64)
-
-    def bucket_sizes(self) -> list[int]:
-        """All bucket sizes across tables (for load diagnostics)."""
-        return [len(bucket) for table in self._tables for bucket in table.values()]
-
-    def batch_query(
-        self, comps: Sequence[np.ndarray], max_retrieved: int | None = None
-    ) -> list[CandidateResult]:
-        """Per-query reference ``_scan`` over precomputed key rows."""
-        per_table_keys = [rows_to_keys(c) for c in comps]
-        n_queries = len(per_table_keys[0]) if per_table_keys else 0
-        return [
-            self._scan(
-                (
-                    table.get(keys[i], ())
-                    for keys, table in zip(per_table_keys, self._tables)
-                ),
-                max_retrieved,
-            )
-            for i in range(n_queries)
-        ]
 
     def export_arrays(self) -> dict[str, np.ndarray]:
         """Flatten the per-table dicts: concatenated key bytes (fixed width
@@ -769,22 +765,6 @@ class PackedBackend(IndexBackend):
             np.concatenate(id_parts) if id_parts else np.empty(0, dtype=ids_dtype)
         )
 
-    def bucket(self, table: int, components: np.ndarray) -> np.ndarray:
-        """Fingerprint ``searchsorted`` lookup; widens ids to int64."""
-        unique = self._unique[table]
-        if unique.size == 0:
-            return np.empty(0, dtype=np.int64)
-        fp = rows_to_fingerprints(components)[0]
-        pos = int(np.searchsorted(unique, fp))
-        if pos >= unique.size or unique[pos] != fp:
-            return np.empty(0, dtype=np.int64)
-        offsets = self._offsets[table]
-        lo = self._base[table] + offsets[pos]
-        hi = self._base[table] + offsets[pos + 1]
-        # _ids may be narrowed to int32; the bucket() contract is int64, so
-        # widen here rather than leak a build-dependent dtype to callers.
-        return np.asarray(self._ids[lo:hi], dtype=np.int64)
-
     def bucket_sizes(self) -> list[int]:
         """All bucket sizes across tables (for load diagnostics)."""
         return [
@@ -870,7 +850,8 @@ class PackedBackend(IndexBackend):
         self, comps: Sequence[np.ndarray], max_retrieved: int | None = None
     ) -> list[CandidateResult]:
         """Vectorized probe: :func:`packed_probe` over this one backend
-        with the table clip, then :func:`batch_results`."""
+        with the table clip, probed in waves under a budget, then
+        :func:`batch_results`."""
         return batch_results(
             packed_probe([(self, 0)], comps, max_retrieved=max_retrieved),
             len(comps),
@@ -904,10 +885,8 @@ def _wave_fingerprints(
         return block if rows is None else block[:, rows]
     if rows is None:
         comps = [source[t] for t in range(first, last)]
-    elif isinstance(source, QueryComponents):
-        comps = [source.rows(t, rows) for t in range(first, last)]
     else:
-        comps = [as_components(source[t])[rows] for t in range(first, last)]
+        comps = [_table_rows(source, t, rows) for t in range(first, last)]
     return _query_fingerprints(comps)
 
 
@@ -937,14 +916,18 @@ def packed_probe(
       the budget);
     * ``max_hits``, an exact cut at that many hits, mid-bucket if needed.
 
-    Without ``max_hits`` every table is looked up for every query in one
-    wave.  Under ``max_hits`` the tables are probed in waves of
-    :data:`WAVE`: each wave fingerprints and looks up only the rows still
-    below their cap, and a row retires once its stream reaches the cap.
-    Either way the buckets are resolved into ``(starts, counts)`` first
-    and only the kept ones are gathered, in one pass at the end.  A cut
-    stream carries the summed pre-clip counts in ``full_table_counts``
-    (under ``max_hits``, of the tables reached; see :class:`BatchHits`).
+    Without a cut every table is looked up for every query in one wave.
+    Under either cut the tables are probed in waves of :data:`WAVE`, and
+    one rule retires the rows: table ``t`` is reached when the row held
+    fewer hits than the cap as ``t`` began (under ``max_retrieved`` the
+    first table always is, since a budget of 0 probes one table).  Each
+    wave fingerprints and looks up only the rows still below their cap and
+    zeroes the counts of the tables they do not reach, which *is* the
+    Theorem 6.1 table clip; ``max_hits`` then cuts the last reached bucket
+    to fit.  The buckets are resolved into ``(starts, counts)`` first and
+    only the kept ones are gathered, in one pass at the end.  A cut stream
+    carries the summed pre-cut counts of the tables reached in
+    ``full_table_counts`` (see :class:`BatchHits`).
     One part at offset 0 keeps its stored id dtype; otherwise each part's
     hits are lifted to int64 global ids and interleaved into probe order
     in one pass.
@@ -958,8 +941,9 @@ def packed_probe(
     # (n_queries, L, parts): row-major order is each query's probe order.
     starts = np.zeros((n_queries, n_tables, len(parts)), dtype=np.int64)
     counts = np.zeros_like(starts)
-    wave = n_tables if max_hits is None else WAVE
-    # A cap of 0 reaches no table.
+    cap = max_hits if max_retrieved is None else max_retrieved
+    wave = n_tables if cap is None else WAVE
+    # A max_hits cap of 0 reaches no table.
     active = np.arange(0 if max_hits == 0 else n_queries)
     held = np.zeros(n_queries, dtype=np.int64)
     for first in range(0, n_tables, wave):
@@ -973,25 +957,25 @@ def packed_probe(
             part_starts, part_counts = backend._lookup(fps, first)
             starts[rows, first:last, s] = part_starts.T
             counts[rows, first:last, s] = part_counts.T
-        if max_hits is not None:
-            # A table is reached if its row held fewer than max_hits hits
-            # as it began; drop the counts of the wave's tables past that.
+        if cap is not None:
+            # Drop the counts of the wave's tables each row does not reach.
             wave_counts = counts[active, first:last]
             per_table = wave_counts.sum(axis=2)
             began = held[active, None] + np.cumsum(per_table, axis=1) - per_table
-            reached = began < max_hits
+            reached = began < cap
+            if first == 0 and max_retrieved is not None:
+                reached[:, 0] = True
             counts[active, first:last] = wave_counts * reached[:, :, None]
             held[active] += (per_table * reached).sum(axis=1)
-            active = active[held[active] < max_hits]
+            active = active[held[active] < cap]
     full = counts.sum(axis=2)
     truncated = np.zeros(n_queries, dtype=bool)
     if max_retrieved is not None:
-        included, truncated = _table_clip(full, n_tables, max_retrieved)
-        counts = counts * included[:, :, None]
+        truncated = held >= max_retrieved
     elif max_hits is not None:
         # Hits left in each query's cap when a bucket begins: clip each
         # bucket to it, cutting the stream at exactly max_hits hits.
-        flat = counts.reshape(n_queries, -1)
+        flat = counts.reshape(n_queries, n_tables * len(parts))
         before = np.cumsum(flat, axis=1) - flat
         counts = np.minimum(
             flat, np.clip(max_hits - before, 0, None)
@@ -1028,13 +1012,12 @@ def packed_probe(
         hits = segment_gather(
             flat_hits, flat_starts.transpose(1, 2, 0).ravel(), counts.ravel()
         )
-    cut = max_retrieved is not None or max_hits is not None
     return BatchHits(
         hits=hits,
         offsets=offsets,
         table_counts=kept,
         truncated=truncated,
-        full_table_counts=full if cut else None,
+        full_table_counts=None if cap is None else full,
     )
 
 

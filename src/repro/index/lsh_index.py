@@ -21,20 +21,22 @@ convention: :meth:`DSHIndex.query` for one point, :meth:`DSHIndex.batch_query`
 for a batch, both returning :class:`~repro.index.backends.CandidateResult`
 (tuple-compatible with the legacy ``(candidates, stats)`` pairs).
 
-Query hashing is lazy.  A single query hashes table ``i`` only when its
-probe reaches it.  A block hands the backend a
+A single query is a one-row block: :meth:`DSHIndex.query` is
+``batch_query`` on that row, so both run the same probe.  Query hashing is
+lazy.  A block hands the backend a
 :class:`~repro.index.backends.QueryComponents` that hashes a table on first
-read; under a ``max_hits`` cap (:meth:`DSHIndex.batch_query_hits`, the
-annulus path) the packed probe reads it in waves of a few tables, hashing
-only the rows still below their cap, so hash work stops with the budget at
-wave granularity.  Without a cap every table is hashed for every row.
+read.  Under a ``max_retrieved`` budget or a ``max_hits`` cap
+(:meth:`DSHIndex.batch_query_hits`, the annulus path) the packed probe
+reads it in waves of a few tables, hashing only the rows still below their
+cap, so hash work stops with the budget at wave granularity; the dict
+reference walk hashes exactly the tables each row reaches.  Without a cut
+every table is hashed for every row.
 """
 
 from __future__ import annotations
 
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterator
 
 import numpy as np
 
@@ -304,43 +306,27 @@ class DSHIndex:
 
         Notes
         -----
-        Hashing is lazy per table (a generator feeds the backend), so a
-        truncating budget also stops hash evaluation at the truncating
-        table — hash work for tables beyond it is never spent.
+        The one-row case of :meth:`batch_query`: under a budget, hashing
+        stops with the probe wave that holds the truncating table.
         """
-        self._require_built()
         query = _check_single_query(query, self._dim)
-        max_retrieved = _check_budget(max_retrieved)
-        return self._backend.query(
-            (pair.hash_query(query) for pair in self._pairs), max_retrieved
-        )
-
-    def iter_candidates(self, query: np.ndarray) -> Iterator[tuple[int, int]]:
-        """Yield ``(index, table_number)`` hits lazily in probe order,
-        *with* duplicates — callers wanting streaming early termination
-        (annulus search) consume as much as they need.  Hashing stays lazy:
-        table ``i`` is only hashed/probed if the consumer reaches it."""
-        self._require_built()
-        query = _check_single_query(query, self._dim)
-        for table_number, pair in enumerate(self._pairs):
-            bucket = self._backend.bucket(table_number, pair.hash_query(query))
-            for idx in bucket:
-                yield int(idx), table_number
+        return self.batch_query(query, max_retrieved)[0]
 
     def batch_query(
         self, queries: np.ndarray, max_retrieved: int | None = None
     ) -> list[CandidateResult]:
-        """Run :meth:`query` for each row of ``queries``.
+        """Candidates for every row of ``queries``, each under the
+        ``max_retrieved`` budget as in :meth:`query` (which is the one-row
+        case of this method).
 
-        Hashes all queries through each table's ``g`` in one vectorized
-        call (for a bit-sampling power, one fused column gather; see
-        :class:`~repro.core.combinators.ConcatenatedFamily`) as the backend
-        reads the per-table component blocks: the dict backend
-        walks buckets per query through the same probe routine as
-        :meth:`query`; the packed backend fingerprints every table in one
-        mixing pass per component width, resolves all ``(query, table)``
-        buckets with batched ``searchsorted`` + one gather and dedups per
-        query with a stamp pass.
+        The packed backend hashes the rows through each table's ``g`` in
+        one vectorized call per probe wave (for a bit-sampling power, one
+        fused column gather; see
+        :class:`~repro.core.combinators.ConcatenatedFamily`), fingerprints
+        a wave in one mixing pass per component width, resolves its
+        ``(query, table)`` buckets with batched ``searchsorted``, gathers
+        once and dedups per query with a stamp pass.  The dict backend
+        walks each row's tables one bucket at a time, the reference.
         """
         self._require_built()
         queries = _check_query_block(queries, self._dim)
@@ -351,8 +337,9 @@ class DSHIndex:
         self, queries: np.ndarray, max_hits: int | None = None
     ) -> BatchHits:
         """Bulk hit streams (duplicates preserved, probe order) for a block
-        of queries — the bulk counterpart of :meth:`iter_candidates` that
-        the application layers' ``batch_query`` paths are built on.
+        of queries, the retrieval stream every application layer's query
+        paths are built on; ``batch_query_hits(q[None])`` is one query's
+        stream (``segment(0)``, with ``table_of`` for each hit's table).
 
         ``max_hits`` cuts each stream at exactly that many hits (hit
         granularity, unlike ``max_retrieved``'s table granularity): ``None``

@@ -7,7 +7,7 @@ hyperplane queries, range reporting) expose the same two entry points:
 * ``batch_query(points) -> list[Result]`` — a ``(n, d)`` block of query
   points, vectorized end to end where the backend supports it, with results
   **identical** to running ``query`` in a loop (``tests/test_oracle.py``
-  checks every surface against the dict backend's single-query walk).
+  checks every surface against the dict backend's walk).
 
 Every result carries a :class:`~repro.index.backends.QueryStats` describing
 the retrieval work the query performed — ``retrieved`` (hits with

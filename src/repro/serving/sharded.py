@@ -19,11 +19,11 @@ its shards as live ``DSHIndex`` objects, and :meth:`ShardedIndex.load`
 opens every shard file in the calling process (memory-mapped by
 default).  Every shard uses the packed layout, so a query block runs
 through the same :func:`~repro.index.backends.packed_probe` as an
-unsharded packed index, with the shards as its parts: the block is hashed
-and fingerprinted once (all shards share the pairs), each shard looks up
-its buckets, the Theorem 6.1 ``max_retrieved`` clip runs once on the
-summed per-table counts, and only the buckets it includes are gathered
-before one interleave into probe order.
+unsharded packed index, with the shards as its parts: each wave of tables
+is hashed and fingerprinted once (all shards share the pairs) for the rows
+still under their budget, each shard looks up its buckets, the Theorem 6.1
+``max_retrieved`` clip runs on the summed per-table counts, and only the
+buckets it includes are gathered before one interleave into probe order.
 
 The shards are probed one after another, not fanned out to worker
 processes: on the 4-shard, 64-query-block benchmark shape a 2-process
@@ -51,7 +51,6 @@ import numpy as np
 from repro.index.backends import (
     CandidateResult,
     PackedBackend,
-    _query_fingerprints,
     batch_results,
     packed_probe,
 )
@@ -300,22 +299,20 @@ class ShardedIndex:
     def batch_query(
         self, queries: np.ndarray, max_retrieved: int | None = None
     ) -> list[CandidateResult]:
-        """Candidate retrieval for a query block: hashed and fingerprinted
-        once, then one :func:`packed_probe` over the shards with the
-        budget clipped on their summed counts — element-for-element
-        identical to the unsharded index (global ids, first-seen dedup
-        order, stats)."""
+        """Candidate retrieval for a query block: one :func:`packed_probe`
+        over the shards, which hashes and fingerprints each wave once for
+        every shard and clips the budget on their summed counts —
+        element-for-element identical to the unsharded index (global ids,
+        first-seen dedup order, stats)."""
         queries = _check_query_block(queries, self._dim)
         max_retrieved = _check_budget(max_retrieved)
-        if queries.shape[0] == 0:
-            return []
         parts = [
             (cast(PackedBackend, shard._backend), offset)
             for shard, offset in zip(self._shards, self._bounds[:-1].tolist())
         ]
-        qfps = _query_fingerprints(self._shards[0]._query_components(queries))
+        comps = self._shards[0]._query_components(queries)
         return batch_results(
-            packed_probe(parts, qfps, max_retrieved=max_retrieved),
+            packed_probe(parts, comps, max_retrieved=max_retrieved),
             self.n_tables, self.n_points, max_retrieved,
         )
 

@@ -88,8 +88,6 @@ class TestDimensionValidation:
 
     def test_iter_and_hits_rejected(self, index):
         with pytest.raises(ValueError, match="dimensionality"):
-            next(index.iter_candidates(np.zeros(8, dtype=np.int8)))
-        with pytest.raises(ValueError, match="dimensionality"):
             index.batch_query_hits(np.zeros((2, 8), dtype=np.int8))
 
     def test_3d_queries_rejected(self, index):
@@ -278,8 +276,6 @@ class TestNonNumericQueries:
             index.batch_query(bad)
         with pytest.raises(TypeError, match="dtype"):
             index.batch_query_hits(bad)
-        with pytest.raises(TypeError, match="dtype"):
-            next(index.iter_candidates(bad[0]))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_annulus_index_rejects(self, kind):

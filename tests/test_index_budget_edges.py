@@ -1,8 +1,9 @@
 """The Theorem 6.1 budget at the index boundary.
 
-Covers, on both storage backends: the laziness contract (tables past the
-stopping point must never even be *hashed*; for a ``max_hits`` block, no
-table past the probe wave that holds a row's cut), budget and ``max_hits``
+Covers, on both storage backends: the laziness contract (no table past
+the probe wave that holds a row's cut or truncating table is ever
+*hashed*; the dict reference walk hashes exactly the tables it reaches),
+budget and ``max_hits``
 validation on every surface that takes one, and the clip's rejection of an
 already-clipped stream.  Which tables a budget probes, and what it returns, is checked by
 the generated oracle (``tests/test_oracle.py``).
@@ -69,30 +70,43 @@ class TestClipBatchHits:
 class TestHashLaziness:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_truncated_single_query_stops_hashing(self, backend):
+        """The packed probe hashes the wave holding the truncating table;
+        the dict reference walk hashes exactly the tables it reaches."""
         family = CountingFamily(BitSampling(8))
         points = np.zeros((20, 8), dtype=np.int8)
         index = DSHIndex(family, n_tables=8, rng=0, backend=backend).build(points)
         family.query_hashes = 0
         _, stats = index.query(points[0], max_retrieved=1)
         assert stats.truncated and stats.tables_probed == 1
-        assert family.query_hashes == 1  # tables 2..8 never hashed
+        assert family.query_hashes == (min(8, WAVE) if backend == "packed" else 1)
+
+    def test_budgeted_one_row_block_hashes_one_wave(self):
+        """A single raw query is a one-row block: under a budget its
+        tables past the first wave are never hashed."""
+        family = CountingFamily(BitSampling(8))
+        points = np.zeros((20, 8), dtype=np.int8)
+        index = DSHIndex(family, n_tables=16, rng=0, backend="packed").build(points)
+        family.query_rows = 0
+        [result] = index.batch_query(points[:1], max_retrieved=60)
+        assert result.stats.tables_probed == 3 and result.stats.truncated
+        assert family.query_rows == WAVE
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_iter_candidates_is_lazy(self, backend):
-        """Consuming a prefix of the candidate stream must hash only the
-        tables actually reached — the annulus search contract."""
+    def test_budgeted_block_retires_rows(self, backend):
+        """In a 64-row block, rows that reach the budget in table 2 retire
+        with the wave holding it (the dict walk: with table 2 itself);
+        rows that collide with no point are hashed through every table."""
         family = CountingFamily(BitSampling(8))
         points = np.zeros((20, 8), dtype=np.int8)
         index = DSHIndex(family, n_tables=8, rng=0, backend=backend).build(points)
-        family.query_hashes = 0
-        stream = index.iter_candidates(points[0])
-        for _ in range(5):  # 5 hits < 20 per table: still inside table 1
-            next(stream)
-        assert family.query_hashes == 1
-        # Draining into table 2 hashes exactly one more table.
-        for _ in range(20):
-            next(stream)
-        assert family.query_hashes == 2
+        queries = np.zeros((64, 8), dtype=np.int8)
+        queries[::4] = 1
+        family.query_rows = 0
+        results = index.batch_query(queries, max_retrieved=30)
+        assert [r.stats.truncated for r in results] == [False, True, True, True] * 16
+        assert [r.stats.tables_probed for r in results] == [8, 2, 2, 2] * 16
+        reached = min(8, WAVE) if backend == "packed" else 2
+        assert family.query_rows == 48 * reached + 16 * 8
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("cap", [25, 40], ids=["mid-table", "at-boundary"])

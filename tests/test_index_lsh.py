@@ -60,12 +60,13 @@ class TestBuildAndQuery:
         assert stats.truncated
         assert stats.tables_probed < 10
 
-    def test_iter_candidates_streams_with_duplicates(self):
+    def test_one_row_hits_stream_with_duplicates(self):
         pts = np.zeros((2, 8), dtype=np.int8)
         index = DSHIndex(BitSampling(8), n_tables=3, rng=9).build(pts)
-        hits = list(index.iter_candidates(pts[0]))
+        block = index.batch_query_hits(pts[0][None])
+        hits = block.segment(0)
         assert len(hits) == 6  # 2 points x 3 tables, duplicates preserved
-        tables = {t for _, t in hits}
+        tables = {block.table_of(0, position) for position in range(len(hits))}
         assert tables == {0, 1, 2}
 
     def test_single_query_point_enforced(self):
