@@ -4,8 +4,8 @@ The repo's query surfaces stop at ``batch_query`` — great when one
 caller already holds a block of queries, useless for the ROADMAP's
 real-traffic setting where "millions of users" each arrive with a
 *single* query over a socket.  :class:`AsyncIndexServer` closes that
-gap: concurrent single-query requests are admitted into a bounded
-queue, coalesced into micro-batches under a ``max_batch`` /
+gap: concurrent single-query requests are admitted into one deque,
+coalesced into micro-batches under a ``max_batch`` /
 ``max_wait_us`` window, executed on the snapshot's one loaded index
 handle in a thread pool (up to ``replicas`` batches at once; NumPy
 kernels release the GIL, so concurrent batches overlap their array
@@ -21,9 +21,10 @@ Design points:
   invariant) — so coalescing is invisible in the responses.  Requests
   with different ``max_retrieved`` budgets are grouped and executed
   per budget, since a budget applies to a whole ``batch_query`` call.
-* **Backpressure.**  Admission is a bounded ``asyncio.Queue``; when
-  it is full the request is *shed* immediately with a typed
-  :class:`ServerOverloadedError` rather than queued into collapse.
+* **Backpressure.**  Admission is bounded by ``max_pending``
+  outstanding requests, queued or in flight; past it a request is
+  *shed* immediately with a typed :class:`ServerOverloadedError` rather
+  than queued into collapse.
 * **Health.**  A batch that fails with an infrastructure error
   (:class:`IndexIntegrityError`, ``OSError``, e.g. a shard file that can
   no longer be read) fails with that error and marks its generation
@@ -56,7 +57,8 @@ from __future__ import annotations
 import asyncio
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any
 
@@ -96,9 +98,9 @@ _HANDLE_ERRORS = (IndexIntegrityError, OSError)
 
 
 class ServerOverloadedError(RuntimeError):
-    """The admission queue is full and the request was shed immediately
-    (bounded-queue backpressure).  ``pending`` and ``max_pending`` record
-    the queue state at shed time; callers should back off and retry."""
+    """``max_pending`` requests are outstanding (queued or in flight) and
+    this one was shed immediately.  ``pending`` and ``max_pending`` record
+    the admission state at shed time; callers should back off and retry."""
 
     def __init__(self, pending: int, max_pending: int) -> None:
         super().__init__(
@@ -244,8 +246,8 @@ class AsyncIndexServer:
     sharded layout), loaded once per generation; ``replicas`` is how many
     batches run on that handle at once (their NumPy work overlaps in the
     executor threads).  ``max_batch`` / ``max_wait_us`` bound the
-    coalescing window, ``max_pending`` the admission queue (see the
-    module docstring), and ``options`` is the same frozen
+    coalescing window, ``max_pending`` the requests outstanding at once
+    (see the module docstring), and ``options`` is the same frozen
     :class:`~repro.serving.options.ServingOptions` every other query
     surface takes; each snapshot is loaded with it.
 
@@ -279,16 +281,18 @@ class AsyncIndexServer:
         self._max_wait_s = max_wait_us / 1e6
         self._max_pending = max_pending
         self._options = options if options is not None else ServingOptions()
-        self._queue: asyncio.Queue[_Request] | None = None
+        # Admitted requests wait here until a batch takes them; admission
+        # sets ``_arrived`` so the coalescing loop wakes.
+        self._queue: deque[_Request] = deque()
+        self._arrived = asyncio.Event()
         self._snapshot: _Snapshot | None = None
         self._batcher: asyncio.Task[None] | None = None
-        self._getter: asyncio.Task[_Request] | None = None
         self._tasks: set[asyncio.Task[None]] = set()
         self._executor: ThreadPoolExecutor | None = None
         self._finalizer: weakref.finalize | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._swap_lock: asyncio.Lock | None = None
-        self._slots: asyncio.Semaphore | None = None
+        self._swap_lock = asyncio.Lock()
+        self._slots = asyncio.Semaphore(replicas)
         self._pending = 0
         self._started = False
         self._closed = False
@@ -317,9 +321,6 @@ class AsyncIndexServer:
             raise RuntimeError("server already started or closed")
         loop = asyncio.get_running_loop()
         self._loop = loop
-        self._queue = asyncio.Queue(maxsize=self._max_pending)
-        self._swap_lock = asyncio.Lock()
-        self._slots = asyncio.Semaphore(self._concurrency)
         self._executor = ThreadPoolExecutor(
             max_workers=max(2, self._concurrency),
             thread_name_prefix="repro-serve",
@@ -340,7 +341,8 @@ class AsyncIndexServer:
 
     async def close(self) -> None:
         """Graceful shutdown: stop admission, drain every in-flight
-        request, then release the snapshot and the executor.  Idempotent."""
+        request, wait out a swap in progress, then release the snapshot
+        and the executor.  Idempotent."""
         if self._closed:
             return
         self._closed = True
@@ -364,7 +366,10 @@ class AsyncIndexServer:
             except asyncio.CancelledError:
                 pass
             self._batcher = None
-        snapshot, self._snapshot = self._snapshot, None
+        # A swap admitted before close installs its generation first, so
+        # the release below closes it rather than leaking it.
+        async with self._swap_lock:
+            snapshot, self._snapshot = self._snapshot, None
         executor = self._executor
         if snapshot is not None and executor is not None:
             loop = asyncio.get_running_loop()
@@ -412,7 +417,7 @@ class AsyncIndexServer:
         ``RuntimeError`` naming that generation for every later batch on
         it until :meth:`check_health` or :meth:`swap` restores service.
         """
-        queue = self._require_running()
+        self._require_running()
         snapshot = self._snapshot
         # The index's own single-query check (shape, dimension, dtype,
         # finiteness), run here: a bad row that reached a shared batch
@@ -438,13 +443,8 @@ class AsyncIndexServer:
             self._metrics["shed"] += 1
             raise ServerOverloadedError(self._pending, self._max_pending)
         request = _Request(row, budget, loop.create_future(), loop.time())
-        try:
-            queue.put_nowait(request)
-        except asyncio.QueueFull:  # pragma: no cover - pending gate first
-            self._metrics["shed"] += 1
-            raise ServerOverloadedError(
-                queue.qsize(), self._max_pending
-            ) from None
+        self._queue.append(request)
+        self._arrived.set()
         self._metrics["admitted"] += 1
         self._pending += 1
         request.future.add_done_callback(self._request_done)
@@ -453,88 +453,45 @@ class AsyncIndexServer:
     def _request_done(self, future: asyncio.Future[ServedResult]) -> None:
         self._pending -= 1
 
-    def _require_running(self) -> asyncio.Queue[_Request]:
+    def _require_running(self) -> None:
         if self._closed:
             raise RuntimeError("server is closed")
-        if not self._started or self._queue is None:
+        if not self._started:
             raise RuntimeError("server not started; await start() first")
-        return self._queue
 
     # -- coalescing loop -------------------------------------------------
-
-    def _ensure_getter(self) -> asyncio.Task[_Request]:
-        # One persistent queue.get() task that survives window expiries —
-        # cancelling a get() mid-completion can drop an item, so the
-        # getter is never cancelled while the loop runs.
-        if self._getter is None:
-            if self._loop is None or self._queue is None:
-                raise RuntimeError("server not started")
-            self._getter = self._loop.create_task(self._queue.get())
-        return self._getter
-
-    def _poll_request(self) -> _Request | None:
-        getter = self._getter
-        if getter is not None and getter.done():
-            self._getter = None
-            return getter.result()
-        if self._queue is None:
-            return None
-        try:
-            return self._queue.get_nowait()
-        except asyncio.QueueEmpty:
-            return None
-
-    async def _next_request(
-        self, timeout: float | None
-    ) -> _Request | None:
-        getter = self._ensure_getter()
-        done, _ = await asyncio.wait({getter}, timeout=timeout)
-        if not done:
-            return None  # window expired; getter stays armed for later
-        self._getter = None
-        return getter.result()
 
     async def _batch_loop(self) -> None:
         if self._loop is None:
             raise RuntimeError("server not started")
-        loop = self._loop
-        try:
-            while True:
-                head = await self._next_request(None)
-                if head is None:  # pragma: no cover - None only on timeout
-                    continue
-                started = loop.time()
-                batch = [head]
-                deadline = started + self._max_wait_s
-                while len(batch) < self._max_batch:
-                    more = self._poll_request()
-                    if more is not None:
-                        batch.append(more)
-                        continue
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    more = await self._next_request(remaining)
-                    if more is None:
-                        break
-                    batch.append(more)
-                coalesce_wait_s = loop.time() - started
-                task = loop.create_task(
-                    self._run_batch(batch, coalesce_wait_s)
-                )
-                self._tasks.add(task)
-                task.add_done_callback(self._tasks.discard)
-        finally:
-            getter, self._getter = self._getter, None
-            if getter is not None:
-                if getter.done() and not getter.cancelled():
-                    orphan = getter.result()
-                    if not orphan.future.done():
-                        orphan.future.set_exception(
-                            RuntimeError("server closed during admission")
-                        )
-                else:
-                    getter.cancel()
+        loop, queue, arrived = self._loop, self._queue, self._arrived
+        while True:
+            while not queue:
+                arrived.clear()
+                await arrived.wait()
+            # The head is waiting: hold the window open for followers
+            # until it expires or ``max_batch`` requests are waiting.
+            # Requests stay in the deque meanwhile, so cancelling a wait
+            # can drop none of them.
+            started = loop.time()
+            deadline = started + self._max_wait_s
+            while len(queue) < self._max_batch:
+                remaining = deadline - loop.time()
+                if remaining <= 0:
+                    break
+                arrived.clear()
+                try:
+                    await asyncio.wait_for(arrived.wait(), remaining)
+                except asyncio.TimeoutError:
+                    break
+            batch = [
+                queue.popleft()
+                for _ in range(min(len(queue), self._max_batch))
+            ]
+            coalesce_wait_s = loop.time() - started
+            task = loop.create_task(self._run_batch(batch, coalesce_wait_s))
+            self._tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
 
     # -- batch execution -------------------------------------------------
 
@@ -591,7 +548,7 @@ class AsyncIndexServer:
         batch_size: int,
         coalesce_wait_s: float,
     ) -> None:
-        if self._loop is None or self._executor is None or self._slots is None:
+        if self._loop is None or self._executor is None:
             raise RuntimeError("server not started")
         loop, executor = self._loop, self._executor
         dispatched_at = loop.time()
@@ -679,7 +636,7 @@ class AsyncIndexServer:
         snapshot keeps serving untouched.
         """
         self._require_running()
-        if self._swap_lock is None or self._loop is None:
+        if self._loop is None:
             raise RuntimeError("server not started")
         async with self._swap_lock:
             old = self._snapshot
@@ -770,14 +727,16 @@ class ServerHandle:
         self, queries: np.ndarray, max_retrieved: int | None = None
     ) -> list[ServedResult]:
         """Submit every row as its own concurrent request (they coalesce
-        server-side) and block for all results, in row order.  Failure
-        semantics per row match :meth:`query` (shed requests raise
-        :class:`ServerOverloadedError`, execution failures propagate)."""
+        server-side), block until every row is done, and return the
+        results in row order.  Failure semantics per row match
+        :meth:`query` (shed requests raise :class:`ServerOverloadedError`,
+        execution failures propagate); the first failed row raises."""
         block = np.atleast_2d(np.asarray(queries))
         futures = [
             self._submit(self._server.query(row, max_retrieved))
             for row in block
         ]
+        wait(futures)
         return [future.result() for future in futures]
 
     def swap(self, path: str) -> dict[str, Any]:

@@ -36,10 +36,13 @@ def spy_on_loads(monkeypatch: Any) -> list[tuple[str, Any]]:
 
 def fail_once(index: Any, error: BaseException) -> None:
     """Make the next ``batch_query`` call on ``index`` raise ``error``;
-    later calls answer normally."""
+    later calls answer normally, also one that raced the failing call."""
 
     def failing_once(*args: Any, **kwargs: Any) -> Any:
-        del index.batch_query
+        try:
+            del index.batch_query
+        except AttributeError:  # another batch already took the failure
+            return index.batch_query(*args, **kwargs)
         raise error
 
     index.batch_query = failing_once
