@@ -32,6 +32,7 @@ from repro.utils.validation import check_probability
 
 __all__ = [
     "ConcatenatedFamily",
+    "ConcatenatedHash",
     "ConstantCollisionFamily",
     "PoweredFamily",
     "MixtureFamily",
@@ -99,6 +100,28 @@ def _combined_cpf_or_none(
         return None
 
 
+class ConcatenatedHash:
+    """The hash ``x -> hstack(part(x) for part in parts)`` of one side of
+    a concatenated pair (Lemma 1.4(a)): each part's components, as
+    ``(n, c_i)`` int64 columns, side by side in order.
+
+    A plain class (no closure), as
+    :class:`~repro.core.family.CoordinateProjection` is, so a batched
+    query path can see the sub-hashes it stacks: the Gaussian filters of
+    a sphere annulus pair are evaluated together by
+    :class:`~repro.families.filters.FilterStack`.
+    """
+
+    def __init__(
+        self, parts: Sequence[Callable[[np.ndarray], np.ndarray]]
+    ) -> None:
+        self.parts = list(parts)
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points))
+        return np.hstack([as_components(part(points)) for part in self.parts])
+
+
 class ConcatenatedFamily(DSHFamily):
     """Lemma 1.4(a): hash with every sub-family; collide iff all collide.
 
@@ -112,8 +135,9 @@ class ConcatenatedFamily(DSHFamily):
     the sub-pairs' coordinates in order, so the pair is that single
     projection: one column gather instead of one call per sub-pair.
     Any other sub-pair (an asymmetric one such as anti bit-sampling
-    included) keeps the per-sub-pair ``hstack``.  The sub-pairs are
-    drawn from the same spawned generators either way.
+    included) keeps the per-sub-pair ``hstack``: each side is a
+    :class:`ConcatenatedHash` over the sub-pairs' hashes on that side.
+    The sub-pairs are drawn from the same spawned generators either way.
     """
 
     def __init__(self, families: Sequence[DSHFamily]) -> None:
@@ -136,13 +160,11 @@ class ConcatenatedFamily(DSHFamily):
             )
             return HashPair(h=fused, g=fused, meta=meta)
 
-        def h(points: np.ndarray) -> np.ndarray:
-            return np.hstack([p.hash_data(points) for p in pairs])
-
-        def g(points: np.ndarray) -> np.ndarray:
-            return np.hstack([p.hash_query(points) for p in pairs])
-
-        return HashPair(h=h, g=g, meta=meta)
+        return HashPair(
+            h=ConcatenatedHash([p.h for p in pairs]),
+            g=ConcatenatedHash([p.g for p in pairs]),
+            meta=meta,
+        )
 
     @property
     def cpf(self) -> CPF | None:

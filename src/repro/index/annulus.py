@@ -14,9 +14,12 @@ Section 6.2 sphere family for the Theorem 6.4 setting.
 :class:`AnnulusIndex` is :class:`~repro.index.queryable.Queryable`, with
 one probe path: :meth:`AnnulusIndex.batch_query` routes a query block
 through the backend's batched hits-with-multiplicity path, cut at the
-``8 L`` budget, evaluates proximity in one call per query over its cut
-hits, and finds each query's reported point, distinct-candidate count and
-stopping table with segment reductions over the block.
+``8 L`` budget and probed in waves of a few tables (for the sphere
+family, each wave's query hashing is one stacked product over the
+wave's Gaussian filters), evaluates proximity in one call per query
+over its cut hits, and finds each query's reported point,
+distinct-candidate count and stopping table with segment reductions
+over the block.
 :meth:`AnnulusIndex.query` is its one-row case and
 :meth:`AnnulusIndex.query_many` reads the same one-row stream past the
 first hit.  ``tests/test_oracle.py`` holds all three to the literal
@@ -274,6 +277,9 @@ class AnnulusIndex:
         looks up (``searchsorted``) only the queries still under their
         budget, and one gather at the end collects every stream, so a
         query's tables past the wave holding its cut are never hashed.
+        With the sphere family a wave's hashing is one stacked product
+        over its tables' Gaussian filters
+        (:class:`~repro.families.filters.FilterStack`).
         Proximity is then evaluated in one call per
         query over its clipped hits (repeats included), and the streaming
         procedure is replayed as segment reductions over the whole block:

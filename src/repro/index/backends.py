@@ -40,6 +40,7 @@ from repro.core.family import (
     rows_to_fingerprints,
     rows_to_keys,
 )
+from repro.families.filters import FilterStack
 
 __all__ = [
     "QueryStats",
@@ -360,16 +361,22 @@ class QueryComponents(Sequence[np.ndarray]):
     :meth:`rows` hashes only some rows of a table, so a probe that retires
     rows early (:func:`packed_probe` under a cap, or the
     :class:`DictBackend` walk) never spends hash work on the (query, table)
-    pairs it does not reach.
+    pairs it does not reach.  :meth:`tables` hashes a range of tables for
+    some rows in one call: with a ``stack`` (the index's
+    :class:`~repro.families.filters.FilterStack`, when every table hashes
+    with Gaussian filters) that is one stacked product for the whole
+    range, else one call per table.
     """
 
     def __init__(
         self,
         hashes: Sequence[Callable[[np.ndarray], np.ndarray]],
         queries: np.ndarray,
+        stack: FilterStack | None,
     ) -> None:
         self._hashes = list(hashes)
         self._queries = queries
+        self._stack = stack
         self._tables: list[np.ndarray | None] = [None] * len(self._hashes)
 
     @property
@@ -401,6 +408,20 @@ class QueryComponents(Sequence[np.ndarray]):
         if block is not None:
             return block[rows]
         return self._hashes[t](self._queries[rows])
+
+    def tables(
+        self, first: int, last: int, rows: np.ndarray | None = None
+    ) -> list[np.ndarray]:
+        """Tables ``first .. last - 1``'s components of the given rows
+        (``None``: every row), uncached: one stacked product over the range
+        when the block has a stack, else :meth:`rows` (or indexing) table
+        by table."""
+        if self._stack is not None:
+            queries = self._queries if rows is None else self._queries[rows]
+            return self._stack.components(queries, first, last)
+        if rows is None:
+            return [self[t] for t in range(first, last)]
+        return [self.rows(t, rows) for t in range(first, last)]
 
 
 def _block_shape(comps: Sequence[np.ndarray]) -> tuple[int, int]:
@@ -879,14 +900,18 @@ def _wave_fingerprints(
     """Fingerprints of tables ``first .. last - 1`` for ``rows`` (``None``:
     every row), as a ``(last - first, n_rows)`` matrix, from a fingerprint
     matrix or a component sequence.  A :class:`QueryComponents` hashes
-    only those rows; a whole table is hashed once and cached."""
+    only those rows, all the wave's tables in one
+    :meth:`QueryComponents.tables` call (one stacked product for Gaussian
+    filter tables)."""
     if isinstance(source, np.ndarray):
         block = source[first:last]
         return block if rows is None else block[:, rows]
-    if rows is None:
+    if isinstance(source, QueryComponents):
+        comps = source.tables(first, last, rows)
+    elif rows is None:
         comps = [source[t] for t in range(first, last)]
     else:
-        comps = [_table_rows(source, t, rows) for t in range(first, last)]
+        comps = [as_components(source[t])[rows] for t in range(first, last)]
     return _query_fingerprints(comps)
 
 
@@ -923,9 +948,13 @@ def packed_probe(
     first table always is, since a budget of 0 probes one table).  Each
     wave fingerprints and looks up only the rows still below their cap and
     zeroes the counts of the tables they do not reach, which *is* the
-    Theorem 6.1 table clip; ``max_hits`` then cuts the last reached bucket
-    to fit.  The buckets are resolved into ``(starts, counts)`` first and
-    only the kept ones are gathered, in one pass at the end.  A cut stream
+    Theorem 6.1 table clip.  A :class:`QueryComponents` source hashes a
+    wave's tables for those rows in one :meth:`QueryComponents.tables`
+    call: for Gaussian filter tables one stacked product per wave
+    (:class:`~repro.families.filters.FilterStack`), else one hash call per
+    table.  ``max_hits`` then cuts the last reached bucket to fit.  The
+    buckets are resolved into ``(starts, counts)`` first and only the kept
+    ones are gathered, in one pass at the end.  A cut stream
     carries the summed pre-cut counts of the tables reached in
     ``full_table_counts`` (see :class:`BatchHits`).
     One part at offset 0 keeps its stored id dtype; otherwise each part's

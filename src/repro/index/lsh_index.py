@@ -29,7 +29,10 @@ read.  Under a ``max_retrieved`` budget or a ``max_hits`` cap
 (:meth:`DSHIndex.batch_query_hits`, the annulus path) the packed probe
 reads it in waves of a few tables, hashing only the rows still below their
 cap, so hash work stops with the budget at wave granularity; the dict
-reference walk hashes exactly the tables each row reaches.  Without a cut
+reference walk hashes exactly the tables each row reaches.  When every
+table hashes queries with one-chunk Gaussian filters (the sphere annulus
+family), the index keeps a :class:`~repro.families.filters.FilterStack`
+and a wave's tables are hashed with one stacked product.  Without a cut
 every table is hashed for every row.
 """
 
@@ -41,6 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.core.family import DSHFamily, HashPair
+from repro.families.filters import FilterStack
 from repro.index.backends import (
     BatchHits,
     CandidateResult,
@@ -167,6 +171,8 @@ class DSHIndex:
         # integer seed (see pair_rng_state / from_state).
         self._pair_rng_state: dict = rng_state(rng)
         self._pairs: list[HashPair] = family.sample_pairs(n_tables, rng)
+        # Gaussian filter tables hash a probe wave with one stacked product.
+        self._stack = FilterStack.of([pair.g for pair in self._pairs])
         self._backend: IndexBackend = make_backend(backend).attach()
         self._n_points = 0
         self._dim: int | None = None
@@ -280,7 +286,9 @@ class DSHIndex:
     def _query_components(self, query: np.ndarray) -> QueryComponents:
         """One or more query rows' components under every table's ``g``,
         each table hashed when the backend first reads it."""
-        return QueryComponents([pair.hash_query for pair in self._pairs], query)
+        return QueryComponents(
+            [pair.hash_query for pair in self._pairs], query, self._stack
+        )
 
     def query(
         self, query: np.ndarray, max_retrieved: int | None = None

@@ -134,6 +134,33 @@ class TestCoalescing:
         sizes = {r.serve.batch_size for r in results}
         assert max(sizes) <= 16
 
+    def test_spaced_arrivals_wait_in_one_window(self, saved_single, flat, data):
+        """Requests arriving one by one, ~1 ms apart, well inside the
+        window: the head holds the window open, so all four ride one
+        batch.  The window (2 s) dwarfs the spacing, so a loaded host
+        cannot split them, and ``max_batch=4`` closes it at the fourth
+        arrival instead of at its expiry."""
+        _, queries = data
+        reference = flat.batch_query(queries[:4])
+
+        async def scenario():
+            async with AsyncIndexServer(
+                str(saved_single), max_batch=4, max_wait_us=2_000_000
+            ) as server:
+                before = server.metrics()["batches"]
+                jobs = []
+                for q in queries[:4]:
+                    jobs.append(asyncio.ensure_future(server.query(q)))
+                    await asyncio.sleep(0.001)
+                results = await asyncio.gather(*jobs)
+                return results, server.metrics()["batches"] - before
+
+        results, batches = asyncio.run(scenario())
+        for served, ref in zip(results, reference):
+            _assert_exact(served, ref)
+            assert served.serve.batch_size == 4
+        assert batches == 1
+
     def test_max_batch_one_serves_singletons(self, saved_single, flat, data):
         _, queries = data
         reference = flat.batch_query(queries[:10])
